@@ -347,31 +347,28 @@ def _parse_criteria(text: str):
     return crits
 
 
-def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise CliError("bad-arg", "--reps must be a positive integer")
+def _seeded_design(args, command: str):
+    """The generator and default alpha of --preset, else of the --config file."""
     if args.seed is None:
-        raise CliError("bad-arg", "--seed is mandatory for simulate")
-
-    config: Dict = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-
-    alpha = args.alpha
+        raise CliError("bad-arg", f"--seed is mandatory for {command}")
     if args.preset:
         if args.preset not in _PRESETS:
             raise CliError("bad-arg", f"unknown preset {args.preset!r}; "
                                       f"choose from {sorted(_PRESETS)}")
-        kind, params, preset_alpha = _PRESETS[args.preset]
-        generator = _generator_from_config({"kind": kind, **params})
-        if alpha is None:
-            alpha = preset_alpha
-    elif "generator" in config:
-        generator = _generator_from_config(config["generator"])
-    else:
-        raise CliError("bad-arg", "simulate needs --preset or a config generator")
-    if alpha is None:
-        alpha = config.get("alpha", 0.1)
+        kind, params, alpha = _PRESETS[args.preset]
+        return _generator_from_config({"kind": kind, **params}), alpha
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if "generator" not in config:
+        raise CliError("bad-arg", f"{command} needs --preset or a config generator")
+    return _generator_from_config(config["generator"]), config.get("alpha", 0.1)
+
+
+def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise CliError("bad-arg", "--reps must be a positive integer")
+    generator, alpha = _seeded_design(args, "simulate")
+    if args.alpha is not None:
+        alpha = args.alpha
 
     grid_L = None
     if args.perturb_discrete:
@@ -384,8 +381,7 @@ def cmd_simulate(args) -> int:
     proc = ProcedureConfig(args.procedure, alpha,
                            perturb=args.perturb_discrete, grid_L=grid_L)
     criteria = _parse_criteria(args.criteria)
-    report = mc_error_rates(generator, proc, args.reps, criteria,
-                            seed=args.seed, threads=args.threads)
+    report = mc_error_rates(generator, proc, args.reps, criteria, seed=args.seed)
     write_json(args.out, report.to_jsonable())
     return 0
 
@@ -395,21 +391,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    if args.seed is None:
-        raise CliError("bad-arg", "--seed is mandatory for calibrate")
-    config: Dict = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.preset:
-        if args.preset not in _PRESETS:
-            raise CliError("bad-arg", f"unknown preset {args.preset!r}")
-        kind, params, _ = _PRESETS[args.preset]
-        generator = _generator_from_config({"kind": kind, **params})
-    elif "generator" in config:
-        generator = _generator_from_config(config["generator"])
-    else:
-        raise CliError("bad-arg", "calibrate needs --preset or a config generator")
-
+    generator, _ = _seeded_design(args, "calibrate")
     curve = calibration_experiment(generator, args.scorer, args.reps,
                                    args.bin_width, args.seed)
     rows = []
@@ -433,7 +415,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
         raise CliError("bad-arg", f"unknown suite {args.suite!r}; "
                                   f"choose from {', '.join(SUITE_NAMES)}")
-    results = run_suite(args.suite, seed=args.seed, threads=args.threads)
+    results = run_suite(args.suite, seed=args.seed)
     for res in results:
         print(res.line())
     failures = sum(1 for r in results if not r.passed)
@@ -477,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--criteria", default="bfdr,fdr")
     ps.add_argument("--reps", type=int, default=100_000)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--perturb-discrete", action="store_true")
     ps.add_argument("--out", default=None)
     ps.add_argument("--format", choices=("json",), default="json")
@@ -498,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", help="theorems | counterexamples | oracles")
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--threads", type=int, default=1)
     pv.set_defaults(func=cmd_verify)
 
     return parser

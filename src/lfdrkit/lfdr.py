@@ -99,13 +99,17 @@ class Pi0Estimate:
 
 def storey_pi0(stats: StatVector, lambda_: float = 0.5) -> Pi0Estimate:
     """Null-proportion estimate #{p_i > lambda} / (m * (1 - lambda))."""
-    if not 0.0 < lambda_ < 1.0:
-        raise ValueError("lambda_ must lie in (0, 1)")
     if stats.scale is not Scale.P_VALUE:
         raise ValueError("storey_pi0 expects p-scale statistics")
-    m = stats.m
-    raw = float(np.count_nonzero(stats.values > lambda_)) / (m * (1.0 - lambda_))
+    raw = float(storey_pi0_raw(stats.values, lambda_))
     return Pi0Estimate(value=min(raw, 1.0), lambda_=lambda_, raw=raw)
+
+
+def storey_pi0_raw(p: np.ndarray, lambda_: float):
+    """The unclipped Storey estimate along the last axis of an array of p-values."""
+    if not 0.0 < lambda_ < 1.0:
+        raise ValueError("lambda_ must lie in (0, 1)")
+    return np.count_nonzero(p > lambda_, axis=-1) / (p.shape[-1] * (1.0 - lambda_))
 
 
 def selection_window_pi0(stats: StatVector, window: Tuple[float, float],

@@ -69,6 +69,37 @@ def _fdp_hat_core(m0: float, t, n_at_or_below):
     return out
 
 
+def _fdp_hat_sorted(m0, ps: np.ndarray) -> np.ndarray:
+    """Estimated FDP at each sorted p-value, with count k at the k-th: the
+    last of a tie run has the true count and the smallest estimate, so
+    step-up thresholds and q-values equal those from true counts."""
+    return _fdp_hat_core(m0, ps, np.arange(1, ps.shape[-1] + 1))
+
+
+def step_up_thresholds(ps: np.ndarray, alpha: float, m0) -> np.ndarray:
+    """Step-up threshold of each row of sorted p-values.
+
+    The largest ``p_(k)`` whose estimated FDP is at most alpha, or 0 when
+    none is; ``m0`` broadcasts against the rows.
+    """
+    return np.where(_fdp_hat_sorted(m0, ps) <= alpha, ps, 0.0).max(axis=-1)
+
+
+def _support_line_objective(ps: np.ndarray, alpha: float) -> np.ndarray:
+    """``alpha*k/m - p_(k)`` for k = 0..m along each row of sorted p-values."""
+    m = ps.shape[-1]
+    zero = np.zeros(ps.shape[:-1] + (1,))
+    return alpha * np.arange(m + 1) / m - np.concatenate([zero, ps], axis=-1)
+
+
+def support_line_counts(ps: np.ndarray, alpha: float) -> np.ndarray:
+    """Support-line rejection count of each row of sorted p-values: the
+    largest maximizing k.  It ends a tie run, so the rule rejects exactly the
+    p-values at or below ``p_(k)``."""
+    objective = _support_line_objective(ps, alpha)
+    return ps.shape[-1] - np.argmax(objective[..., ::-1], axis=-1)
+
+
 def fdp_hat(stats: StatVector, t: float, m0_hat: Optional[float] = None) -> float:
     """Estimated FDP of the rejection region [0, t]: ``m0_hat * t / #{p <= t}``.
 
@@ -96,15 +127,9 @@ def bh_threshold(stats: StatVector, alpha: float,
     m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
     order = np.argsort(p, kind="stable")
     ps = p[order]
-    n_at_or_below = np.searchsorted(ps, ps, side="right")
-    fdp = _fdp_hat_core(m0, ps, n_at_or_below)
-    ok = np.flatnonzero(fdp <= alpha)
     proc = Procedure.BH if m0_hat is None else Procedure.STOREY_BH
-    if ok.size == 0:
-        # threshold 0 still rejects any exact-zero p-values
-        that = 0.0
-    else:
-        that = float(ps[ok[-1]])
+    # threshold 0 still rejects any exact-zero p-values
+    that = float(step_up_thresholds(ps, alpha, m0))
     k = int(np.searchsorted(ps, that, side="right"))
     rejected = np.sort(order[:k])
     if k == 0:
@@ -135,8 +160,7 @@ def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> QValueVector:
     m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
     order = np.argsort(p, kind="stable")
     ps = p[order]
-    n_at_or_below = np.searchsorted(ps, ps, side="right")
-    fdp = _fdp_hat_core(m0, ps, n_at_or_below)
+    fdp = _fdp_hat_sorted(m0, ps)
     q_sorted = np.minimum.accumulate(fdp[::-1])[::-1]
     q = np.empty_like(q_sorted)
     q[order] = q_sorted
@@ -151,11 +175,9 @@ def support_line(stats: StatVector, alpha: float) -> RejectionResult:
     p = _require_pvalues(stats)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    m = stats.m
     order = np.argsort(p, kind="stable")
     ps = p[order]
-    objective = alpha * np.arange(m + 1) / m - np.concatenate([[0.0], ps])
-    r = int(m - np.argmax(objective[::-1]))
+    r = int(support_line_counts(ps, alpha))
     rejected = np.sort(order[:r])
     if r == 0:
         return RejectionResult(rejected, 0, None, None, alpha, Procedure.SUPPORT_LINE)
@@ -166,9 +188,7 @@ def support_line(stats: StatVector, alpha: float) -> RejectionResult:
 
 def support_line_objective(stats: StatVector, alpha: float) -> np.ndarray:
     """The m+1 values ``alpha*k/m - p_(k)`` for k = 0..m (diagnostics)."""
-    p = _require_pvalues(stats)
-    m = stats.m
-    return alpha * np.arange(m + 1) / m - np.concatenate([[0.0], np.sort(p)])
+    return _support_line_objective(np.sort(_require_pvalues(stats)), alpha)
 
 
 def lfdr_threshold_rule(scores: Sequence[float], loss: LossSpec) -> np.ndarray:
@@ -253,8 +273,13 @@ def perturb_grid_pvalues(stats: StatVector, L: int,
     restores the boundary-FDR guarantee of the support-line rule.
     """
     p = _require_pvalues(stats)
+    return StatVector(grid_perturbation(p, L, rng.random(p.size)), Scale.P_VALUE,
+                      ids=stats.ids)
+
+
+def grid_perturbation(p: np.ndarray, L: int, u: np.ndarray) -> np.ndarray:
+    """``(l - 1 + u) / L`` for grid p-values ``p = l/L`` and uniforms u, elementwise."""
     ell = np.rint(p * L)
     if np.any(np.abs(p * L - ell) > 1e-9) or np.any(ell < 1):
         raise ValueError(f"statistics are not supported on the 1/{L} grid")
-    u = rng.random(p.size)
-    return StatVector((ell - 1.0 + u) / L, Scale.P_VALUE, ids=stats.ids)
+    return (ell - 1.0 + u) / L

@@ -1,57 +1,93 @@
 """Data generators and the seeded Monte Carlo harness.
 
-Replicate r of a run with master seed s draws from a counter-based stream
-keyed by (s, r), so results are independent of execution order and a run
-split into two half-runs merges exactly to the unsplit result.  All scalar
-accumulators use integer or rational arithmetic so merging is exact.
+Replicate r of a run with master seed s draws from a Philox stream keyed by
+(s, r), so results are independent of execution order.  The harness fills a
+block of rows, one replicate each, re-keying one generator per row and
+drawing in a fixed order: data, grid perturbation, then the boundary
+tie-pick.  Rejection rules run along the rows with the per-instance rules'
+arithmetic.  Each criterion counts replicates per distinct outcome, such as
+(V, R), so runs over adjacent replicate ranges merge exactly by adding counts.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import combinations
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats as spstats
 
 from .core import (
     AssumptionError,
-    Density,
-    DiscreteUniformGrid,
-    GaussianLocation,
     GroundTruth,
     PiecewiseConstant,
     Scale,
     StatVector,
-    StudentT,
     TwoGroupsSpec,
-    Uniform01,
+    mixture_density,
 )
 from .density import grenander_fit
-from .lfdr import storey_pi0
+from .lfdr import storey_pi0, storey_pi0_raw
+# perturb_grid_pvalues is not called here but stays importable from this
+# module, where the benchmark's tracer (bench/spans.py) looks it up
 from .procedures import (
     RejectionResult,
     bh_threshold,
+    grid_perturbation,
     perturb_grid_pvalues,
     q_values,
+    step_up_thresholds,
     support_line,
+    support_line_counts,
 )
 
-_SEED_MASK = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
+
+
+def _check_key(seed: int, index: int) -> None:
+    if not (0 <= seed < _KEY_LIMIT and 0 <= index < _KEY_LIMIT):
+        raise ValueError(f"seed {seed} and replicate index {index} must lie in [0, 2**64)")
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one replicate, keyed by (seed, index)."""
-    key = np.array([master_seed & _SEED_MASK, index & _SEED_MASK], dtype=np.uint64)
+    _check_key(master_seed, index)
+    key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _replicate_streams(seed: int, indices: range) -> Iterator[np.random.Generator]:
+    """The streams of ``replicate_rng(seed, i)`` for each i in turn: one generator,
+    re-keyed in place before each (which resets Philox's counter and buffers)."""
+    if indices:
+        _check_key(seed, indices[0])
+        _check_key(seed, indices[-1])
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for index in indices:
+        fresh["state"]["key"][1] = index
+        bitgen.state = fresh
+        yield rng
 
 
 # ---------------------------------------------------------------------------
 # Generator specs
 # ---------------------------------------------------------------------------
+
+# Each spec has a fixed truth (``null_flags``), a ``scale`` and a ``draw``
+# that fills one replicate's row of statistics from its stream.
+
+def _alternatives_first(m: int, m1: int) -> np.ndarray:
+    flags = np.ones(m, dtype=bool)
+    flags[:m1] = False
+    return flags
+
 
 @dataclass(frozen=True)
 class GaussianMeans:
@@ -60,10 +96,19 @@ class GaussianMeans:
     m: int
     m1: int
     mu: float
+    scale = Scale.Z_VALUE
 
     def __post_init__(self):
         if self.m < 1 or not 0 <= self.m1 <= self.m:
             raise ValueError("need m >= 1 and 0 <= m1 <= m")
+
+    @property
+    def null_flags(self) -> np.ndarray:
+        return _alternatives_first(self.m, self.m1)
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        row[:] = rng.normal(0.0, 1.0, self.m)
+        row[:self.m1] += self.mu
 
 
 @dataclass(frozen=True)
@@ -74,6 +119,7 @@ class TwoGroupsBeta:
     pi0: float
     a: float
     b: float
+    scale = Scale.P_VALUE
 
     def __post_init__(self):
         if self.m < 1 or not 0.0 <= self.pi0 <= 1.0 or self.a <= 0 or self.b <= 0:
@@ -83,6 +129,15 @@ class TwoGroupsBeta:
     def m0(self) -> int:
         return int(round(self.pi0 * self.m))
 
+    @property
+    def null_flags(self) -> np.ndarray:
+        return _alternatives_first(self.m, self.m - self.m0)
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        m1 = self.m - self.m0
+        row[:m1] = rng.beta(self.a, self.b, m1)
+        rng.random(out=row[m1:])
+
 
 @dataclass(frozen=True)
 class DiscreteUniformNulls:
@@ -91,6 +146,7 @@ class DiscreteUniformNulls:
     m: int
     L: int
     alt_positions: Tuple[int, ...] = ()
+    scale = Scale.P_VALUE
 
     def __post_init__(self):
         if self.m < 1 or self.L < 1 or len(self.alt_positions) > self.m:
@@ -100,6 +156,19 @@ class DiscreteUniformNulls:
             raise ValueError("alt_positions must lie in 1..L")
         object.__setattr__(self, "alt_positions", pos)
 
+    @property
+    def null_flags(self) -> np.ndarray:
+        return _alternatives_first(self.m, len(self.alt_positions))
+
+    @cached_property
+    def _alt_values(self) -> np.ndarray:
+        return np.asarray(self.alt_positions, dtype=float) / self.L
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        m1 = len(self.alt_positions)
+        row[:m1] = self._alt_values
+        row[m1:] = rng.integers(1, self.L + 1, size=self.m - m1) / self.L
+
 
 @dataclass(frozen=True)
 class SuperUniformCE:
@@ -107,11 +176,31 @@ class SuperUniformCE:
     alternative at 1/4.  The null density is 1/2 on [0,1/4], 3/2 on (1/4,1/2],
     and 1 above."""
 
+    scale = Scale.P_VALUE
+
+    @property
+    def null_flags(self) -> np.ndarray:
+        return np.array([True, False])
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        row[0] = _SUPERUNIFORM_NULL.sample(rng, 1)[0]
+        row[1] = 0.25
+
 
 @dataclass(frozen=True)
 class DiscreteCE:
     """Six hypotheses on the 1/9 grid: five alternatives fixed at
     {1,1,2,3,4}/9 and one null uniform on the grid."""
+
+    scale = Scale.P_VALUE
+
+    @property
+    def null_flags(self) -> np.ndarray:
+        return np.array([False] * 5 + [True])
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        row[:5] = [k / _DISCRETE_CE_L for k in _DISCRETE_CE_ALTS]
+        row[5] = rng.integers(1, _DISCRETE_CE_L + 1) / _DISCRETE_CE_L
 
 
 @dataclass(frozen=True)
@@ -148,10 +237,36 @@ class GGM:
     d: int
     n: int
     omega: OmegaSpec = field(default_factory=OmegaSpec)
+    scale = Scale.Z_VALUE
 
     def __post_init__(self):
         if not 2 <= self.d < self.n:
             raise ValueError("need 2 <= d < n")
+
+    @property
+    def null_flags(self) -> np.ndarray:
+        omega = self.omega.matrix(self.d)
+        return np.array([omega[i, j] == 0.0 for i, j in combinations(range(self.d), 2)])
+
+    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        d, n = self.d, self.n
+        chol = np.linalg.cholesky(np.linalg.inv(self.omega.matrix(d)))
+        x = rng.normal(size=(n, d)) @ chol.T
+        # one regression per response column, with intercept: dof = n - d
+        tstats = np.empty((d, d))
+        ones = np.ones((n, 1))
+        for j in range(d):
+            others = np.delete(np.arange(d), j)
+            design = np.concatenate([ones, x[:, others]], axis=1)
+            gram = design.T @ design
+            gram_inv = np.linalg.inv(gram)
+            coef = gram_inv @ (design.T @ x[:, j])
+            resid = x[:, j] - design @ coef
+            dof = n - d
+            sigma2 = float(resid @ resid) / dof
+            se = np.sqrt(sigma2 * np.diag(gram_inv))
+            tstats[j, others] = coef[1:] / se[1:]
+        row[:] = [tstats[j, i] for i, j in combinations(range(d), 2)]
 
 
 GeneratorSpec = Union[GaussianMeans, TwoGroupsBeta, DiscreteUniformNulls,
@@ -167,95 +282,13 @@ def generate(spec: GeneratorSpec, seed: Optional[int] = None,
     """Draw one replicate; deterministic given the seed (or supplied rng)."""
     if rng is None:
         rng = replicate_rng(0 if seed is None else seed, 0)
-
-    if isinstance(spec, GaussianMeans):
-        z = rng.normal(0.0, 1.0, spec.m)
-        z[:spec.m1] += spec.mu
-        flags = np.ones(spec.m, dtype=bool)
-        flags[:spec.m1] = False
-        return StatVector(z, Scale.Z_VALUE), GroundTruth(flags)
-
-    if isinstance(spec, TwoGroupsBeta):
-        m0 = spec.m0
-        m1 = spec.m - m0
-        p = np.empty(spec.m)
-        p[:m1] = rng.beta(spec.a, spec.b, m1)
-        p[m1:] = rng.random(m0)
-        flags = np.ones(spec.m, dtype=bool)
-        flags[:m1] = False
-        return StatVector(p, Scale.P_VALUE), GroundTruth(flags)
-
-    if isinstance(spec, DiscreteUniformNulls):
-        m1 = len(spec.alt_positions)
-        m0 = spec.m - m1
-        p = np.empty(spec.m)
-        p[:m1] = np.asarray(spec.alt_positions, dtype=float) / spec.L
-        p[m1:] = rng.integers(1, spec.L + 1, size=m0) / spec.L
-        flags = np.ones(spec.m, dtype=bool)
-        flags[:m1] = False
-        return StatVector(p, Scale.P_VALUE), GroundTruth(flags)
-
-    if isinstance(spec, SuperUniformCE):
-        p1 = float(_SUPERUNIFORM_NULL.sample(rng, 1)[0])
-        p = np.array([p1, 0.25])
-        return (StatVector(p, Scale.P_VALUE),
-                GroundTruth(np.array([True, False])))
-
-    if isinstance(spec, DiscreteCE):
-        p6 = rng.integers(1, _DISCRETE_CE_L + 1) / _DISCRETE_CE_L
-        p = np.array([k / _DISCRETE_CE_L for k in _DISCRETE_CE_ALTS] + [p6])
-        flags = np.array([False] * 5 + [True])
-        return StatVector(p, Scale.P_VALUE), GroundTruth(flags)
-
+    flags = spec.null_flags
+    row = np.empty(flags.size)
+    spec.draw(rng, row)
+    ids = None
     if isinstance(spec, GGM):
-        return _generate_ggm(spec, rng)
-
-    raise ValueError(f"unknown generator spec {spec!r}")
-
-
-def _generate_ggm(spec: GGM, rng: np.random.Generator) -> Tuple[StatVector, GroundTruth]:
-    d, n = spec.d, spec.n
-    omega = spec.omega.matrix(d)
-    sigma = np.linalg.inv(omega)
-    chol = np.linalg.cholesky(sigma)
-    x = rng.normal(size=(n, d)) @ chol.T
-
-    # one regression per response column, with intercept: dof = n - d
-    tstats = np.empty((d, d))
-    ones = np.ones((n, 1))
-    for j in range(d):
-        others = np.delete(np.arange(d), j)
-        design = np.concatenate([ones, x[:, others]], axis=1)
-        gram = design.T @ design
-        gram_inv = np.linalg.inv(gram)
-        coef = gram_inv @ (design.T @ x[:, j])
-        resid = x[:, j] - design @ coef
-        dof = n - d
-        sigma2 = float(resid @ resid) / dof
-        se = np.sqrt(sigma2 * np.diag(gram_inv))
-        tstats[j, others] = coef[1:] / se[1:]
-
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    values = np.array([tstats[j, i] for i, j in pairs])
-    flags = np.array([omega[i, j] == 0.0 for i, j in pairs])
-    ids = tuple(f"{i}-{j}" for i, j in pairs)
-    return StatVector(values, Scale.Z_VALUE, ids=ids), GroundTruth(flags)
-
-
-def null_density(spec: GeneratorSpec) -> Density:
-    """The shared null density of a generator's statistics."""
-    if isinstance(spec, GaussianMeans):
-        return GaussianLocation(0.0)
-    if isinstance(spec, (TwoGroupsBeta,)):
-        return Uniform01()
-    if isinstance(spec, (DiscreteUniformNulls, DiscreteCE)):
-        L = spec.L if isinstance(spec, DiscreteUniformNulls) else _DISCRETE_CE_L
-        return DiscreteUniformGrid(L)
-    if isinstance(spec, SuperUniformCE):
-        return _SUPERUNIFORM_NULL
-    if isinstance(spec, GGM):
-        return StudentT(spec.n - spec.d)
-    raise ValueError(f"unknown generator spec {spec!r}")
+        ids = tuple(f"{i}-{j}" for i, j in combinations(range(spec.d), 2))
+    return StatVector(row, spec.scale, ids=ids), GroundTruth(flags)
 
 
 def oracle_score_fn(spec: GeneratorSpec):
@@ -301,6 +334,7 @@ class ProcedureConfig:
 
 
 def run_procedure(data: StatVector, cfg: ProcedureConfig) -> RejectionResult:
+    """The configured rule on one p-scale replicate (the harness runs it along rows)."""
     if cfg.kind == "support-line":
         return support_line(data, cfg.alpha)
     if cfg.kind == "bh":
@@ -347,98 +381,64 @@ class PfdrInterval:
 Criterion = Union[Fdr, Bfdr, Power, MfdrInterval, PfdrInterval]
 
 
-class _MeanAccumulator:
-    """Exact sum / sum-of-squares of rational per-replicate values."""
-
-    __slots__ = ("total", "sum", "sumsq", "n")
-
-    def __init__(self):
-        self.total = 0   # replicates seen, including ones contributing nothing
-        self.sum = Fraction(0)
-        self.sumsq = Fraction(0)
-        self.n = 0       # replicates that contributed a value
-
-    def add(self, value: Optional[Fraction]):
-        self.total += 1
-        if value is not None:
-            self.sum += value
-            self.sumsq += value * value
-            self.n += 1
-
-    def merge(self, other: "_MeanAccumulator"):
-        self.total += other.total
-        self.sum += other.sum
-        self.sumsq += other.sumsq
-        self.n += other.n
-
-    def estimate(self) -> Optional[Dict[str, float]]:
-        if self.n == 0:
-            return None
-        mean = self.sum / self.n
-        out = {"mean": float(mean), "n": self.n}
-        if self.n > 1:
-            var = (self.sumsq - self.sum * mean) / (self.n - 1)
-            out["std_error"] = math.sqrt(max(0.0, float(var)) / self.n)
-        else:
-            out["std_error"] = math.nan
-        return out
+def _tally(num: np.ndarray, den: np.ndarray) -> Dict[Tuple[int, int], int]:
+    """Replicates per distinct (num[i], den[i]) pair: a criterion counts its
+    per-replicate outcomes; a replicate it is undefined on adds none."""
+    base = int(den.max()) + 1 if den.size else 1
+    keys, n = np.unique(num.astype(np.int64) * base + den, return_counts=True)
+    return dict(zip(zip((keys // base).tolist(), (keys % base).tolist()), n.tolist()))
 
 
-class _RatioAccumulator:
-    """Exact integer moments for a ratio-of-means estimate."""
-
-    __slots__ = ("sv", "sr", "svv", "srr", "svr", "n")
-
-    def __init__(self):
-        self.sv = self.sr = self.svv = self.srr = self.svr = self.n = 0
-
-    def add(self, v: int, r: int):
-        self.sv += v
-        self.sr += r
-        self.svv += v * v
-        self.srr += r * r
-        self.svr += v * r
-        self.n += 1
-
-    def merge(self, other: "_RatioAccumulator"):
-        self.sv += other.sv
-        self.sr += other.sr
-        self.svv += other.svv
-        self.srr += other.srr
-        self.svr += other.svr
-        self.n += other.n
-
-    def estimate(self) -> Optional[Dict[str, float]]:
-        if self.n == 0 or self.sr == 0:
-            return None
-        theta = Fraction(self.sv, self.sr)
-        out = {"mean": float(theta), "n": self.n}
-        if self.n > 1:
-            n = self.n
-            svv = Fraction(self.svv) - Fraction(self.sv * self.sv, n)
-            srr = Fraction(self.srr) - Fraction(self.sr * self.sr, n)
-            svr = Fraction(self.svr) - Fraction(self.sv * self.sr, n)
-            quad = (svv - 2 * theta * svr + theta * theta * srr) / (n - 1)
-            rbar = Fraction(self.sr, n)
-            var = float(quad) / (n * float(rbar) ** 2)
-            out["std_error"] = math.sqrt(max(0.0, var))
-        else:
-            out["std_error"] = math.nan
-        return out
+def _mean_estimate(counts: Counter) -> Optional[Dict[str, float]]:
+    """Mean and standard error of the per-replicate ratios num / max(1, den)."""
+    n = sum(counts.values())
+    if n == 0:
+        return None
+    total = sum(c * Fraction(v, max(1, r)) for (v, r), c in counts.items())
+    sumsq = sum(c * Fraction(v, max(1, r)) ** 2 for (v, r), c in counts.items())
+    mean = total / n
+    out = {"mean": float(mean), "n": n}
+    if n > 1:
+        var = (sumsq - total * mean) / (n - 1)
+        out["std_error"] = math.sqrt(max(0.0, float(var)) / n)
+    else:
+        out["std_error"] = math.nan
+    return out
 
 
-def _new_accumulator(criterion: Criterion):
-    return _RatioAccumulator() if isinstance(criterion, MfdrInterval) else _MeanAccumulator()
+def _ratio_estimate(counts: Counter) -> Optional[Dict[str, float]]:
+    """Ratio of mean numerator to mean denominator, with a delta-method error."""
+    n = sum(counts.values())
+    sv = sum(c * v for (v, _), c in counts.items())
+    sr = sum(c * r for (_, r), c in counts.items())
+    if n == 0 or sr == 0:
+        return None
+    theta = Fraction(sv, sr)
+    out = {"mean": float(theta), "n": n}
+    if n > 1:
+        svv = Fraction(sum(c * v * v for (v, _), c in counts.items())) - Fraction(sv * sv, n)
+        srr = Fraction(sum(c * r * r for (_, r), c in counts.items())) - Fraction(sr * sr, n)
+        svr = Fraction(sum(c * v * r for (v, r), c in counts.items())) - Fraction(sv * sr, n)
+        quad = (svv - 2 * theta * svr + theta * theta * srr) / (n - 1)
+        rbar = Fraction(sr, n)
+        var = float(quad) / (n * float(rbar) ** 2)
+        out["std_error"] = math.sqrt(max(0.0, var))
+    else:
+        out["std_error"] = math.nan
+    return out
 
 
 @dataclass
 class MonteCarloReport:
-    """Aggregated criterion estimates with exact, mergeable accumulators."""
+    """Criterion estimates over replicates ``start .. start + n_replicates - 1``,
+    with the exact outcome counts they are computed from."""
 
+    start: int
     n_replicates: int
     estimates: Dict[str, Dict[str, float]]
     config: Dict[str, str]
-    accumulators: Dict[str, object]
+    criteria: Tuple[Criterion, ...]
+    counts: Dict[str, Counter]
 
     def to_jsonable(self) -> Dict:
         return {
@@ -448,130 +448,129 @@ class MonteCarloReport:
         }
 
 
-def _config_echo(spec, procedure, criteria, seed) -> Dict[str, str]:
-    return {
-        "generator": repr(spec),
-        "procedure": repr(procedure),
-        "criteria": [c.name for c in criteria],
-        "seed": int(seed),
-    }
+def _report(start, n_reps, config, criteria, counts) -> MonteCarloReport:
+    estimates = {}
+    for crit in criteria:
+        estimate = _ratio_estimate if isinstance(crit, MfdrInterval) else _mean_estimate
+        est = estimate(counts[crit.name])
+        if est is not None:
+            estimates[crit.name] = est
+    return MonteCarloReport(start, n_reps, estimates, config, criteria, counts)
 
 
-def _run_chunk(spec, procedure, criteria, seed, indices) -> Dict[str, object]:
-    accs = {c.name: _new_accumulator(c) for c in criteria}
-    needs_result = any(isinstance(c, (Fdr, Bfdr, Power)) for c in criteria)
-    for idx in indices:
-        rng = replicate_rng(seed, idx)
-        data, truth = generate(spec, rng=rng)
-        if procedure.perturb:
-            data = perturb_grid_pvalues(data, procedure.grid_L, rng)
-        flags = truth.null_flags
-        if needs_result:
-            result = run_procedure(data, procedure)
-            rej = result.rejected
-            r = result.n_rejections
-            v = int(np.count_nonzero(flags[rej])) if r else 0
-        for crit in criteria:
-            acc = accs[crit.name]
-            if isinstance(crit, Fdr):
-                acc.add(Fraction(v, max(1, r)))
-            elif isinstance(crit, Bfdr):
-                if r == 0:
-                    acc.add(Fraction(0))
-                else:
-                    ties = np.flatnonzero(data.values == result.boundary_stat)
-                    pick = ties[rng.integers(ties.size)] if ties.size > 1 else ties[0]
-                    acc.add(Fraction(1 if flags[pick] else 0))
-            elif isinstance(crit, Power):
-                m1 = truth.m - truth.m0
-                if m1 == 0:
-                    acc.add(None)
-                else:
-                    tp = r - v
-                    acc.add(Fraction(tp, m1))
-            elif isinstance(crit, MfdrInterval):
-                inside = (data.values >= crit.s) & (data.values <= crit.t)
-                acc.add(int(np.count_nonzero(inside & flags)),
-                        int(np.count_nonzero(inside)))
-            elif isinstance(crit, PfdrInterval):
-                inside = (data.values >= crit.s) & (data.values <= crit.t)
-                rr = int(np.count_nonzero(inside))
-                if rr == 0:
-                    acc.add(None)
-                else:
-                    vv = int(np.count_nonzero(inside & flags))
-                    acc.add(Fraction(vv, rr))
-    return accs
+# values and rows per block: bound the harness's memory whatever m is; the
+# row cap bounds the per-row stream-state snapshots (about 1 KB each)
+_BLOCK_VALUES = 1 << 16
+_BLOCK_ROWS = 1 << 10
+
+
+def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig) -> np.ndarray:
+    """Per row of sorted p-values, the threshold at or below which the
+    procedure rejects every p-value; -1 when the support line rejects none."""
+    if cfg.kind == "support-line":
+        r = support_line_counts(ps, cfg.alpha)
+        return np.where(r > 0, ps[np.arange(len(ps)), r - 1], -1.0)
+    m = ps.shape[1]
+    if cfg.kind == "bh":
+        return step_up_thresholds(ps, cfg.alpha, float(m))
+    pi0 = np.minimum(storey_pi0_raw(ps, cfg.storey_lambda), 1.0)
+    return step_up_thresholds(ps, cfg.alpha, (pi0 * m)[:, None])
+
+
+def _boundary_nulls(p, cut, nulls, states, rng) -> np.ndarray:
+    """1 where the last rejection is a true null, per row.  A boundary tie of
+    nulls with non-nulls resolves uniformly at random from the row's stream,
+    restored to the state its other draws left; other ties need no draw."""
+    at = p == cut[:, None]
+    ties = np.count_nonzero(at, axis=1)
+    hits = np.count_nonzero(at & nulls, axis=1)
+    out = (hits > 0).astype(np.int64)
+    for i in np.flatnonzero((hits > 0) & (hits < ties)):
+        rng.bit_generator.state = states[i]
+        tied = np.flatnonzero(at[i])
+        out[i] = nulls[tied[rng.integers(tied.size)]]
+    return out
+
+
+def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureConfig,
+                 criteria, streams, rows: int, counts: Dict[str, Counter]) -> None:
+    """Draw the next ``rows`` replicates from ``streams`` and count their outcomes."""
+    keep_states = any(isinstance(c, Bfdr) for c in criteria)
+    x = np.empty((rows, nulls.size))
+    u = np.empty_like(x) if procedure.perturb else None
+    states = []
+    # range first: zip stops before taking a stream beyond this block
+    for i, rng in zip(range(rows), streams):
+        spec.draw(rng, x[i])
+        if u is not None:
+            rng.random(out=u[i])
+        if keep_states:
+            states.append(rng.bit_generator.state)
+    StatVector(x.ravel(), spec.scale)  # validates the whole block
+    values = x if u is None else grid_perturbation(x, procedure.grid_L, u)
+    p = _to_pvalues(values, spec.scale)
+    cut = _row_thresholds(np.sort(p, axis=1), procedure)
+    rejected = p <= cut[:, None]
+    r = np.count_nonzero(rejected, axis=1)
+    v = np.count_nonzero(rejected & nulls, axis=1)
+    for crit in criteria:
+        if isinstance(crit, Fdr):
+            num, den = v, r
+        elif isinstance(crit, Bfdr):
+            num, den = _boundary_nulls(p, cut, nulls, states, rng), np.ones(rows, np.int64)
+        elif isinstance(crit, Power):
+            m1 = nulls.size - np.count_nonzero(nulls)
+            if m1 == 0:
+                continue
+            num, den = r - v, np.full(rows, m1)
+        else:
+            inside = (values >= crit.s) & (values <= crit.t)
+            num = np.count_nonzero(inside & nulls, axis=1)
+            den = np.count_nonzero(inside, axis=1)
+            if isinstance(crit, PfdrInterval):
+                num, den = num[den > 0], den[den > 0]
+        counts[crit.name].update(_tally(num, den))
 
 
 def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
-                   criteria: Sequence[Criterion], seed: int, start: int = 0,
-                   threads: int = 1) -> MonteCarloReport:
+                   criteria: Sequence[Criterion], seed: int,
+                   start: int = 0) -> MonteCarloReport:
     """Estimate the requested criteria over n_reps seeded replicates.
 
     ``start`` offsets the replicate indices so a run can be split into
-    sub-runs whose merge (:func:`merge_reports`) reproduces the unsplit run
-    exactly.  The boundary criterion breaks ties at the threshold uniformly
-    at random from the replicate's own stream.
+    sub-runs over adjacent ranges whose merge (:func:`merge_reports`)
+    reproduces the unsplit run exactly.  The boundary criterion breaks ties
+    at the threshold uniformly at random from the replicate's own stream.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    criteria = list(criteria)
+    criteria = tuple(criteria)
     if len({c.name for c in criteria}) != len(criteria):
         raise ValueError("criteria names must be unique")
-
-    indices = range(start, start + n_reps)
-    if threads == 1:
-        accs = _run_chunk(spec, procedure, criteria, seed, indices)
-    else:
-        bounds = np.linspace(start, start + n_reps, threads + 1).astype(int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(threads)
-                  if bounds[i] < bounds[i + 1]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ch: _run_chunk(spec, procedure, criteria, seed, ch), chunks))
-        accs = parts[0]
-        for part in parts[1:]:
-            for name, acc in accs.items():
-                acc.merge(part[name])
-
-    estimates = {}
-    for crit in criteria:
-        est = accs[crit.name].estimate()
-        if est is not None:
-            estimates[crit.name] = est
-    return MonteCarloReport(
-        n_replicates=n_reps,
-        estimates=estimates,
-        config=_config_echo(spec, procedure, criteria, seed),
-        accumulators=accs,
-    )
+    nulls = spec.null_flags
+    streams = _replicate_streams(seed, range(start, start + n_reps))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size))
+    counts = {c.name: Counter() for c in criteria}
+    for done in range(0, n_reps, rows):
+        _tally_block(spec, nulls, procedure, criteria, streams, min(rows, n_reps - done),
+                     counts)
+    config = {"generator": repr(spec), "procedure": repr(procedure),
+              "criteria": [c.name for c in criteria], "seed": int(seed)}
+    return _report(start, n_reps, config, criteria, counts)
 
 
 def merge_reports(a: MonteCarloReport, b: MonteCarloReport) -> MonteCarloReport:
-    """Exact count-weighted merge of two runs over disjoint replicate ranges."""
+    """Exact merge of two runs over adjacent replicate ranges: counts add."""
     if a.config != b.config:
         raise ValueError("cannot merge reports with different configurations")
-    merged: Dict[str, object] = {}
-    for name, acc in a.accumulators.items():
-        other = b.accumulators[name]
-        clone = type(acc)()
-        clone.merge(acc)
-        clone.merge(other)
-        merged[name] = clone
-    estimates = {}
-    for name, acc in merged.items():
-        est = acc.estimate()
-        if est is not None:
-            estimates[name] = est
-    return MonteCarloReport(
-        n_replicates=a.n_replicates + b.n_replicates,
-        estimates=estimates,
-        config=dict(a.config),
-        accumulators=merged,
-    )
+    first, second = sorted((a, b), key=lambda rep: rep.start)
+    end = first.start + first.n_replicates
+    if end != second.start:
+        raise ValueError(f"replicate ranges [{first.start}, {end}) and [{second.start}, "
+                         f"{second.start + second.n_replicates}) overlap or leave a gap")
+    counts = {name: first.counts[name] + second.counts[name] for name in first.counts}
+    return _report(first.start, a.n_replicates + b.n_replicates, dict(a.config),
+                   a.criteria, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +595,16 @@ class CalibrationCurve:
 _SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
 
-def _to_pvalues(data: StatVector) -> np.ndarray:
-    if data.scale is Scale.P_VALUE:
-        return data.values
-    return spstats.norm.sf(data.values)
+def _to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
+    """One-sided p-values of z-scale statistics, ``norm.sf(z)``, as ``analyze`` maps them."""
+    return values if scale is Scale.P_VALUE else spstats.norm.sf(values)
 
 
 def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
                      oracle) -> np.ndarray:
     if scorer == "oracle-lfdr":
         return np.asarray(oracle(data.values), dtype=float)
-    p = _to_pvalues(data)
+    p = _to_pvalues(data.values, data.scale)
     if scorer == "p-value":
         return p
     pv = StatVector(np.clip(p, 1e-300, 1.0), Scale.P_VALUE)
@@ -634,8 +632,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
 
     counts = np.zeros(nbins, dtype=np.int64)
     null_counts = np.zeros(nbins, dtype=np.int64)
-    for r in range(reps):
-        rng = replicate_rng(seed, r)
+    for rng in _replicate_streams(seed, range(reps)):
         data, truth = generate(spec, rng=rng)
         scores = _score_replicate(scorer, spec, data, truth, oracle)
         idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
@@ -670,7 +667,7 @@ def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
     component CDFs; the conditional form is estimated by Monte Carlo when
     ``reps`` > 0 (with ``m`` statistics per replicate, round(pi0*m) null).
     """
-    target = spec.pi0 * spec.f0.pdf(t) / mixture_pdf(spec, t)
+    target = spec.pi0 * spec.f0.pdf(t) / mixture_density(spec, t)
     records = []
     for eps in eps_sequence:
         if eps <= 0:
@@ -682,18 +679,16 @@ def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
         pfdr = math.nan
         if reps > 0 and m > 0:
             m0 = int(round(spec.pi0 * m))
-            acc_sum, acc_n = Fraction(0), 0
-            for rep in range(reps):
-                rng = replicate_rng(seed, rep)
+            counts = Counter()
+            for rng in _replicate_streams(seed, range(reps)):
                 vals0 = spec.f0.sample(rng, m0)
                 vals1 = spec.f1.sample(rng, m - m0)
                 v = int(np.count_nonzero((vals0 >= lo) & (vals0 <= hi)))
                 r = v + int(np.count_nonzero((vals1 >= lo) & (vals1 <= hi)))
                 if r > 0:
-                    acc_sum += Fraction(v, r)
-                    acc_n += 1
-            if acc_n:
-                pfdr = float(acc_sum / acc_n)
+                    counts[v, r] += 1
+            if counts:
+                pfdr = _mean_estimate(counts)["mean"]
         records.append(LimitRecord(
             eps=eps,
             mfdr=float(mfdr),
@@ -702,10 +697,6 @@ def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
             pfdr_deviation=abs(pfdr - target) if not math.isnan(pfdr) else math.nan,
         ))
     return tuple(records)
-
-
-def mixture_pdf(spec: TwoGroupsSpec, t):
-    return spec.pi0 * spec.f0.pdf(t) + (1.0 - spec.pi0) * spec.f1.pdf(t)
 
 
 @dataclass(frozen=True)

@@ -172,13 +172,13 @@ def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
 # Criterion 1: exact boundary-FDR of the support line under uniform nulls
 # ---------------------------------------------------------------------------
 
-def check_exact_bfdr_control(seed: int = DEFAULT_SEED, n_reps: int = 100_000,
-                             threads: int = 1) -> List[CheckResult]:
+def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
+                             n_reps: int = 100_000) -> List[CheckResult]:
     spec = TwoGroupsBeta(m=100, pi0=0.8, a=0.05, b=1.0)
     out = []
     for alpha in (0.1, 0.3):
         proc = ProcedureConfig("support-line", alpha)
-        report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed, threads=threads)
+        report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed)
         est = report.estimates["bFDR"]
         expected = spec.pi0 * alpha
         tol = 3.0 * est["std_error"]
@@ -516,8 +516,7 @@ def check_determinism_and_merge(seed: int = 7) -> List[CheckResult]:
 # Suites
 # ---------------------------------------------------------------------------
 
-def run_suite(name: str, seed: int = DEFAULT_SEED,
-              threads: int = 1) -> List[CheckResult]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     if name == "counterexamples":
         return (check_superuniform_counterexample(seed)
                 + check_discrete_counterexample(seed))
@@ -526,7 +525,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED,
                 + check_clfdr_identities(seed)
                 + check_qvalue_bh_duality(seed))
     if name == "theorems":
-        return (check_exact_bfdr_control(seed, threads=threads)
+        return (check_exact_bfdr_control(seed)
                 + check_calibration(seed)
                 + check_mfdr_pfdr_limit()
                 + check_discrete_grid_asymptotics(seed)

@@ -180,6 +180,24 @@ def test_simulate_unknown_preset(capsys):
     assert code == 2 and "preset" in err
 
 
+def test_simulate_gaussian_preset_maps_z_to_pvalues(tmp_path, capsys):
+    out = str(tmp_path / "rep.json")
+    code, _, err = run_cli(["simulate", "--preset", "fig2-gaussian", "--criteria", "fdr,bfdr",
+                            "--reps", "300", "--seed", "8", "--out", out], capsys)
+    assert code == 0, err
+    est = json.loads((tmp_path / "rep.json").read_text())["estimates"]["FDR"]
+    pi0_alpha = (2850 / 3000) * 0.1
+    assert est["n"] == 300
+    assert est["mean"] <= pi0_alpha + 3 * est["std_error"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_simulate_rejects_seeds_outside_64_bits(seed, capsys):
+    code, _, err = run_cli(["simulate", "--preset", "theorem-5.1", "--reps", "5",
+                            "--seed", seed], capsys)
+    assert code == 2 and "ERROR bad-arg" in err and "2**64" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

@@ -112,6 +112,23 @@ def test_qvalue_duality_spot_check():
         assert j not in lk.bh_threshold(stats, float(q[j]) - 1e-9).rejected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(1, 6),
+       st.floats(0.01, 1.0), st.floats(0.5, 40.0))
+def test_step_up_rules_match_true_tie_counts(cells, L, alpha, m0):
+    # grid p-values tie heavily; the reference estimates the FDP at p_(k)
+    # with the true count #{p <= p_(k)}, not the position k
+    p = np.minimum(np.array(cells) / L, 1.0)
+    ps = np.sort(p)
+    fdp = m0 * ps / np.searchsorted(ps, ps, side="right")
+    ok = np.flatnonzero(fdp <= alpha)
+    threshold = ps[ok[-1]] if ok.size else 0.0
+    res = lk.bh_threshold(_pstats(p), alpha, m0_hat=m0)
+    assert res.n_rejections == np.count_nonzero(p <= threshold)
+    q_sorted = np.minimum(np.minimum.accumulate(fdp[::-1])[::-1], 1.0)
+    assert np.array_equal(np.sort(lk.q_values(_pstats(p), m0_hat=m0).qvalues), q_sorted)
+
+
 # ---------------------------------------------------------------------------
 # support_line
 # ---------------------------------------------------------------------------

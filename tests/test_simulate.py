@@ -1,8 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import lfdrkit as lk
@@ -31,7 +34,10 @@ from lfdrkit.simulate import (
     mfdr_pfdr_limit_check,
     oracle_score_fn,
     replicate_rng,
+    run_procedure,
 )
+from lfdrkit.procedures import boundary_tie_indices, perturb_grid_pvalues
+from lfdrkit.simulate import _replicate_streams
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +148,133 @@ def test_mc_error_rates_argument_validation():
         ProcedureConfig("support-line", 0.2, perturb=True)
 
 
-def test_threaded_run_matches_sequential():
-    spec = TwoGroupsBeta(m=40, pi0=0.7, a=0.3, b=1.0)
-    proc = ProcedureConfig("support-line", 0.25)
-    crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.4), PfdrInterval(0.0, 0.4)]
-    seq = mc_error_rates(spec, proc, 300, crits, seed=3, threads=1)
-    par = mc_error_rates(spec, proc, 300, crits, seed=3, threads=4)
-    assert json.dumps(seq.to_jsonable(), sort_keys=True) == \
-        json.dumps(par.to_jsonable(), sort_keys=True)
+MERGE_SPEC = TwoGroupsBeta(m=40, pi0=0.7, a=0.3, b=1.0)
+MERGE_PROC = ProcedureConfig("support-line", 0.25)
+MERGE_CRITS = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.4), PfdrInterval(0.0, 0.4)]
+
+
+def _run(start, n):
+    return mc_error_rates(MERGE_SPEC, MERGE_PROC, n, MERGE_CRITS, seed=3, start=start)
+
+
+def _bytes(report):
+    return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+UNSPLIT = _bytes(_run(0, 120))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 119), st.integers(1, 119))
+def test_split_runs_merge_to_the_unsplit_bytes(a, b):
+    i, j = sorted((a, b))
+    assert _bytes(merge_reports(_run(0, i), _run(i, 120 - i))) == UNSPLIT
+    assert _bytes(merge_reports(_run(i, 120 - i), _run(0, i))) == UNSPLIT
+    if i < j:
+        left, mid, right = _run(0, i), _run(i, j - i), _run(j, 120 - j)
+        assert _bytes(merge_reports(merge_reports(left, mid), right)) == UNSPLIT
+        assert _bytes(merge_reports(left, merge_reports(mid, right))) == UNSPLIT
+
+
+def test_merge_rejects_overlapping_or_gapped_ranges():
+    run = _run(0, 50)
+    with pytest.raises(ValueError, match="overlap"):
+        merge_reports(run, run)
+    with pytest.raises(ValueError, match="overlap"):
+        merge_reports(run, _run(25, 50))
+    with pytest.raises(ValueError, match="gap"):
+        merge_reports(run, _run(60, 10))
+    merged = merge_reports(run, _run(50, 10))
+    assert (merged.start, merged.n_replicates) == (0, 60)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
+def test_keys_outside_64_bits_are_rejected(seed, index):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        replicate_rng(seed, index)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        mc_error_rates(MERGE_SPEC, MERGE_PROC, 1, [Fdr()], seed=seed, start=index)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), ((1 << 64) - 1, (1 << 64) - 1)])
+def test_keys_at_the_64_bit_endpoints_are_accepted(seed, index):
+    assert replicate_rng(seed, index).random() == next(
+        _replicate_streams(seed, range(index, index + 1))).random()
+    assert mc_error_rates(MERGE_SPEC, MERGE_PROC, 1, [Fdr()], seed=seed,
+                          start=index).n_replicates == 1
+
+
+def test_rekeyed_streams_match_new_generators():
+    # draws of every kind the generators use, including 32-bit buffered ones,
+    # must not leak into the next replicate's stream
+    def draws(rng):
+        return np.concatenate([rng.beta(0.05, 1.0, 7), rng.random(5),
+                               rng.integers(1, 11, size=9), [rng.integers(3)],
+                               rng.normal(size=4)])
+
+    indices = range(5, 12)
+    got = [draws(rng) for rng in _replicate_streams(99, indices)]
+    for index, values in zip(indices, got):
+        assert np.array_equal(values, draws(replicate_rng(99, index)))
+
+
+def _loop_reference(spec, proc, n_reps, crits, seed, start):
+    """Outcome counts from one generator, StatVector and rule call per replicate."""
+    counts = {c.name: Counter() for c in crits}
+    for index in range(start, start + n_reps):
+        rng = replicate_rng(seed, index)
+        data, truth = generate(spec, rng=rng)
+        if proc.perturb:
+            data = perturb_grid_pvalues(data, proc.grid_L, rng)
+        pdata = data if data.scale is lk.Scale.P_VALUE else \
+            lk.StatVector(sps.norm.sf(data.values), lk.Scale.P_VALUE)
+        flags = truth.null_flags
+        res = run_procedure(pdata, proc)
+        r = res.n_rejections
+        v = int(np.count_nonzero(flags[res.rejected]))
+        for crit in crits:
+            if isinstance(crit, Fdr):
+                counts[crit.name][v, r] += 1
+            elif isinstance(crit, Bfdr):
+                ties = boundary_tie_indices(pdata, res)
+                pick = ties[rng.integers(ties.size)] if ties.size > 1 else ties[:1]
+                counts[crit.name][int(np.any(flags[pick])), 1] += 1
+            elif isinstance(crit, Power):
+                if truth.m0 < truth.m:
+                    counts[crit.name][r - v, truth.m - truth.m0] += 1
+            else:
+                inside = (data.values >= crit.s) & (data.values <= crit.t)
+                vi, ri = int(np.count_nonzero(inside & flags)), int(np.count_nonzero(inside))
+                if ri or isinstance(crit, MfdrInterval):
+                    counts[crit.name][vi, ri] += 1
+    return counts
+
+
+_SPECS = st.one_of(
+    st.builds(TwoGroupsBeta, m=st.integers(1, 30), pi0=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+              a=st.sampled_from([0.05, 0.3, 1.0]), b=st.just(1.0)),
+    st.tuples(st.integers(1, 30), st.integers(1, 6)).flatmap(lambda mL: st.builds(
+        DiscreteUniformNulls, m=st.just(mL[0]), L=st.just(mL[1]),
+        alt_positions=st.lists(st.integers(1, mL[1]), max_size=mL[0]).map(tuple))),
+    st.builds(GaussianMeans, m=st.integers(1, 30), m1=st.just(0), mu=st.just(2.0)),
+    st.just(SuperUniformCE()),
+    st.just(DiscreteCE()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPECS, st.sampled_from(["support-line", "bh", "storey-bh"]),
+       st.sampled_from([0.1, 0.5, 1.0]), st.booleans(), st.integers(1, 40),
+       st.integers(0, (1 << 64) - 1), st.integers(0, 1000))
+def test_block_counts_match_the_per_replicate_loop(spec, kind, alpha, perturb, n_reps,
+                                                   seed, start):
+    grid = isinstance(spec, (DiscreteUniformNulls, DiscreteCE))
+    perturb = perturb and grid
+    L = (spec.L if isinstance(spec, DiscreteUniformNulls) else 9) if perturb else None
+    proc = ProcedureConfig(kind, alpha, perturb=perturb, grid_L=L)
+    crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.0, 0.3)]
+    report = mc_error_rates(spec, proc, n_reps, crits, seed, start=start)
+    assert report.counts == _loop_reference(spec, proc, n_reps, crits, seed, start)
 
 
 def test_merge_requires_matching_config():
