@@ -351,13 +351,13 @@ def _seeded_design(args, command: str):
     """The generator and default alpha of --preset, else of the --config file."""
     if args.seed is None:
         raise CliError("bad-arg", f"--seed is mandatory for {command}")
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if args.preset:
         if args.preset not in _PRESETS:
             raise CliError("bad-arg", f"unknown preset {args.preset!r}; "
                                       f"choose from {sorted(_PRESETS)}")
         kind, params, alpha = _PRESETS[args.preset]
         return _generator_from_config({"kind": kind, **params}), alpha
-    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if "generator" not in config:
         raise CliError("bad-arg", f"{command} needs --preset or a config generator")
     return _generator_from_config(config["generator"]), config.get("alpha", 0.1)

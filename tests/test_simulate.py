@@ -190,9 +190,9 @@ def test_merge_rejects_overlapping_or_gapped_ranges():
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
 def test_keys_outside_64_bits_are_rejected(seed, index):
-    with pytest.raises(ValueError, match="2\\*\\*64"):
+    with pytest.raises(ValueError, match=r"2\*\*64"):
         replicate_rng(seed, index)
-    with pytest.raises(ValueError, match="2\\*\\*64"):
+    with pytest.raises(ValueError, match=r"2\*\*64"):
         mc_error_rates(MERGE_SPEC, MERGE_PROC, 1, [Fdr()], seed=seed, start=index)
 
 
