@@ -8,7 +8,7 @@ for the 3000-hypothesis Gaussian design with a 5% planted shift.
 import argparse
 from pathlib import Path
 
-from lfdrkit.simulate import GaussianMeans, calibration_experiment
+from lfdrkit.simulate import PRESETS, calibration_experiment
 
 SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
@@ -21,7 +21,7 @@ def main():
     parser.add_argument("--outdir", default="calibration_out")
     args = parser.parse_args()
 
-    spec = GaussianMeans(m=3000, m1=150, mu=2.0)
+    spec, _ = PRESETS["fig2-gaussian"]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for scorer in SCORERS:

@@ -7,13 +7,7 @@ super-uniform (non-uniform) null, and nulls uniform on a short grid.
 
 import argparse
 
-from lfdrkit.simulate import (
-    Bfdr,
-    DiscreteCE,
-    ProcedureConfig,
-    SuperUniformCE,
-    mc_error_rates,
-)
+from lfdrkit.simulate import PRESETS, Bfdr, ProcedureConfig, mc_error_rates
 from lfdrkit.verify import discrete_boundary_null_prob, superuniform_boundary_null_prob
 
 
@@ -25,9 +19,9 @@ def main():
 
     proc = ProcedureConfig("support-line", 0.5)
     rows = [
-        ("super-uniform null (m=2)", SuperUniformCE(),
+        ("super-uniform null (m=2)", PRESETS["counterexample-superuniform"][0],
          superuniform_boundary_null_prob(0.5), 0.25),
-        ("grid null (m=6, L=9)", DiscreteCE(),
+        ("grid null (m=6, L=9)", PRESETS["counterexample-discrete"][0],
          discrete_boundary_null_prob(), 1 / 6),
     ]
     print(f"{'design':28s} {'exact':>10s} {'monte carlo':>12s} {'3*se':>8s} {'pi0*alpha':>10s}")

@@ -45,7 +45,6 @@ from .density import (
 from .lfdr import (
     LfdrCurve,
     Pi0Estimate,
-    lfdr_curve_eval,
     lfdr_ratio,
     oracle_lfdr,
     score_hypotheses,

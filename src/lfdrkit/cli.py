@@ -35,12 +35,14 @@ from .core import (
 from .density import grenander_fit, lindsey_fit, npmle_mixture_fit
 from .lfdr import LfdrCurve, score_hypotheses, selection_window_pi0, storey_pi0
 from .procedures import (
+    Procedure,
     bh_threshold,
     lfdr_threshold_rule,
     q_values,
     support_line,
 )
 from .simulate import (
+    PRESETS,
     Bfdr,
     DiscreteCE,
     DiscreteUniformNulls,
@@ -301,14 +303,6 @@ def cmd_analyze(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_PRESETS = {
-    "theorem-5.1": ("two-groups-beta", dict(m=100, pi0=0.8, a=0.05, b=1.0), 0.1),
-    "counterexample-superuniform": ("superuniform-ce", {}, 0.5),
-    "counterexample-discrete": ("discrete-ce", {}, 0.5),
-    "fig2-gaussian": ("gaussian-means", dict(m=3000, m1=150, mu=2.0), 0.1),
-}
-
-
 def _generator_from_config(cfg: Dict):
     kind = cfg.get("kind")
     params = {k: v for k, v in cfg.items() if k != "kind"}
@@ -348,16 +342,20 @@ def _parse_criteria(text: str):
 
 
 def _seeded_design(args, command: str):
-    """The generator and default alpha of --preset, else of the --config file."""
+    """The generator and default alpha of --preset, else of the --config file;
+    a design from both is refused rather than one of them silently dropped."""
     if args.seed is None:
         raise CliError("bad-arg", f"--seed is mandatory for {command}")
     config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if args.preset:
-        if args.preset not in _PRESETS:
+        if args.preset not in PRESETS:
             raise CliError("bad-arg", f"unknown preset {args.preset!r}; "
-                                      f"choose from {sorted(_PRESETS)}")
-        kind, params, alpha = _PRESETS[args.preset]
-        return _generator_from_config({"kind": kind, **params}), alpha
+                                      f"choose from {sorted(PRESETS)}")
+        clash = [key for key in ("generator", "alpha") if key in config]
+        if clash:
+            raise CliError("bad-arg", f"--preset {args.preset} conflicts with the "
+                                      f"--config keys {clash}; give one design")
+        return PRESETS[args.preset]
     if "generator" not in config:
         raise CliError("bad-arg", f"{command} needs --preset or a config generator")
     return _generator_from_config(config["generator"]), config.get("alpha", 0.1)
@@ -451,17 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="run the Monte Carlo harness")
     ps.add_argument("--preset", default=None,
-                    help=f"one of {sorted(_PRESETS)}")
+                    help=f"one of {sorted(PRESETS)}")
     ps.add_argument("--config", default=None, help="JSON config file")
-    ps.add_argument("--procedure", choices=("support-line", "bh", "storey-bh"),
-                    default="support-line")
+    ps.add_argument("--procedure", choices=[p.value for p in Procedure],
+                    default=Procedure.SUPPORT_LINE.value)
     ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--criteria", default="bfdr,fdr")
     ps.add_argument("--reps", type=int, default=100_000)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--perturb-discrete", action="store_true")
     ps.add_argument("--out", default=None)
-    ps.add_argument("--format", choices=("json",), default="json")
     ps.set_defaults(func=cmd_simulate)
 
     pc = sub.add_parser("calibrate", help="pooled calibration curve")
@@ -473,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--bin-width", type=float, default=0.025)
     pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--out", default=None)
-    pc.add_argument("--format", choices=("csv",), default="csv")
     pc.set_defaults(func=cmd_calibrate)
 
     pv = sub.add_parser("verify", help="run a named verification suite")

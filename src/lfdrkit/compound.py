@@ -8,9 +8,10 @@ t, the compound score of position i is the ratio of permutation sums
     sum_{pi}                  prod_j f_{pi(j)}(t_j)
 
 Two exact evaluation paths are provided: a generic subset DP over hypothesis
-assignments (cost ~ 2^m, capped at m = 20) and an O(m^2) elementary-symmetric
-recursion for the common case of exactly one null and one alternative
-density.  Scores always sum to the number of true nulls.
+assignments (cost ~ 2^m, capped at m = 20) and an O(m * m1) prefix/suffix
+elementary-symmetric table for the common case of exactly one null and one
+alternative density, with m1 alternatives.  Scores always sum to the number
+of true nulls.
 """
 
 from __future__ import annotations
@@ -48,63 +49,42 @@ class ClfdrResult:
         object.__setattr__(self, "scores", arr)
 
 
-def _log_esym_table(log_r: np.ndarray, degree: int, skip: int = -1) -> float:
-    """log of the elementary symmetric polynomial e_degree over exp(log_r).
+def _log_esym_prefixes(log_r: np.ndarray, degree: int) -> np.ndarray:
+    """``e[i, ..., k] = log e_k(exp(log_r[..., :i]))`` for i = 0..m, k = 0..degree.
 
-    ``skip`` drops one coordinate.  Runs the standard one-variable-at-a-time
-    recursion in the log domain, so zero ratios (-inf) are handled exactly.
+    The elementary symmetric polynomials of the first i ratios, built one
+    variable at a time in the log domain, so zero ratios (-inf) are exact.
     """
-    e = np.full(degree + 1, -math.inf)
-    e[0] = 0.0
-    for j, lr in enumerate(log_r):
-        if j == skip:
-            continue
-        if degree >= 1:
-            e[1:] = np.logaddexp(e[1:], lr + e[:-1])
-    return float(e[degree])
+    m = log_r.shape[-1]
+    e = np.full((m + 1, *log_r.shape[:-1], degree + 1), -math.inf)
+    e[..., 0] = 0.0
+    for i in range(m):
+        e[i + 1, ..., 1:] = np.logaddexp(e[i, ..., 1:], log_r[..., i, None] + e[i, ..., :-1])
+    return e
 
 
-def _clfdr_two_groups(log_r: np.ndarray, null_flags: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Scores from likelihood ratios r_j = f1(t_j)/f0(t_j), in log domain.
+def _two_groups_scores(log_r: np.ndarray, m1: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Scores from log likelihood ratios log(f1(t_j)/f0(t_j)), along the last axis.
 
     With one shared null and one shared alternative density the permutation
     sums collapse to elementary symmetric polynomials in r: the score of
-    position i is e_{m1}(r without r_i) / e_{m1}(r).
+    position i is e_{m1}(r without r_i) / e_{m1}(r).  The numerator joins the
+    prefix table of r_0..r_{i-1} to the suffix table of r_{i+1}..r_{m-1}, so
+    the cost is O(m * m1) in time and memory.  Returns the scores and
+    log e_{m1}(r); a batch of rows gives each row the scores of its own call.
     """
-    m = log_r.size
-    m1 = int(np.count_nonzero(~null_flags))
-    log_total = _log_esym_table(log_r, m1)
-    if not np.isfinite(log_total):
-        raise DegeneracyError("every relabeling has zero likelihood")
-    scores = np.empty(m)
-    for i in range(m):
-        scores[i] = math.exp(_log_esym_table(log_r, m1, skip=i) - log_total)
-    return scores, log_total
-
-
-def clfdr_scores_two_groups_batch(log_r: np.ndarray, m0: int) -> np.ndarray:
-    """Vectorized two-groups scores for a batch of replicates.
-
-    ``log_r`` has shape (reps, m); returns scores of the same shape.  Same
-    recursion as the per-instance path, batched over the leading axis.
-    """
-    reps, m = log_r.shape
-    m1 = m - m0
-
-    def esym(skip=None):
-        e = np.full((reps, m1 + 1), -math.inf)
-        e[:, 0] = 0.0
-        for j in range(m):
-            if j == skip:
-                continue
-            e[:, 1:] = np.logaddexp(e[:, 1:], log_r[:, j, None] + e[:, :-1])
-        return e[:, m1]
-
-    log_total = esym()
-    out = np.empty((reps, m))
-    for i in range(m):
-        out[:, i] = np.exp(esym(skip=i) - log_total)
-    return out
+    prefix = _log_esym_prefixes(log_r, m1)
+    suffix = _log_esym_prefixes(log_r[..., ::-1], m1)[::-1]
+    # terms[i, ..., k] = log e_k(r_0..r_{i-1}) + log e_{m1-k}(r_{i+1}..r_{m-1})
+    terms = prefix[:-1] + suffix[1:, ..., ::-1]
+    top = terms.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    terms -= top
+    np.exp(terms, out=terms)
+    log_e = prefix[-1, ..., m1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.exp(top[..., 0] + np.log(terms.sum(axis=-1)) - log_e)
+    return np.moveaxis(scores, 0, -1), log_e
 
 
 def _subsets_by_size(m: int):
@@ -170,7 +150,7 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
     """Exact compound scores for every hypothesis.
 
     When the null rows share one density and the alternatives another, the
-    O(m^2) symmetric-function path runs (any m); otherwise the generic
+    O(m * m1) symmetric-function path runs (any m); otherwise the generic
     subset DP runs and m is capped at 20.
     """
     m = stats.m
@@ -202,10 +182,12 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
                 raise DegeneracyError("a statistic has zero density under every model")
             with np.errstate(divide="ignore"):
                 log_r = np.log(d1) - np.log(d0)
-            scores, log_e = _clfdr_two_groups(log_r, null_flags)
             m0, m1 = truth.m0, m - truth.m0
+            scores, log_e = _two_groups_scores(log_r, m1)
+            if not np.isfinite(log_e):
+                raise DegeneracyError("every relabeling has zero likelihood")
             log_total = (math.lgamma(m0 + 1) + math.lgamma(m1 + 1)
-                         + float(np.sum(np.log(d0))) + log_e)
+                         + float(np.sum(np.log(d0))) + float(log_e))
             return ClfdrResult(scores, m0, log_total)
         # fall through to the generic path for zero/inf null densities
 

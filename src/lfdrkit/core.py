@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, stats
@@ -104,17 +105,12 @@ class GroundTruth:
     """Truth status of each hypothesis: True marks a true null."""
 
     null_flags: np.ndarray
-    alt_density: Optional[Mapping[int, "Density"]] = None
 
     def __post_init__(self):
         flags = _frozen_array(self.null_flags, bool)
         if flags.ndim != 1 or flags.size < 1:
             raise ValueError("null_flags must be a 1-d sequence of length >= 1")
         object.__setattr__(self, "null_flags", flags)
-        if self.alt_density is not None:
-            for i in self.alt_density:
-                if not (0 <= int(i) < flags.size) or flags[int(i)]:
-                    raise ValueError(f"alt_density key {i} is not a non-null index")
 
     @property
     def m(self) -> int:
@@ -310,13 +306,20 @@ class PiecewiseConstant(Density):
         out = cum[idx] + hts[idx] * (clipped - edges[idx])
         return _scalar_like(np.clip(out, 0.0, cum[-1]), scalar)
 
+    @cached_property
+    def _piece_cdf(self) -> np.ndarray:
+        """Normalized CDF over the pieces, as ``Generator.choice`` forms it."""
+        masses = np.asarray(self.heights) * np.diff(self.breakpoints)
+        if not masses.sum() > 0.0:
+            raise ValueError("cannot sample a density with zero mass")
+        cdf = (masses / masses.sum()).cumsum()
+        return cdf / cdf[-1]
+
     def sample(self, rng, size):
+        # the draws of rng.choice(pieces, size, p=masses / masses.sum())
+        piece = self._piece_cdf.searchsorted(rng.random(size), side="right")
         edges = np.asarray(self.breakpoints)
-        widths = np.diff(edges)
-        masses = np.asarray(self.heights) * widths
-        probs = masses / masses.sum()
-        piece = rng.choice(len(probs), size=size, p=probs)
-        return edges[piece] + widths[piece] * rng.random(size)
+        return edges[piece] + np.diff(edges)[piece] * rng.random(size)
 
     def total_mass(self):
         return float(np.sum(np.asarray(self.heights) * np.diff(self.breakpoints)))

@@ -65,11 +65,6 @@ class LfdrCurve:
         return float(vals) if np.ndim(t) == 0 else vals
 
 
-def lfdr_curve_eval(curve: LfdrCurve, t) -> float:
-    """Evaluate the curve at a point; DomainError where fbar(t) = 0."""
-    return curve.evaluate(t)
-
-
 def oracle_lfdr(truth: GroundTruth, models: Sequence[Density], t) -> float:
     """Relative frequency of null statistics at t.
 

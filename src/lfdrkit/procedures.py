@@ -22,7 +22,6 @@ class Procedure(Enum):
     BH = "bh"
     STOREY_BH = "storey-bh"
     SUPPORT_LINE = "support-line"
-    LFDR_THRESHOLD = "lfdr-threshold"
 
 
 @dataclass(frozen=True)

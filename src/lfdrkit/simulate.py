@@ -36,6 +36,7 @@ from .lfdr import storey_pi0, storey_pi0_raw
 # perturb_grid_pvalues is not called here but stays importable from this
 # module, where the benchmark's tracer (bench/spans.py) looks it up
 from .procedures import (
+    Procedure,
     RejectionResult,
     bh_threshold,
     grid_perturbation,
@@ -276,6 +277,15 @@ _SUPERUNIFORM_NULL = PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0))
 _DISCRETE_CE_ALTS = (1, 1, 2, 3, 4)
 _DISCRETE_CE_L = 9
 
+# the named designs of ``lfdrkit simulate --preset`` and of criteria 1-4,
+# each with the alpha it runs at by default
+PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
+    "theorem-5.1": (TwoGroupsBeta(m=100, pi0=0.8, a=0.05, b=1.0), 0.1),
+    "counterexample-superuniform": (SuperUniformCE(), 0.5),
+    "counterexample-discrete": (DiscreteCE(), 0.5),
+    "fig2-gaussian": (GaussianMeans(m=3000, m1=150, mu=2.0), 0.1),
+}
+
 
 def generate(spec: GeneratorSpec, seed: Optional[int] = None,
              rng: Optional[np.random.Generator] = None) -> Tuple[StatVector, GroundTruth]:
@@ -320,15 +330,14 @@ def oracle_score_fn(spec: GeneratorSpec):
 class ProcedureConfig:
     """Which procedure the harness runs, and the optional grid perturbation."""
 
-    kind: str  # "support-line" | "bh" | "storey-bh"
+    kind: str  # a Procedure value: "support-line" | "bh" | "storey-bh"
     alpha: float
     storey_lambda: float = 0.5
     perturb: bool = False
     grid_L: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("support-line", "bh", "storey-bh"):
-            raise ValueError(f"unknown procedure {self.kind!r}")
+        Procedure(self.kind)  # ValueError on an unknown name
         if self.perturb and self.grid_L is None:
             raise ValueError("perturbation requires grid_L")
 

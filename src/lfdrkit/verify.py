@@ -28,11 +28,9 @@ from .core import (
 from .density import grenander_fit
 from .procedures import bh_threshold, q_values
 from .simulate import (
+    PRESETS,
     Bfdr,
-    DiscreteCE,
-    GaussianMeans,
     ProcedureConfig,
-    SuperUniformCE,
     TwoGroupsBeta,
     calibration_experiment,
     discrete_limit_check,
@@ -174,7 +172,7 @@ def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
 
 def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
                              n_reps: int = 100_000) -> List[CheckResult]:
-    spec = TwoGroupsBeta(m=100, pi0=0.8, a=0.05, b=1.0)
+    spec, _ = PRESETS["theorem-5.1"]
     out = []
     for alpha in (0.1, 0.3):
         proc = ProcedureConfig("support-line", alpha)
@@ -196,13 +194,14 @@ def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
 
 def check_superuniform_counterexample(seed: int = DEFAULT_SEED,
                                       n_reps: int = 100_000) -> List[CheckResult]:
-    exact = superuniform_boundary_null_prob(alpha=0.5)
+    spec, alpha = PRESETS["counterexample-superuniform"]
+    exact = superuniform_boundary_null_prob(alpha=alpha)
     out = [CheckResult(
         name="superuniform-exact",
         passed=_close(exact, 3.0 / 8.0, 1e-10),
         observed=exact, expected=3.0 / 8.0, tolerance=1e-10)]
-    proc = ProcedureConfig("support-line", 0.5)
-    report = mc_error_rates(SuperUniformCE(), proc, n_reps, [Bfdr()], seed)
+    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), n_reps,
+                            [Bfdr()], seed)
     est = report.estimates["bFDR"]
     tol = 3.0 * est["std_error"]
     out.append(CheckResult(
@@ -226,8 +225,9 @@ def check_discrete_counterexample(seed: int = DEFAULT_SEED,
         passed=_close(exact, 11.0 / 54.0, 1e-10) and exact > 1.0 / 6.0,
         observed=exact, expected=11.0 / 54.0, tolerance=1e-10,
         detail="must exceed 2*alpha/m = 1/6")]
-    proc = ProcedureConfig("support-line", 0.5)
-    report = mc_error_rates(DiscreteCE(), proc, n_reps, [Bfdr()], seed)
+    spec, alpha = PRESETS["counterexample-discrete"]
+    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), n_reps,
+                            [Bfdr()], seed)
     est = report.estimates["bFDR"]
     tol = 3.0 * est["std_error"]
     out.append(CheckResult(
@@ -244,7 +244,7 @@ def check_discrete_counterexample(seed: int = DEFAULT_SEED,
 
 def check_calibration(seed: int = DEFAULT_SEED, reps: int = 500,
                       min_count: int = 500) -> List[CheckResult]:
-    spec = GaussianMeans(m=3000, m1=150, mu=2.0)
+    spec, _ = PRESETS["fig2-gaussian"]
     bw = 0.025
     oracle = calibration_experiment(spec, "oracle-lfdr", reps, bw, seed)
     mids = 0.5 * (oracle.bin_edges[:-1] + oracle.bin_edges[1:])

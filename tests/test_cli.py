@@ -198,6 +198,23 @@ def test_simulate_rejects_seeds_outside_64_bits(seed, capsys):
     assert code == 2 and "ERROR bad-arg" in err and "2**64" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("key", ["generator", "alpha"])
+def test_preset_refuses_a_config_design(command, key, tmp_path, capsys):
+    design = {"generator": {"kind": "discrete-ce"}, "alpha": 0.3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: design[key]}), encoding="utf-8")
+    code, out, err = run_cli([command, "--preset", "theorem-5.1", "--config", str(cfg),
+                              "--reps", "2", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "ERROR bad-arg" in err and key in err
+    # the file is still read first: an unreadable one is an I/O error
+    code, _, err = run_cli([command, "--preset", "theorem-5.1",
+                            "--config", str(tmp_path / "missing.json"),
+                            "--reps", "2", "--seed", "1"], capsys)
+    assert code == 2 and "ERROR io" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta as sbeta
 
 import lfdrkit as lk
-from lfdrkit.compound import (
-    _clfdr_generic,
-    _clfdr_two_groups,
-    clfdr_scores_two_groups_batch,
-)
+from lfdrkit.compound import _clfdr_generic, _two_groups_scores
 from lfdrkit.core import CapacityError, DegeneracyError
 from lfdrkit.simulate import replicate_rng
 from lfdrkit.verify import clfdr_factorial_oracle
@@ -165,15 +163,27 @@ def test_best_pe_rule_threshold():
     assert not lk.best_pe_rule(all_null, lk.LossSpec(4.0)).any()
 
 
-def test_batch_scores_match_per_instance_path():
-    rng = replicate_rng(61, 500)
-    reps, m, m0 = 20, 6, 3
-    log_r = np.log(rng.uniform(0.05, 5.0, size=(reps, m)))
-    batch = clfdr_scores_two_groups_batch(log_r, m0)
-    flags = np.array([True] * m0 + [False] * (m - m0))
-    for k in range(reps):
-        single, _ = _clfdr_two_groups(log_r[k], flags)
-        assert np.abs(batch[k] - single).max() < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_two_groups_kernel_matches_generic_dp_and_batches_exactly(data):
+    m = data.draw(st.integers(1, 10), label="m")
+    m1 = data.draw(st.integers(0, m), label="m1")
+    rows = data.draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m),
+                              min_size=1, max_size=4), label="log_r")
+    perm = np.array(data.draw(st.permutations(range(m)), label="perm"))
+    log_r = np.array(rows)
+    # null rows have density 1, so an alternative's density is its ratio
+    flags = np.arange(m) >= m1
+    batch, batch_log_e = _two_groups_scores(log_r, m1)
+    for row, row_scores, row_log_e in zip(log_r, batch, batch_log_e):
+        scores, log_e = _two_groups_scores(row, m1)
+        assert np.array_equal(row_scores, scores) and row_log_e == log_e
+        dens = np.where(flags[:, None], 1.0, np.exp(row)[None, :])
+        generic, _ = _clfdr_generic(dens, flags)
+        assert np.abs(scores - generic).max() <= 1e-10
+        assert abs(scores.sum() - (m - m1)) <= 1e-10
+        permuted, _ = _two_groups_scores(row[perm], m1)
+        assert np.abs(permuted - scores[perm]).max() <= 1e-12
 
 
 def test_clfdr_vs_lfdr_gap_trivial_cases():
@@ -225,7 +235,7 @@ def test_best_pe_rule_dominates_separable_thresholds():
     p = np.where(isnull, rng.random((reps, m)), rng.beta(a, 1.0, (reps, m)))
     p = np.clip(p, 1e-12, 1.0)
     f1 = sbeta.pdf(p, a, 1.0)
-    scores = clfdr_scores_two_groups_batch(np.log(f1), m0)
+    scores, _ = _two_groups_scores(np.log(f1), m - m0)
 
     def mean_loss(dec):
         fp = (dec & isnull).sum(axis=1)

@@ -48,7 +48,7 @@ def test_oracle_matches_curve_when_nulls_share_density():
 
 def test_curve_eval_examples():
     all_null = lk.LfdrCurve(1.0, lk.Uniform01(), lk.Uniform01())
-    assert lk.lfdr_curve_eval(all_null, 0.37) == pytest.approx(1.0)
+    assert all_null.evaluate(0.37) == pytest.approx(1.0)
 
     mix = lk.MixtureDensity((lk.Uniform01(), lk.BetaDensity(0.05, 1.0)), (0.5, 0.5))
     curve = lk.LfdrCurve(0.5, lk.Uniform01(), mix)
