@@ -13,8 +13,9 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .core import (
     Scale,
     StatVector,
     Uniform01,
+    to_pvalues,
 )
 from .density import grenander_fit, lindsey_fit, npmle_mixture_fit
 from .lfdr import LfdrCurve, score_hypotheses, selection_window_pi0, storey_pi0
@@ -68,20 +70,21 @@ class CliError(Exception):
         self.code = code
 
 
-_ERROR_CODES = (
-    (DomainError, "domain"),
-    (CapacityError, "capacity"),
-    (DegeneracyError, "degenerate"),
-    (EstimationError, "estimate"),
-    (AssumptionError, "assumption"),
-    (FitError, "fit"),
-    (ValueError, "bad-arg"),
-    (OSError, "io"),
-)
+# the first matching class names the code, so subclasses come before ValueError
+_ERROR_CODES = {
+    DomainError: "domain",
+    CapacityError: "capacity",
+    DegeneracyError: "degenerate",
+    EstimationError: "estimate",
+    AssumptionError: "assumption",
+    FitError: "fit",
+    ValueError: "bad-arg",
+    OSError: "io",
+}
 
 
 def _reason_code(exc: Exception) -> str:
-    for etype, code in _ERROR_CODES:
+    for etype, code in _ERROR_CODES.items():
         if isinstance(exc, etype):
             return code
     return "internal"
@@ -135,28 +138,35 @@ def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, Optional[np.nda
     return stats, (np.array(truth, dtype=bool) if has_truth else None)
 
 
-def _float_repr(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
+    """Stream lines to stdout when ``path`` is None or ``-``, else to the file."""
+    if path is None or path == "-":
+        sys.stdout.writelines(lines)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 def write_json(path: Optional[str], payload: Dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def write_csv(path: Optional[str], header: List[str], rows: List[List]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_float_repr(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def write_csv(path: Optional[str], columns: Dict[str, Sequence[str]]) -> None:
+    """Write a table given as header name -> equal-length column of formatted cells."""
+    rows = zip(*columns.values(), strict=True)
+    _write_lines(path, chain([",".join(columns) + "\n"],
+                             (",".join(row) + "\n" for row in rows)))
+
+
+def _float_cells(values: np.ndarray) -> List[str]:
+    return list(map(repr, values.tolist()))
+
+
+def _flag_cells(m: int, rejected: np.ndarray) -> List[str]:
+    """Cells "1" at the rejected positions (indices or a boolean mask), "0" elsewhere."""
+    flags = np.full(m, "0")
+    flags[rejected] = "1"
+    return flags.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +219,8 @@ def cmd_analyze(args) -> int:
 
     scale = Scale.P_VALUE if scale_txt == "p" else Scale.Z_VALUE
     stats, _ = read_stats_csv(input_path, scale)
-
-    from scipy.stats import norm
-
-    pvals = stats.values if scale is Scale.P_VALUE else norm.sf(stats.values)
-    pstats = StatVector(np.clip(pvals, 0.0, 1.0), Scale.P_VALUE, ids=stats.ids)
+    pstats = stats if scale is Scale.P_VALUE else \
+        StatVector(to_pvalues(stats.values, scale), Scale.P_VALUE, ids=stats.ids)
 
     pi0_cfg = _parse_pi0(args.pi0)
     if pi0_cfg[0] == "fixed":
@@ -227,24 +234,17 @@ def cmd_analyze(args) -> int:
 
     dens_cfg = _parse_density(args.density)
     if dens_cfg[0] == "grenander":
-        fitted = grenander_fit(pstats)
-        null = Uniform01()
-        curve = LfdrCurve(pi0_value, null, fitted)
-        scored_stats = pstats
-    elif dens_cfg[0] == "lindsey":
-        if scale is not Scale.Z_VALUE:
-            raise CliError("bad-arg", "lindsey density requires --scale z")
-        fit = lindsey_fit(stats, degree=dens_cfg[1], bins=dens_cfg[2])
-        curve = LfdrCurve(pi0_value, GaussianLocation(0.0), fit.density())
-        scored_stats = stats
+        null, avg, scored_stats = Uniform01(), grenander_fit(pstats), pstats
     else:
         if scale is not Scale.Z_VALUE:
-            raise CliError("bad-arg", "npmle density requires --scale z")
-        fit = npmle_mixture_fit(stats, grid_size=dens_cfg[1], tol=dens_cfg[2])
-        curve = LfdrCurve(pi0_value, GaussianLocation(0.0), fit.density())
-        scored_stats = stats
+            raise CliError("bad-arg", f"{dens_cfg[0]} density requires --scale z")
+        if dens_cfg[0] == "lindsey":
+            fit = lindsey_fit(stats, degree=dens_cfg[1], bins=dens_cfg[2])
+        else:
+            fit = npmle_mixture_fit(stats, grid_size=dens_cfg[1], tol=dens_cfg[2])
+        null, avg, scored_stats = GaussianLocation(0.0), fit.density(), stats
 
-    scores = score_hypotheses(curve, scored_stats)
+    scores = score_hypotheses(LfdrCurve(pi0_value, null, avg), scored_stats)
     qvals = q_values(pstats).qvalues
 
     alpha = args.alpha
@@ -256,29 +256,16 @@ def cmd_analyze(args) -> int:
     }
     lfdr_decisions = lfdr_threshold_rule(scores, loss)
 
-    rejected_flags = {
-        name: np.zeros(stats.m, dtype=bool) for name in results
+    table = {
+        "id": stats.ids,
+        "stat": _float_cells(stats.values),
+        "q_value": _float_cells(qvals),
+        "lfdr_score": _float_cells(scores),
+        **{f"rejected_{name}": _flag_cells(stats.m, res.rejected)
+           for name, res in results.items()},
+        "rejected_lfdr": _flag_cells(stats.m, lfdr_decisions),
     }
-    for name, res in results.items():
-        rejected_flags[name][res.rejected] = True
-
-    rows = []
-    for i in range(stats.m):
-        rows.append([
-            stats.ids[i] if stats.ids else str(i),
-            float(stats.values[i]),
-            float(qvals[i]),
-            float(scores[i]),
-            int(rejected_flags["bh"][i]),
-            int(rejected_flags["storey_bh"][i]),
-            int(rejected_flags["sl"][i]),
-            int(lfdr_decisions[i]),
-        ])
-    table_path = args.out + ".csv" if args.out else None
-    write_csv(table_path,
-              ["id", "stat", "q_value", "lfdr_score",
-               "rejected_bh", "rejected_storey_bh", "rejected_sl", "rejected_lfdr"],
-              rows)
+    write_csv(args.out + ".csv" if args.out else None, table)
 
     summary = {
         "m": stats.m,
@@ -303,21 +290,24 @@ def cmd_analyze(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+_GENERATOR_KINDS = {
+    "gaussian-means": GaussianMeans,
+    "two-groups-beta": TwoGroupsBeta,
+    "discrete-uniform-nulls": DiscreteUniformNulls,
+    "superuniform-ce": SuperUniformCE,
+    "discrete-ce": DiscreteCE,
+}
+
+
 def _generator_from_config(cfg: Dict):
     kind = cfg.get("kind")
+    if kind not in _GENERATOR_KINDS:
+        raise CliError("bad-arg", f"unknown generator kind {kind!r}")
     params = {k: v for k, v in cfg.items() if k != "kind"}
-    if kind == "gaussian-means":
-        return GaussianMeans(**params)
-    if kind == "two-groups-beta":
-        return TwoGroupsBeta(**params)
-    if kind == "discrete-uniform-nulls":
-        params["alt_positions"] = tuple(params.get("alt_positions", ()))
-        return DiscreteUniformNulls(**params)
-    if kind == "superuniform-ce":
-        return SuperUniformCE()
-    if kind == "discrete-ce":
-        return DiscreteCE()
-    raise CliError("bad-arg", f"unknown generator kind {kind!r}")
+    try:
+        return _GENERATOR_KINDS[kind](**params)
+    except TypeError as exc:
+        raise CliError("bad-arg", f"generator kind {kind!r}: {exc}")
 
 
 def _parse_criteria(text: str):
@@ -392,16 +382,15 @@ def cmd_calibrate(args) -> int:
     generator, _ = _seeded_design(args, "calibrate")
     curve = calibration_experiment(generator, args.scorer, args.reps,
                                    args.bin_width, args.seed)
-    rows = []
-    for k in range(curve.bin_counts.size):
-        frac = curve.bin_null_fraction[k]
-        rows.append([
-            float(curve.bin_edges[k]),
-            float(curve.bin_edges[k + 1]),
-            int(curve.bin_counts[k]),
-            float(frac) if not math.isnan(frac) else "",
-        ])
-    write_csv(args.out, ["bin_lo", "bin_hi", "count", "null_fraction"], rows)
+    edges = curve.bin_edges
+    write_csv(args.out, {
+        "bin_lo": _float_cells(edges[:-1]),
+        "bin_hi": _float_cells(edges[1:]),
+        "count": list(map(str, curve.bin_counts.tolist())),
+        # a bin that no score reached has no null fraction
+        "null_fraction": ["" if math.isnan(f) else repr(f)
+                          for f in curve.bin_null_fraction.tolist()],
+    })
     return 0
 
 
@@ -491,8 +480,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, CapacityError, DegeneracyError, EstimationError,
-            AssumptionError, FitError, ValueError, OSError) as exc:
+    except tuple(_ERROR_CODES) as exc:
         print(f"ERROR {_reason_code(exc)}: {exc}", file=sys.stderr)
         return 2
 

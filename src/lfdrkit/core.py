@@ -53,6 +53,11 @@ class Scale(Enum):
     Z_VALUE = "z"
 
 
+def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
+    """One-sided p-values: ``norm.sf(z)`` of z-scale statistics; p-values pass through."""
+    return values if scale is Scale.P_VALUE else stats.norm.sf(values)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -265,8 +270,27 @@ class BetaDensity(Density):
         return 1.0
 
 
+class _StepMass:
+    """``cdf`` and ``total_mass`` of a density that is ``heights[j]`` between
+    ``breakpoints[j]`` and ``breakpoints[j+1]``; the value at a breakpoint
+    itself carries no mass, so either continuity convention shares them."""
+
+    def cdf(self, t):
+        arr, scalar = _as_float_array(t)
+        edges = np.asarray(self.breakpoints)
+        hts = np.asarray(self.heights)
+        cum = np.concatenate([[0.0], np.cumsum(hts * np.diff(edges))])
+        clipped = np.clip(arr, edges[0], edges[-1])
+        idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(hts) - 1)
+        out = cum[idx] + hts[idx] * (clipped - edges[idx])
+        return _scalar_like(np.clip(out, 0.0, cum[-1]), scalar)
+
+    def total_mass(self):
+        return float(np.sum(np.asarray(self.heights) * np.diff(self.breakpoints)))
+
+
 @dataclass(frozen=True)
-class PiecewiseConstant(Density):
+class PiecewiseConstant(_StepMass, Density):
     """Step density: ``heights[j]`` on ``[breakpoints[j], breakpoints[j+1])``.
 
     Right-continuous, with a defined value at the left endpoint of each
@@ -296,16 +320,6 @@ class PiecewiseConstant(Density):
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.heights) - 1)
         return _scalar_like(np.asarray(self.heights)[idx], scalar)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        edges = np.asarray(self.breakpoints)
-        hts = np.asarray(self.heights)
-        cum = np.concatenate([[0.0], np.cumsum(hts * np.diff(edges))])
-        clipped = np.clip(arr, edges[0], edges[-1])
-        idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(hts) - 1)
-        out = cum[idx] + hts[idx] * (clipped - edges[idx])
-        return _scalar_like(np.clip(out, 0.0, cum[-1]), scalar)
-
     @cached_property
     def _piece_cdf(self) -> np.ndarray:
         """Normalized CDF over the pieces, as ``Generator.choice`` forms it."""
@@ -320,9 +334,6 @@ class PiecewiseConstant(Density):
         piece = self._piece_cdf.searchsorted(rng.random(size), side="right")
         edges = np.asarray(self.breakpoints)
         return edges[piece] + np.diff(edges)[piece] * rng.random(size)
-
-    def total_mass(self):
-        return float(np.sum(np.asarray(self.heights) * np.diff(self.breakpoints)))
 
 
 @dataclass(frozen=True)

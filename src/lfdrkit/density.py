@@ -27,6 +27,7 @@ from .core import (
     LocationMixture,
     Scale,
     StatVector,
+    _StepMass,
     _as_float_array,
     _scalar_like,
 )
@@ -37,7 +38,7 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MonotoneDensityFit(Density):
+class MonotoneDensityFit(_StepMass, Density):
     """Nonincreasing step density from the least concave majorant of the ECDF.
 
     ``heights[j]`` is the density on ``(breakpoints[j], breakpoints[j+1]]``;
@@ -71,19 +72,6 @@ class MonotoneDensityFit(Density):
         idx = np.searchsorted(bp[1:], arr, side="left")
         out = np.where(idx < len(hts), hts[np.minimum(idx, len(hts) - 1)], 0.0)
         return _scalar_like(out, scalar)
-
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        bp = np.asarray(self.breakpoints)
-        hts = np.asarray(self.heights)
-        cum = np.concatenate([[0.0], np.cumsum(hts * np.diff(bp))])
-        clipped = np.clip(arr, 0.0, bp[-1])
-        idx = np.clip(np.searchsorted(bp, clipped, side="right") - 1, 0, len(hts) - 1)
-        out = cum[idx] + hts[idx] * (clipped - bp[idx])
-        return _scalar_like(np.minimum(out, cum[-1]), scalar)
-
-    def total_mass(self):
-        return float(np.sum(np.asarray(self.heights) * np.diff(self.breakpoints)))
 
 
 def grenander_fit(stats: StatVector) -> MonotoneDensityFit:

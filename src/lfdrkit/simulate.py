@@ -29,10 +29,12 @@ from .core import (
     Scale,
     StatVector,
     TwoGroupsSpec,
+    Uniform01,
     mixture_density,
+    to_pvalues,
 )
 from .density import grenander_fit
-from .lfdr import storey_pi0, storey_pi0_raw
+from .lfdr import LfdrCurve, score_hypotheses, storey_pi0, storey_pi0_raw
 # perturb_grid_pvalues is not called here but stays importable from this
 # module, where the benchmark's tracer (bench/spans.py) looks it up
 from .procedures import (
@@ -517,7 +519,7 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
             states.append(rng.bit_generator.state)
     StatVector(x.ravel(), spec.scale)  # validates the whole block
     values = x if u is None else grid_perturbation(x, procedure.grid_L, u)
-    p = _to_pvalues(values, spec.scale)
+    p = to_pvalues(values, spec.scale)
     cut = _row_thresholds(np.sort(p, axis=1), procedure)
     rejected = p <= cut[:, None]
     r = np.count_nonzero(rejected, axis=1)
@@ -604,16 +606,11 @@ class CalibrationCurve:
 _SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
 
-def _to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
-    """One-sided p-values of z-scale statistics, ``norm.sf(z)``, as ``analyze`` maps them."""
-    return values if scale is Scale.P_VALUE else spstats.norm.sf(values)
-
-
 def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
                      oracle) -> np.ndarray:
     if scorer == "oracle-lfdr":
         return np.asarray(oracle(data.values), dtype=float)
-    p = _to_pvalues(data.values, data.scale)
+    p = to_pvalues(data.values, data.scale)
     if scorer == "p-value":
         return p
     pv = StatVector(np.clip(p, 1e-300, 1.0), Scale.P_VALUE)
@@ -623,7 +620,7 @@ def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
     if scorer == "estimated-lfdr":
         pi0 = storey_pi0(pv, 0.5)
         fit = grenander_fit(pv)
-        return np.minimum(1.0, pi0.value / np.asarray(fit.pdf(pv.values)))
+        return score_hypotheses(LfdrCurve(pi0.value, Uniform01(), fit), pv)
     raise ValueError(f"unknown scorer {scorer!r}; choose from {_SCORERS}")
 
 

@@ -215,6 +215,20 @@ def test_preset_refuses_a_config_design(command, key, tmp_path, capsys):
     assert code == 2 and "ERROR io" in err
 
 
+@pytest.mark.parametrize("generator", [
+    {"kind": "two-groups-beta", "m": 10},  # missing pi0, a and b
+    {"kind": "gaussian-means", "m": 10, "m1": 1, "mu": 2.0, "sigma": 1.0},  # unknown key
+    {"kind": "superuniform-ce", "m": 10},  # the design has no parameters at all
+])
+def test_config_generator_with_wrong_keys_is_a_bad_arg(generator, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": generator}), encoding="utf-8")
+    code, out, err = run_cli(["simulate", "--config", str(cfg), "--reps", "5",
+                              "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR bad-arg") and generator["kind"] in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

@@ -82,6 +82,22 @@ def test_grenander_loglik_beats_uniform():
         assert fit.loglik >= -1e-12  # uniform scores exactly 0
 
 
+def test_monotone_fit_cdf_accumulates_the_step_masses():
+    fit = lk.MonotoneDensityFit((0.0, 0.25, 0.5), (3.0, 1.0), loglik=0.0)
+    assert fit.cdf(-0.5) == fit.cdf(0.0) == 0.0
+    assert list(fit.cdf([0.125, 0.25, 0.375, 0.5])) == [0.375, 0.75, 0.875, 1.0]
+    assert fit.cdf(0.75) == fit.cdf(1.0) == fit.cdf(3.0) == fit.total_mass() == 1.0
+    for i in range(20):
+        rng = replicate_rng(9, i)
+        fit = lk.grenander_fit(_pstats(np.clip(rng.beta(0.5, 1.0, 30), 1e-12, 1.0)))
+        bp = np.asarray(fit.breakpoints)
+        mass = np.cumsum(np.asarray(fit.heights) * np.diff(bp))
+        assert fit.cdf(0.0) == fit.cdf(-1.0) == 0.0
+        assert np.array_equal(fit.cdf(bp[1:]), mass)
+        for t in (bp[-1], (bp[-1] + 1.0) / 2, 1.0, 2.0):
+            assert fit.cdf(t) == pytest.approx(fit.total_mass(), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # lindsey_fit
 # ---------------------------------------------------------------------------
