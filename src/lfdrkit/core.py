@@ -104,6 +104,17 @@ class StatVector:
     def m(self) -> int:
         return int(self.values.size)
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Read-only stable ascending ``argsort`` of ``values``.
+
+        Computed once and shared by every fit and procedure that sorts;
+        ``values`` is frozen, so the cached order cannot go stale.
+        """
+        order = np.argsort(self.values, kind="stable")
+        order.setflags(write=False)
+        return order
+
 
 @dataclass(frozen=True)
 class GroundTruth:

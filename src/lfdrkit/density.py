@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import isotonic_regression
 
 from .core import (
     Density,
@@ -36,6 +37,11 @@ from .core import (
 # ---------------------------------------------------------------------------
 # Grenander: monotone maximum likelihood on [0, 1]
 # ---------------------------------------------------------------------------
+
+# vertices this close under the pool-adjacent-violators majorant are kept for
+# the exact stack scan; float error in the majorant is far below it at m = 10^6
+_HULL_CANDIDATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MonotoneDensityFit(_StepMass, Density):
@@ -78,36 +84,53 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     """Maximum likelihood nonincreasing density on [0, 1].
 
     Computed as the left derivative of the least concave majorant of the
-    empirical CDF, via a stack scan over the ECDF vertices (tied order
-    statistics collapse to a single jump).  O(m log m) including the sort.
+    empirical CDF (tied order statistics collapse to a single jump).
+    Pool-adjacent-violators over the ECDF spacings (Robertson, Wright &
+    Dykstra, 1988) gives the majorant; every vertex within
+    ``_HULL_CANDIDATE_TOL`` of it, and both endpoints, is a candidate, and a
+    float stack scan over the candidates alone picks the hull.  A vertex
+    further under the majorant is far from every hull chord, so dropping it
+    changes no comparison the scan makes: the breakpoints and heights are
+    those of the same scan over every vertex.  O(m log m) including the
+    sort, which is ``stats.order``.
     """
     if stats.scale is not Scale.P_VALUE:
         raise ValueError("grenander_fit expects p-scale statistics")
-    p = np.sort(stats.values)
+    p = stats.values[stats.order]
     m = p.size
     if p[0] <= 0.0:
         raise DegeneracyError(
             "monotone MLE undefined with an observation at exactly 0; "
             "perturb grid p-values first")
-    u, counts = np.unique(p, return_counts=True)
-    ys = np.cumsum(counts) / m
-    xs = np.concatenate([[0.0], u])
-    ys = np.concatenate([[0.0], ys])
+    # ECDF vertices: the last order statistic of each tie run
+    last = np.append(np.flatnonzero(p[1:] != p[:-1]), m - 1)
+    xs = np.concatenate([[0.0], p[last]])
+    ys = np.concatenate([[0.0], (last + 1) / m])
+
+    dx = np.diff(xs)
+    iso = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
+    # majorant at each vertex, from the first vertex of its block: a running
+    # sum over the spacings would gather error that grows with m
+    start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
+    majorant = ys[start] + iso.x * (xs[1:] - xs[start])
+    near = np.flatnonzero(majorant - ys[1:] <= _HULL_CANDIDATE_TOL) + 1
+    cand = np.unique(np.concatenate([[0], near, [xs.size - 1]]))
+    cx, cy = xs[cand], ys[cand]
 
     # least concave majorant: keep vertices with strictly decreasing chords
     hull = [0]
-    for j in range(1, xs.size):
+    for j in range(1, cx.size):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            s_prev = (ys[b] - ys[a]) / (xs[b] - xs[a])
-            s_new = (ys[j] - ys[b]) / (xs[j] - xs[b])
+            s_prev = (cy[b] - cy[a]) / (cx[b] - cx[a])
+            s_new = (cy[j] - cy[b]) / (cx[j] - cx[b])
             if s_prev <= s_new:
                 hull.pop()
             else:
                 break
         hull.append(j)
-    hx = xs[hull]
-    hy = ys[hull]
+    hx = cx[hull]
+    hy = cy[hull]
     heights = np.diff(hy) / np.diff(hx)
 
     # every sample point sits on (hx[j], hx[j+1]] for some piece j
@@ -142,7 +165,9 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
 
     Bins span [min z - 0.5, max z + 0.5] with equal widths.  The GLM is
     solved by damped Newton with step halving; the returned coefficients are
-    shifted so the density integrates to 1 over the bin range.
+    shifted so the density integrates to 1 over the bin range.  Raises
+    :class:`FitError` when that integral is not finite and positive, or when
+    the fitted density's mean log-likelihood on the data is not finite.
     """
     z = stats.values
     m = z.size
@@ -205,15 +230,21 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
 
     norm, _ = integrate.quad(
         lambda x: np.exp(np.polynomial.polynomial.polyval(x, beta)), lo, hi, limit=200)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise FitError(f"exp-polynomial fit has mass {norm!r} over the bin range")
     beta[0] -= math.log(norm)
 
-    return ExpFamilyFit(
+    fit = ExpFamilyFit(
         degree=degree,
         coefficients=tuple(float(b) for b in beta),
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(k) for k in counts),
         converged=converged,
     )
+    loglik = density_loglik(fit.density(), stats)
+    if not math.isfinite(loglik):
+        raise FitError(f"exp-polynomial fit has mean log-likelihood {loglik!r} on the data")
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +256,8 @@ class MixtureFit:
     grid: Tuple[float, ...]
     weights: Tuple[float, ...]
     loglik: float
+    iterations: int
+    converged: bool
 
     def density(self) -> LocationMixture:
         return LocationMixture(self.grid, self.weights)
@@ -236,7 +269,8 @@ def npmle_mixture_fit(stats: StatVector, grid_size: int = 300, tol: float = 1e-8
 
     Maximizes ``sum_i log sum_g w_g phi(z_i - mu_g)`` by EM; the objective is
     nondecreasing across iterations and the loop stops once the gain drops
-    below ``tol``.
+    below ``tol``.  The fit reports the EM iterations run, and converged is
+    False when ``max_iter`` of them ran without the gain dropping below tol.
     """
     z = stats.values
     if grid_size < 2:
@@ -249,18 +283,19 @@ def npmle_mixture_fit(stats: StatVector, grid_size: int = 300, tol: float = 1e-8
     w = np.full(grid_size, 1.0 / grid_size)
     mix = phi @ w
     ll = float(np.mean(np.log(mix)))
-    for _ in range(max_iter):
+    iterations, converged = 0, False
+    while iterations < max_iter and not converged:
         w = w * (phi.T @ (1.0 / mix)) / z.size
         w = np.maximum(w, 0.0)
         w /= w.sum()
         mix = phi @ w
         new_ll = float(np.mean(np.log(mix)))
-        gain = new_ll - ll
+        converged = new_ll - ll < tol
         ll = new_ll
-        if gain < tol:
-            break
+        iterations += 1
 
-    return MixtureFit(tuple(float(g) for g in grid), tuple(float(x) for x in w), ll)
+    return MixtureFit(tuple(float(g) for g in grid), tuple(float(x) for x in w), ll,
+                      iterations, converged)
 
 
 def density_loglik(model: Density, stats: StatVector) -> float:

@@ -57,6 +57,20 @@ def _require_pvalues(stats: StatVector) -> np.ndarray:
     return stats.values
 
 
+def _lower_set(ps: np.ndarray, order: np.ndarray, k: int, alpha: float,
+               procedure: Procedure) -> RejectionResult:
+    """Reject the k smallest p-values, ``order[:k]`` of the sorted ``ps``.
+
+    k must end a tie run; the boundary index is the earliest tied statistic
+    at ``ps[k - 1]`` in stable sort order.
+    """
+    rejected = np.sort(order[:k])
+    if k == 0:
+        return RejectionResult(rejected, 0, None, None, alpha, procedure)
+    b_pos = int(np.searchsorted(ps, ps[k - 1], side="left"))
+    return RejectionResult(rejected, k, float(ps[k - 1]), int(order[b_pos]), alpha, procedure)
+
+
 def _fdp_hat_core(m0: float, t, n_at_or_below):
     """Shared arithmetic for the FDP estimate so callers agree bitwise."""
     t = np.asarray(t, dtype=float)
@@ -124,17 +138,12 @@ def bh_threshold(stats: StatVector, alpha: float,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
-    order = np.argsort(p, kind="stable")
-    ps = p[order]
+    ps = p[stats.order]
     proc = Procedure.BH if m0_hat is None else Procedure.STOREY_BH
     # threshold 0 still rejects any exact-zero p-values
     that = float(step_up_thresholds(ps, alpha, m0))
     k = int(np.searchsorted(ps, that, side="right"))
-    rejected = np.sort(order[:k])
-    if k == 0:
-        return RejectionResult(rejected, 0, None, None, alpha, proc)
-    b_pos = int(np.flatnonzero(ps[:k] == ps[k - 1])[0])
-    return RejectionResult(rejected, k, float(ps[k - 1]), int(order[b_pos]), alpha, proc)
+    return _lower_set(ps, stats.order, k, alpha, proc)
 
 
 @dataclass(frozen=True)
@@ -157,12 +166,10 @@ def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> QValueVector:
     """
     p = _require_pvalues(stats)
     m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
-    order = np.argsort(p, kind="stable")
-    ps = p[order]
-    fdp = _fdp_hat_sorted(m0, ps)
+    fdp = _fdp_hat_sorted(m0, p[stats.order])
     q_sorted = np.minimum.accumulate(fdp[::-1])[::-1]
     q = np.empty_like(q_sorted)
-    q[order] = q_sorted
+    q[stats.order] = q_sorted
     return QValueVector(np.minimum(q, 1.0))
 
 
@@ -174,20 +181,14 @@ def support_line(stats: StatVector, alpha: float) -> RejectionResult:
     p = _require_pvalues(stats)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    order = np.argsort(p, kind="stable")
-    ps = p[order]
+    ps = p[stats.order]
     r = int(support_line_counts(ps, alpha))
-    rejected = np.sort(order[:r])
-    if r == 0:
-        return RejectionResult(rejected, 0, None, None, alpha, Procedure.SUPPORT_LINE)
-    b_pos = int(np.flatnonzero(ps[:r] == ps[r - 1])[0])
-    return RejectionResult(rejected, r, float(ps[r - 1]), int(order[b_pos]),
-                           alpha, Procedure.SUPPORT_LINE)
+    return _lower_set(ps, stats.order, r, alpha, Procedure.SUPPORT_LINE)
 
 
 def support_line_objective(stats: StatVector, alpha: float) -> np.ndarray:
     """The m+1 values ``alpha*k/m - p_(k)`` for k = 0..m (diagnostics)."""
-    return _support_line_objective(np.sort(_require_pvalues(stats)), alpha)
+    return _support_line_objective(_require_pvalues(stats)[stats.order], alpha)
 
 
 def lfdr_threshold_rule(scores: Sequence[float], loss: LossSpec) -> np.ndarray:

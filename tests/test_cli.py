@@ -123,6 +123,18 @@ def test_analyze_z_scale_with_lindsey(tmp_path, capsys):
     assert summary["m"] == 400
 
 
+def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, capsys):
+    z = np.random.default_rng(0).normal(0.0, 0.01, 3000)
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\n" + "".join(f"g{i},{v!r}\n" for i, v in enumerate(z.tolist())),
+                    encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                                "--density", "lindsey:7:120"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR fit")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

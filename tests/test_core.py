@@ -28,6 +28,18 @@ def test_statvector_endpoints_allowed():
     assert sv.values.min() == 0.0 and sv.values.max() == 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 0.0, 0.25])),
+                min_size=1, max_size=50))
+def test_statvector_order_is_a_cached_read_only_stable_argsort(values):
+    sv = lk.StatVector(values, lk.Scale.Z_VALUE)
+    assert np.array_equal(sv.order, np.argsort(sv.values, kind="stable"))
+    assert sv.order is sv.order
+    assert not sv.order.flags.writeable
+    with pytest.raises(ValueError):
+        sv.order[0] = 0
+
+
 def test_ground_truth_counts():
     gt = lk.GroundTruth([True, False, True])
     assert gt.m0 == 2 and gt.m == 3

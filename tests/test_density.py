@@ -154,6 +154,14 @@ def test_lindsey_degenerate_histogram():
         lk.lindsey_fit(_zstats(np.zeros(50)), degree=2, bins=20)
 
 
+def test_lindsey_rejects_a_fit_that_does_not_normalize():
+    # a spike far narrower than the +-0.5 bin padding: the Newton steps end
+    # in a polynomial whose exp overflows, so the mass is not finite
+    z = np.random.default_rng(0).normal(0.0, 0.01, 3000)
+    with np.errstate(over="ignore"), pytest.raises(FitError):
+        lk.lindsey_fit(_zstats(z))
+
+
 # ---------------------------------------------------------------------------
 # npmle_mixture_fit
 # ---------------------------------------------------------------------------
@@ -203,6 +211,16 @@ def test_npmle_weights_sum_to_one():
     fit = lk.npmle_mixture_fit(_zstats(rng.normal(size=60)), grid_size=50)
     assert abs(sum(fit.weights) - 1.0) < 1e-10
     assert min(fit.weights) >= 0.0
+
+
+def test_npmle_reports_iterations_and_convergence():
+    rng = replicate_rng(5, 3)
+    z = np.concatenate([rng.normal(0.0, 1.0, 1600), rng.normal(3.0, 1.0, 400)])
+    capped = lk.npmle_mixture_fit(_zstats(z), grid_size=100, max_iter=20)
+    assert (capped.iterations, capped.converged) == (20, False)
+    full = lk.npmle_mixture_fit(_zstats(z), grid_size=100, tol=1e-4)
+    assert full.converged and 1 <= full.iterations < 5000
+    assert full.loglik >= capped.loglik
 
 
 def test_npmle_argument_errors():
