@@ -115,11 +115,13 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     majorant = ys[start] + iso.x * (xs[1:] - xs[start])
     near = np.flatnonzero(majorant - ys[1:] <= _HULL_CANDIDATE_TOL) + 1
     cand = np.unique(np.concatenate([[0], near, [xs.size - 1]]))
-    cx, cy = xs[cand], ys[cand]
+    # Python floats do the same IEEE double arithmetic as numpy scalars, and
+    # faster per step, which matters when every vertex is a candidate
+    cx, cy = xs[cand].tolist(), ys[cand].tolist()
 
     # least concave majorant: keep vertices with strictly decreasing chords
     hull = [0]
-    for j in range(1, cx.size):
+    for j in range(1, len(cx)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             s_prev = (cy[b] - cy[a]) / (cx[b] - cx[a])
@@ -129,8 +131,8 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
             else:
                 break
         hull.append(j)
-    hx = cx[hull]
-    hy = cy[hull]
+    hx = xs[cand[hull]]
+    hy = ys[cand[hull]]
     heights = np.diff(hy) / np.diff(hx)
 
     # every sample point sits on (hx[j], hx[j+1]] for some piece j
