@@ -78,14 +78,11 @@ from .compound import (
 from .simulate import (
     Bfdr,
     CalibrationCurve,
-    DiscreteCE,
     DiscreteUniformNulls,
     Fdr,
-    GGM,
     GaussianMeans,
     MfdrInterval,
     MonteCarloReport,
-    OmegaSpec,
     PfdrInterval,
     Power,
     ProcedureConfig,

@@ -46,7 +46,6 @@ from .procedures import (
 from .simulate import (
     PRESETS,
     Bfdr,
-    DiscreteCE,
     DiscreteUniformNulls,
     Fdr,
     GaussianMeans,
@@ -295,7 +294,6 @@ _GENERATOR_KINDS = {
     "two-groups-beta": TwoGroupsBeta,
     "discrete-uniform-nulls": DiscreteUniformNulls,
     "superuniform-ce": SuperUniformCE,
-    "discrete-ce": DiscreteCE,
 }
 
 
@@ -360,12 +358,9 @@ def cmd_simulate(args) -> int:
 
     grid_L = None
     if args.perturb_discrete:
-        if isinstance(generator, DiscreteUniformNulls):
-            grid_L = generator.L
-        elif isinstance(generator, DiscreteCE):
-            grid_L = 9
-        else:
+        if not isinstance(generator, DiscreteUniformNulls):
             raise CliError("bad-arg", "--perturb-discrete requires a grid generator")
+        grid_L = generator.L
     proc = ProcedureConfig(args.procedure, alpha,
                            perturb=args.perturb_discrete, grid_L=grid_L)
     criteria = _parse_criteria(args.criteria)

@@ -527,7 +527,9 @@ class MixtureDensity(Density):
         arr, scalar = _as_float_array(t)
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
-            out = out + w * np.asarray(c.pdf(arr))
+            # a weightless component adds nothing, even where its density is inf
+            if w > 0.0:
+                out = out + w * np.asarray(c.pdf(arr))
         return _scalar_like(out, scalar)
 
     def cdf(self, t):
@@ -587,7 +589,7 @@ class LossSpec:
 
 def mixture_density(spec: TwoGroupsSpec, t) -> float:
     """Marginal density pi0*f0(t) + (1-pi0)*f1(t)."""
-    return spec.pi0 * spec.f0.pdf(t) + (1.0 - spec.pi0) * spec.f1.pdf(t)
+    return spec.mixture().pdf(t)
 
 
 def average_density(models: Sequence[Density], t):

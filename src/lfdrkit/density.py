@@ -108,12 +108,16 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     ys = np.concatenate([[0.0], (last + 1) / m])
 
     dx = np.diff(xs)
-    iso = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
-    # majorant at each vertex, from the first vertex of its block: a running
-    # sum over the spacings would gather error that grows with m
-    start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
-    majorant = ys[start] + iso.x * (xs[1:] - xs[start])
-    near = np.flatnonzero(majorant - ys[1:] <= _HULL_CANDIDATE_TOL) + 1
+    # subnormal spacings overflow the slopes to inf, and with them the
+    # majorant, so a vertex without a finite majorant is always a candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        iso = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
+        # majorant at each vertex, from the first vertex of its block: a
+        # running sum over the spacings would gather error that grows with m
+        start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
+        majorant = ys[start] + iso.x * (xs[1:] - xs[start])
+    near = np.flatnonzero(~np.isfinite(majorant)
+                          | (majorant - ys[1:] <= _HULL_CANDIDATE_TOL)) + 1
     cand = np.unique(np.concatenate([[0], near, [xs.size - 1]]))
     # Python floats do the same IEEE double arithmetic as numpy scalars, and
     # faster per step, which matters when every vertex is a candidate

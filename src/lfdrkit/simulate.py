@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -190,101 +189,17 @@ class SuperUniformCE:
         row[1] = 0.25
 
 
-@dataclass(frozen=True)
-class DiscreteCE:
-    """Six hypotheses on the 1/9 grid: five alternatives fixed at
-    {1,1,2,3,4}/9 and one null uniform on the grid."""
-
-    scale = Scale.P_VALUE
-
-    @property
-    def null_flags(self) -> np.ndarray:
-        return np.array([False] * 5 + [True])
-
-    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
-        row[:5] = [k / _DISCRETE_CE_L for k in _DISCRETE_CE_ALTS]
-        row[5] = rng.integers(1, _DISCRETE_CE_L + 1) / _DISCRETE_CE_L
-
-
-@dataclass(frozen=True)
-class OmegaSpec:
-    """Precision matrix pattern: 'identity' or 'chain' (tridiagonal, rho)."""
-
-    kind: str = "identity"
-    rho: float = 0.0
-
-    def matrix(self, d: int) -> np.ndarray:
-        if self.kind == "identity":
-            return np.eye(d)
-        if self.kind == "chain":
-            if not abs(self.rho) < 0.5:
-                raise ValueError("chain precision needs |rho| < 0.5 for definiteness")
-            omega = np.eye(d)
-            idx = np.arange(d - 1)
-            omega[idx, idx + 1] = self.rho
-            omega[idx + 1, idx] = self.rho
-            return omega
-        raise ValueError(f"unknown precision pattern {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class GGM:
-    """Partial-correlation testing: one t statistic per unordered pair.
-
-    n i.i.d. draws of N(0, Omega^{-1}); the statistic for pair {i, j}, i < j,
-    is the standardized coefficient of X_i when X_j is regressed on all other
-    coordinates (with intercept), on n - d degrees of freedom.  The pair is
-    null iff Omega_ij = 0.
-    """
-
-    d: int
-    n: int
-    omega: OmegaSpec = field(default_factory=OmegaSpec)
-    scale = Scale.Z_VALUE
-
-    def __post_init__(self):
-        if not 2 <= self.d < self.n:
-            raise ValueError("need 2 <= d < n")
-
-    @property
-    def null_flags(self) -> np.ndarray:
-        omega = self.omega.matrix(self.d)
-        return np.array([omega[i, j] == 0.0 for i, j in combinations(range(self.d), 2)])
-
-    def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
-        d, n = self.d, self.n
-        chol = np.linalg.cholesky(np.linalg.inv(self.omega.matrix(d)))
-        x = rng.normal(size=(n, d)) @ chol.T
-        # one regression per response column, with intercept: dof = n - d
-        tstats = np.empty((d, d))
-        ones = np.ones((n, 1))
-        for j in range(d):
-            others = np.delete(np.arange(d), j)
-            design = np.concatenate([ones, x[:, others]], axis=1)
-            gram = design.T @ design
-            gram_inv = np.linalg.inv(gram)
-            coef = gram_inv @ (design.T @ x[:, j])
-            resid = x[:, j] - design @ coef
-            dof = n - d
-            sigma2 = float(resid @ resid) / dof
-            se = np.sqrt(sigma2 * np.diag(gram_inv))
-            tstats[j, others] = coef[1:] / se[1:]
-        row[:] = [tstats[j, i] for i, j in combinations(range(d), 2)]
-
-
-GeneratorSpec = Union[GaussianMeans, TwoGroupsBeta, DiscreteUniformNulls,
-                      SuperUniformCE, DiscreteCE, GGM]
+GeneratorSpec = Union[GaussianMeans, TwoGroupsBeta, DiscreteUniformNulls, SuperUniformCE]
 
 _SUPERUNIFORM_NULL = PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0))
-_DISCRETE_CE_ALTS = (1, 1, 2, 3, 4)
-_DISCRETE_CE_L = 9
 
 # the named designs of ``lfdrkit simulate --preset`` and of criteria 1-4,
 # each with the alpha it runs at by default
 PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
     "theorem-5.1": (TwoGroupsBeta(m=100, pi0=0.8, a=0.05, b=1.0), 0.1),
     "counterexample-superuniform": (SuperUniformCE(), 0.5),
-    "counterexample-discrete": (DiscreteCE(), 0.5),
+    "counterexample-discrete": (
+        DiscreteUniformNulls(m=6, L=9, alt_positions=(1, 1, 2, 3, 4)), 0.5),
     "fig2-gaussian": (GaussianMeans(m=3000, m1=150, mu=2.0), 0.1),
 }
 
@@ -297,10 +212,7 @@ def generate(spec: GeneratorSpec, seed: Optional[int] = None,
     flags = spec.null_flags
     row = np.empty(flags.size)
     spec.draw(rng, row)
-    ids = None
-    if isinstance(spec, GGM):
-        ids = tuple(f"{i}-{j}" for i, j in combinations(range(spec.d), 2))
-    return StatVector(row, spec.scale, ids=ids), GroundTruth(flags)
+    return StatVector(row, spec.scale), GroundTruth(flags)
 
 
 def oracle_score_fn(spec: GeneratorSpec):
@@ -660,18 +572,15 @@ class LimitRecord:
     eps: float
     mfdr: float
     mfdr_deviation: float
-    pfdr: float
-    pfdr_deviation: float
 
 
 def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
-                          eps_sequence: Sequence[float], m: int = 0,
-                          reps: int = 0, seed: int = 0) -> Tuple[LimitRecord, ...]:
+                          eps_sequence: Sequence[float]) -> Tuple[LimitRecord, ...]:
     """Interval error rates on [t-eps, t+eps] against the pointwise score.
 
     The interval ratio-of-expectations is computed analytically from the
-    component CDFs; the conditional form is estimated by Monte Carlo when
-    ``reps`` > 0 (with ``m`` statistics per replicate, round(pi0*m) null).
+    component CDFs.  The conditional form (pFDR) is a harness criterion,
+    :class:`PfdrInterval`, estimated by :func:`mc_error_rates`.
     """
     target = spec.pi0 * spec.f0.pdf(t) / mixture_density(spec, t)
     records = []
@@ -681,27 +590,8 @@ def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
         lo, hi = t - eps, t + eps
         mass0 = spec.pi0 * (spec.f0.cdf(hi) - spec.f0.cdf(lo))
         mass1 = (1.0 - spec.pi0) * (spec.f1.cdf(hi) - spec.f1.cdf(lo))
-        mfdr = mass0 / (mass0 + mass1)
-        pfdr = math.nan
-        if reps > 0 and m > 0:
-            m0 = int(round(spec.pi0 * m))
-            counts = Counter()
-            for rng in _replicate_streams(seed, range(reps)):
-                vals0 = spec.f0.sample(rng, m0)
-                vals1 = spec.f1.sample(rng, m - m0)
-                v = int(np.count_nonzero((vals0 >= lo) & (vals0 <= hi)))
-                r = v + int(np.count_nonzero((vals1 >= lo) & (vals1 <= hi)))
-                if r > 0:
-                    counts[v, r] += 1
-            if counts:
-                pfdr = _mean_estimate(counts)["mean"]
-        records.append(LimitRecord(
-            eps=eps,
-            mfdr=float(mfdr),
-            mfdr_deviation=abs(float(mfdr) - target),
-            pfdr=pfdr,
-            pfdr_deviation=abs(pfdr - target) if not math.isnan(pfdr) else math.nan,
-        ))
+        mfdr = float(mass0 / (mass0 + mass1))
+        records.append(LimitRecord(eps=eps, mfdr=mfdr, mfdr_deviation=abs(mfdr - target)))
     return tuple(records)
 
 

@@ -140,15 +140,15 @@ def superuniform_boundary_null_prob(alpha: float = 0.5) -> float:
 
 
 def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
-    """Exact boundary-null probability of the six-hypothesis grid design.
+    """Exact boundary-null probability of the ``counterexample-discrete`` design.
 
-    Enumerates the nine grid values of the null p-value in rational
+    Enumerates the L grid values of its one null p-value in rational
     arithmetic, runs the support line exactly, and weighs the tied boundary
     uniformly.
     """
-    L = 9
-    m = 6
-    alts = [Fraction(1, 9), Fraction(1, 9), Fraction(2, 9), Fraction(3, 9), Fraction(4, 9)]
+    spec, _ = PRESETS["counterexample-discrete"]
+    L, m = spec.L, spec.m
+    alts = [Fraction(k, L) for k in spec.alt_positions]
     prob = Fraction(0)
     for ell in range(1, L + 1):
         p6 = Fraction(ell, L)

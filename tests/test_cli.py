@@ -186,6 +186,20 @@ def test_simulate_config_generator_with_perturbation(tmp_path, capsys):
     assert abs(est["mean"] - want) <= 3 * est["std_error"] + 0.01
 
 
+def test_perturb_discrete_takes_the_grid_of_the_design(tmp_path, capsys):
+    code, out, err = run_cli(["simulate", "--preset", "theorem-5.1", "--perturb-discrete",
+                              "--reps", "5", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR bad-arg") and "grid generator" in err
+    out = str(tmp_path / "rep.json")
+    code, _, err = run_cli(["simulate", "--preset", "counterexample-discrete",
+                            "--perturb-discrete", "--criteria", "bfdr", "--reps", "5",
+                            "--seed", "1", "--out", out], capsys)
+    assert code == 0, err
+    procedure = json.loads((tmp_path / "rep.json").read_text())["config"]["procedure"]
+    assert "perturb=True" in procedure and "grid_L=9" in procedure
+
+
 def test_simulate_unknown_preset(capsys):
     code, _, err = run_cli(["simulate", "--preset", "nope", "--reps", "5",
                             "--seed", "1"], capsys)
@@ -213,7 +227,7 @@ def test_simulate_rejects_seeds_outside_64_bits(seed, capsys):
 @pytest.mark.parametrize("command", ["simulate", "calibrate"])
 @pytest.mark.parametrize("key", ["generator", "alpha"])
 def test_preset_refuses_a_config_design(command, key, tmp_path, capsys):
-    design = {"generator": {"kind": "discrete-ce"}, "alpha": 0.3}
+    design = {"generator": {"kind": "superuniform-ce"}, "alpha": 0.3}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: design[key]}), encoding="utf-8")
     code, out, err = run_cli([command, "--preset", "theorem-5.1", "--config", str(cfg),

@@ -11,14 +11,12 @@ from scipy import stats as sps
 import lfdrkit as lk
 from lfdrkit.core import AssumptionError
 from lfdrkit.simulate import (
+    PRESETS,
     Bfdr,
-    DiscreteCE,
     DiscreteUniformNulls,
     Fdr,
-    GGM,
     GaussianMeans,
     MfdrInterval,
-    OmegaSpec,
     PfdrInterval,
     Power,
     ProcedureConfig,
@@ -72,7 +70,8 @@ def test_two_groups_beta_counts():
 
 
 def test_discrete_ce_design():
-    stats, truth = generate(DiscreteCE(), seed=3)
+    spec, _ = PRESETS["counterexample-discrete"]
+    stats, truth = generate(spec, seed=3)
     assert np.allclose(stats.values[:5], np.array([1, 1, 2, 3, 4]) / 9.0)
     assert truth.null_flags.tolist() == [False] * 5 + [True]
     assert stats.values[5] in {k / 9 for k in range(1, 10)}
@@ -98,30 +97,6 @@ def test_discrete_uniform_nulls_alt_positions():
     assert np.allclose(stats.values * 10, grid)
 
 
-def test_ggm_identity_all_null_and_t_distributed():
-    d, n = 20, 200
-    pooled = []
-    for r in range(50):
-        stats, truth = generate(GGM(d, n), rng=replicate_rng(123, r))
-        assert truth.null_flags.all()
-        assert stats.m == d * (d - 1) // 2
-        pooled.append(stats.values)
-    ks = sps.kstest(np.concatenate(pooled), sps.t(df=n - d).cdf)
-    assert ks.statistic < 0.02
-
-
-def test_ggm_chain_labels_adjacent_pairs():
-    stats, truth = generate(GGM(6, 120, OmegaSpec("chain", 0.3)), seed=9)
-    labels = dict(zip(stats.ids, truth.null_flags))
-    for i in range(5):
-        assert labels[f"{i}-{i + 1}"] == np.False_
-    assert labels["0-2"] == np.True_
-    # strong conditional dependence shows up in the statistics
-    adjacent = [v for lab, v in zip(stats.ids, stats.values)
-                if not labels[lab]]
-    assert np.abs(np.asarray(adjacent)).mean() > 2.0
-
-
 def test_generate_rejects_bad_specs():
     with pytest.raises(ValueError):
         GaussianMeans(m=5, m1=9, mu=1.0)
@@ -129,8 +104,6 @@ def test_generate_rejects_bad_specs():
         TwoGroupsBeta(m=10, pi0=1.5, a=1.0, b=1.0)
     with pytest.raises(ValueError):
         DiscreteUniformNulls(m=5, L=10, alt_positions=(11,))
-    with pytest.raises(ValueError):
-        GGM(d=10, n=10)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +231,7 @@ _SPECS = st.one_of(
         alt_positions=st.lists(st.integers(1, mL[1]), max_size=mL[0]).map(tuple))),
     st.builds(GaussianMeans, m=st.integers(1, 30), m1=st.just(0), mu=st.just(2.0)),
     st.just(SuperUniformCE()),
-    st.just(DiscreteCE()),
+    st.just(PRESETS["counterexample-discrete"][0]),
 )
 
 
@@ -268,9 +241,8 @@ _SPECS = st.one_of(
        st.integers(0, (1 << 64) - 1), st.integers(0, 1000))
 def test_block_counts_match_the_per_replicate_loop(spec, kind, alpha, perturb, n_reps,
                                                    seed, start):
-    grid = isinstance(spec, (DiscreteUniformNulls, DiscreteCE))
-    perturb = perturb and grid
-    L = (spec.L if isinstance(spec, DiscreteUniformNulls) else 9) if perturb else None
+    perturb = perturb and isinstance(spec, DiscreteUniformNulls)
+    L = spec.L if perturb else None
     proc = ProcedureConfig(kind, alpha, perturb=perturb, grid_L=L)
     crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.0, 0.3)]
     report = mc_error_rates(spec, proc, n_reps, crits, seed, start=start)
@@ -369,12 +341,16 @@ def test_mfdr_limit_pure_null_is_one():
 
 def test_mfdr_limit_matches_quadrature_and_pfdr_converges():
     spec = lk.TwoGroupsSpec(0.95, lk.GaussianLocation(0.0), lk.GaussianLocation(2.0))
-    records = mfdr_pfdr_limit_check(spec, 0.0, (0.5, 0.1, 0.02),
-                                    m=400, reps=400, seed=9)
+    records = mfdr_pfdr_limit_check(spec, 0.0, (0.5, 0.1, 0.02))
     devs = [r.mfdr_deviation for r in records]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 0.01
-    assert records[0].pfdr == pytest.approx(records[0].mfdr, abs=0.05)
+    # the conditional rate over the same interval, from the harness
+    report = mc_error_rates(GaussianMeans(m=400, m1=20, mu=2.0),
+                            ProcedureConfig("support-line", 0.1), 400,
+                            [PfdrInterval(-0.5, 0.5)], seed=9)
+    pfdr = report.estimates["pFDR[-0.5,0.5]"]["mean"]
+    assert pfdr == pytest.approx(records[0].mfdr, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
