@@ -4,11 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 import lfdrkit as lk
+from lfdrkit import simulate
 from lfdrkit.core import AssumptionError
 from lfdrkit.simulate import (
     PRESETS,
@@ -246,6 +247,31 @@ def test_block_counts_match_the_per_replicate_loop(spec, kind, alpha, perturb, n
     proc = ProcedureConfig(kind, alpha, perturb=perturb, grid_L=L)
     crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.0, 0.3)]
     report = mc_error_rates(spec, proc, n_reps, crits, seed, start=start)
+    assert report.counts == _loop_reference(spec, proc, n_reps, crits, seed, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPECS, st.sampled_from(["support-line", "bh", "storey-bh"]),
+       st.sampled_from([0.1, 0.5, 1.0]), st.booleans(), st.integers(2, 6),
+       st.integers(2, 8), st.integers(2, 5), st.integers(1, 7),
+       st.integers(0, (1 << 64) - 1), st.integers(0, 1000))
+@example(PRESETS["counterexample-discrete"][0], "support-line", 0.5, False, 3, 4, 4, 2,
+         7, 0)
+@example(DiscreteUniformNulls(m=7, L=3, alt_positions=(1, 2, 2)), "support-line", 0.5,
+         True, 4, 5, 3, 3, 11, 5)
+def test_block_counts_match_the_per_replicate_loop_across_blocks(
+        spec, kind, alpha, perturb, block_rows, rows_by_values, n_blocks, last, seed, start):
+    # shrink the block so a run spans n_blocks blocks and the last is short
+    m = spec.null_flags.size
+    rows = min(block_rows, rows_by_values)
+    n_reps = rows * (n_blocks - 1) + min(last, rows - 1)
+    perturb = perturb and isinstance(spec, DiscreteUniformNulls)
+    proc = ProcedureConfig(kind, alpha, perturb=perturb, grid_L=spec.L if perturb else None)
+    crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.0, 0.3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        mp.setattr(simulate, "_BLOCK_VALUES", rows_by_values * m + m - 1)
+        report = mc_error_rates(spec, proc, n_reps, crits, seed, start=start)
     assert report.counts == _loop_reference(spec, proc, n_reps, crits, seed, start)
 
 
