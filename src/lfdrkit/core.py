@@ -58,6 +58,17 @@ def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
     return values if scale is Scale.P_VALUE else stats.norm.sf(values)
 
 
+def check_values(values: np.ndarray, scale: Scale) -> None:
+    """Raise ValueError unless every value is finite and, on the p-value scale,
+    in [0, 1].  Reads ``values`` in place, whatever its shape: min and max
+    propagate NaN, so two reductions check everything."""
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be finite")
+    if scale is Scale.P_VALUE and (lo < 0.0 or hi > 1.0):
+        raise ValueError("p-values must lie in [0, 1]")
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -87,10 +98,7 @@ class StatVector:
         arr = _frozen_array(self.values, float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("values must be a 1-d sequence of length >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
-        if self.scale is Scale.P_VALUE and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("p-values must lie in [0, 1]")
+        check_values(arr, self.scale)
         object.__setattr__(self, "values", arr)
         if self.ids is not None:
             ids = tuple(str(s) for s in self.ids)

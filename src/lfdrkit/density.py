@@ -92,7 +92,9 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     further under the majorant is far from every hull chord, so dropping it
     changes no comparison the scan makes: the breakpoints and heights are
     those of the same scan over every vertex.  O(m log m) including the
-    sort, which is ``stats.order``.
+    sort, which is ``stats.order``.  Raises :class:`FitError` when a height
+    or the log-likelihood is not finite, as when two p-values lie a
+    subnormal spacing apart.
     """
     if stats.scale is not Scale.P_VALUE:
         raise ValueError("grenander_fit expects p-scale statistics")
@@ -137,11 +139,15 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
         hull.append(j)
     hx = xs[cand[hull]]
     hy = ys[cand[hull]]
-    heights = np.diff(hy) / np.diff(hx)
+    with np.errstate(over="ignore"):
+        heights = np.diff(hy) / np.diff(hx)
 
     # every sample point sits on (hx[j], hx[j+1]] for some piece j
     idx = np.searchsorted(hx[1:], p, side="left")
     ll = float(np.mean(np.log(heights[idx])))
+    if not (np.all(np.isfinite(heights)) and math.isfinite(ll)):
+        raise FitError(f"monotone fit has log-likelihood {ll!r}: p-values a subnormal "
+                       f"spacing apart make a height overflow to {float(heights.max())!r}")
     return MonotoneDensityFit(tuple(hx), tuple(heights), loglik=ll)
 
 

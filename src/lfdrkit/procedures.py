@@ -98,18 +98,29 @@ def step_up_thresholds(ps: np.ndarray, alpha: float, m0) -> np.ndarray:
     return np.where(_fdp_hat_sorted(m0, ps) <= alpha, ps, 0.0).max(axis=-1)
 
 
-def _support_line_objective(ps: np.ndarray, alpha: float) -> np.ndarray:
-    """``alpha*k/m - p_(k)`` for k = 0..m along each row of sorted p-values."""
+def _support_line_objective(ps: np.ndarray, alpha: float,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``alpha*k/m - p_(k)`` for k = 0..m along each row of sorted p-values.
+
+    ``out`` (shape ``ps.shape[:-1] + (m + 1,)``, allocated when None) holds
+    it with k descending, and the result is the reversed view of ``out``, so
+    the search for the largest maximizing k reads ``out`` itself.
+    """
     m = ps.shape[-1]
-    zero = np.zeros(ps.shape[:-1] + (1,))
-    return alpha * np.arange(m + 1) / m - np.concatenate([zero, ps], axis=-1)
+    if out is None:
+        out = np.empty(ps.shape[:-1] + (m + 1,))
+    out[..., :m] = ps[..., ::-1]
+    out[..., m] = 0.0
+    np.subtract(alpha * np.arange(m, -1, -1) / m, out, out=out)
+    return out[..., ::-1]
 
 
-def support_line_counts(ps: np.ndarray, alpha: float) -> np.ndarray:
+def support_line_counts(ps: np.ndarray, alpha: float,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Support-line rejection count of each row of sorted p-values: the
     largest maximizing k.  It ends a tie run, so the rule rejects exactly the
-    p-values at or below ``p_(k)``."""
-    objective = _support_line_objective(ps, alpha)
+    p-values at or below ``p_(k)``.  ``out`` is the objective's buffer."""
+    objective = _support_line_objective(ps, alpha, out)
     return ps.shape[-1] - np.argmax(objective[..., ::-1], axis=-1)
 
 
@@ -277,9 +288,19 @@ def perturb_grid_pvalues(stats: StatVector, L: int,
                       ids=stats.ids)
 
 
-def grid_perturbation(p: np.ndarray, L: int, u: np.ndarray) -> np.ndarray:
-    """``(l - 1 + u) / L`` for grid p-values ``p = l/L`` and uniforms u, elementwise."""
-    ell = np.rint(p * L)
-    if np.any(np.abs(p * L - ell) > 1e-9) or np.any(ell < 1):
+def grid_perturbation(p: np.ndarray, L: int, u: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(l - 1 + u) / L`` for grid p-values ``p = l/L`` and uniforms u, elementwise.
+
+    The result goes to ``out`` when given, which may be p itself; after a
+    ValueError its contents are unspecified.
+    """
+    pl = p * L
+    ell = np.rint(pl, out=out)
+    np.abs(np.subtract(pl, ell, out=pl), out=pl)
+    if np.any(pl > 1e-9) or np.any(ell < 1):
         raise ValueError(f"statistics are not supported on the 1/{L} grid")
-    return (ell - 1.0 + u) / L
+    ell -= 1.0
+    ell += u
+    ell /= L
+    return ell

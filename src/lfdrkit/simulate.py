@@ -29,6 +29,7 @@ from .core import (
     StatVector,
     TwoGroupsSpec,
     Uniform01,
+    check_values,
     mixture_density,
     to_pvalues,
 )
@@ -387,11 +388,31 @@ _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 
-def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig) -> np.ndarray:
+@dataclass(frozen=True)
+class _Workspace:
+    """Buffers for one block of rows, allocated once per run: blocks write
+    into their leading rows, so no block allocates a block-sized float array
+    for its draws, perturbation, sort or support-line objective."""
+
+    x: np.ndarray                    # the drawn rows, perturbed in place
+    u: Optional[np.ndarray]          # perturbation uniforms
+    sorted: np.ndarray               # each row's p-values, sorted
+    objective: Optional[np.ndarray]  # support-line objective, m + 1 per row
+
+    @classmethod
+    def for_block(cls, rows: int, m: int, procedure: ProcedureConfig) -> "_Workspace":
+        support_line = procedure.kind == "support-line"
+        return cls(np.empty((rows, m)), np.empty((rows, m)) if procedure.perturb else None,
+                   np.empty((rows, m)), np.empty((rows, m + 1)) if support_line else None)
+
+
+def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
+                    objective: Optional[np.ndarray]) -> np.ndarray:
     """Per row of sorted p-values, the threshold at or below which the
-    procedure rejects every p-value; -1 when the support line rejects none."""
+    procedure rejects every p-value; -1 when the support line rejects none.
+    ``objective`` is the support line's buffer."""
     if cfg.kind == "support-line":
-        r = support_line_counts(ps, cfg.alpha)
+        r = support_line_counts(ps, cfg.alpha, objective)
         return np.where(r > 0, ps[np.arange(len(ps)), r - 1], -1.0)
     m = ps.shape[1]
     if cfg.kind == "bh":
@@ -416,23 +437,30 @@ def _boundary_nulls(p, cut, nulls, states, rng) -> np.ndarray:
 
 
 def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureConfig,
-                 criteria, streams, rows: int, counts: Dict[str, Counter]) -> None:
-    """Draw the next ``rows`` replicates from ``streams`` and count their outcomes."""
+                 criteria, streams, work: _Workspace, rows: int,
+                 counts: Dict[str, Counter]) -> None:
+    """Draw the next ``rows`` replicates from ``streams`` into ``work`` and
+    count their outcomes."""
     keep_states = any(isinstance(c, Bfdr) for c in criteria)
-    x = np.empty((rows, nulls.size))
-    u = np.empty_like(x) if procedure.perturb else None
+    values = work.x[:rows]
+    u = None if work.u is None else work.u[:rows]
     states = []
     # range first: zip stops before taking a stream beyond this block
     for i, rng in zip(range(rows), streams):
-        spec.draw(rng, x[i])
+        spec.draw(rng, values[i])
         if u is not None:
             rng.random(out=u[i])
         if keep_states:
             states.append(rng.bit_generator.state)
-    StatVector(x.ravel(), spec.scale)  # validates the whole block
-    values = x if u is None else grid_perturbation(x, procedure.grid_L, u)
+    check_values(values, spec.scale)
+    if u is not None:
+        grid_perturbation(values, procedure.grid_L, u, out=values)
     p = to_pvalues(values, spec.scale)
-    cut = _row_thresholds(np.sort(p, axis=1), procedure)
+    ps = work.sorted[:rows]
+    np.copyto(ps, p)
+    ps.sort(axis=1)
+    objective = None if work.objective is None else work.objective[:rows]
+    cut = _row_thresholds(ps, procedure, objective)
     rejected = p <= cut[:, None]
     r = np.count_nonzero(rejected, axis=1)
     v = np.count_nonzero(rejected & nulls, axis=1)
@@ -472,11 +500,12 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
         raise ValueError("criteria names must be unique")
     nulls = spec.null_flags
     streams = _replicate_streams(seed, range(start, start + n_reps))
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
+    work = _Workspace.for_block(rows, nulls.size, procedure)
     counts = {c.name: Counter() for c in criteria}
     for done in range(0, n_reps, rows):
-        _tally_block(spec, nulls, procedure, criteria, streams, min(rows, n_reps - done),
-                     counts)
+        _tally_block(spec, nulls, procedure, criteria, streams, work,
+                     min(rows, n_reps - done), counts)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
     return _report(start, n_reps, config, criteria, counts)

@@ -135,6 +135,16 @@ def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, ca
     assert err.startswith("ERROR fit")
 
 
+def test_analyze_grenander_fit_of_infinite_mass_is_a_fit_error(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("id,stat\na,5e-324\nb,1e-323\nc,0.5\nd,1.0\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", "--input", str(path),
+                              "--out", str(tmp_path / "res.csv")], capsys)
+    assert code == 2
+    assert err.startswith("ERROR fit")
+    assert not (tmp_path / "res.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

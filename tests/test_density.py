@@ -69,6 +69,13 @@ def test_grenander_rejects_zero():
         lk.grenander_fit(_pstats([0.0, 0.5]))
 
 
+def test_grenander_rejects_a_fit_of_infinite_mass():
+    # 5e-324 and 1e-323 are a subnormal spacing apart: the first height
+    # overflows, which would make the density and the log-likelihood inf
+    with pytest.raises(FitError):
+        lk.grenander_fit(_pstats([5e-324, 1e-323, 0.5, 1.0]))
+
+
 def test_grenander_scale_check():
     with pytest.raises(ValueError):
         lk.grenander_fit(_zstats([0.1, 0.2]))

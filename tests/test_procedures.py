@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import beta as sbeta
 
 import lfdrkit as lk
-from lfdrkit.procedures import boundary_tie_indices, support_line_objective
+from lfdrkit.procedures import (
+    boundary_tie_indices,
+    grid_perturbation,
+    support_line_objective,
+)
 from lfdrkit.simulate import replicate_rng
 
 
@@ -286,6 +290,30 @@ def test_perturb_grid_pvalues():
     assert np.all(out.values <= p) and np.all(out.values > p - 1.0 / L)
     with pytest.raises(ValueError):
         lk.perturb_grid_pvalues(_pstats([0.123]), L, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 40), st.integers(0, 1000))
+def test_grid_perturbation_in_place_equals_the_allocating_call(L, rows, m, index):
+    rng = replicate_rng(31, index)
+    p = rng.integers(1, L + 1, (rows, m)) / L
+    u = rng.random((rows, m))
+    expected = grid_perturbation(p, L, u)
+    # the formula the harness has always used, in the same operation order
+    assert np.array_equal(expected, (np.rint(p * L) - 1.0 + u) / L)
+    out = p.copy()
+    assert grid_perturbation(out, L, u, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_grid_perturbation_in_place_rejects_off_grid_input():
+    p, u = np.array([[1 / 3, 0.123]]), np.full((1, 2), 0.5)
+    with pytest.raises(ValueError) as allocating:
+        grid_perturbation(p, 3, u)
+    with pytest.raises(ValueError) as in_place:
+        grid_perturbation(p.copy(), 3, u, out=p.copy())
+    assert str(in_place.value) == str(allocating.value) == \
+        "statistics are not supported on the 1/3 grid"
 
 
 def test_perturbed_nulls_are_uniform():
