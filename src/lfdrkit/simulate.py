@@ -390,9 +390,9 @@ _BLOCK_ROWS = 1 << 10
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Buffers for one block of rows, allocated once per run: blocks write
-    into their leading rows, so no block allocates a block-sized float array
-    for its draws, perturbation, sort or support-line objective."""
+    """Buffers for one block of rows, allocated once per run.  Each block
+    writes into their leading rows, so it allocates no block-sized array
+    for its draws, perturbed values, sort or support-line objective."""
 
     x: np.ndarray                    # the drawn rows, perturbed in place
     u: Optional[np.ndarray]          # perturbation uniforms
