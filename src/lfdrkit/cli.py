@@ -45,6 +45,7 @@ from .procedures import (
 )
 from .simulate import (
     PRESETS,
+    SCORERS,
     Bfdr,
     DiscreteUniformNulls,
     Fdr,
@@ -448,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calibrate", help="pooled calibration curve")
     pc.add_argument("--preset", default=None)
     pc.add_argument("--config", default=None)
-    pc.add_argument("--scorer", default="oracle-lfdr",
-                    choices=("p-value", "q-value", "oracle-lfdr", "estimated-lfdr"))
+    pc.add_argument("--scorer", default="oracle-lfdr", choices=SCORERS)
     pc.add_argument("--reps", type=int, default=10_000)
     pc.add_argument("--bin-width", type=float, default=0.025)
     pc.add_argument("--seed", type=int, default=None)
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_calibrate)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("suite", help="theorems | counterexamples | oracles")
+    pv.add_argument("suite", help=" | ".join(SUITE_NAMES))
     pv.add_argument("--seed", type=int, default=None)
     pv.set_defaults(func=cmd_verify)
 

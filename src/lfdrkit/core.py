@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,12 @@ class Scale(Enum):
 
 
 def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
-    """One-sided p-values: ``norm.sf(z)`` of z-scale statistics; p-values pass through."""
-    return values if scale is Scale.P_VALUE else stats.norm.sf(values)
+    """One-sided p-values: ``norm.sf(z)`` of z-scale statistics; p-values pass through.
+
+    Computed as ``ndtr(-z)``, which equals ``norm.sf(z)`` bitwise; the
+    ``rv_continuous`` wrapper would allocate several block-sized temporaries
+    per call, and the Monte Carlo core calls this once per block."""
+    return values if scale is Scale.P_VALUE else special.ndtr(-values)
 
 
 def check_values(values: np.ndarray, scale: Scale) -> None:
@@ -153,36 +157,39 @@ class GroundTruth:
 # Density families
 # ---------------------------------------------------------------------------
 
-def _as_float_array(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
 class Density:
     """A density (or pmf, for discrete kinds) evaluable on its support.
 
-    Subclasses implement ``pdf``/``cdf``/``sample`` and expose ``support``
-    as a closed interval (endpoints may be infinite).  ``pdf`` raises
-    :class:`DomainError` outside the support; values at support endpoints
-    are the one-sided limits of the representation.
+    ``pdf`` and ``cdf`` take a scalar or an array: a scalar gives a Python
+    float, an array gives an array of its shape.  Subclasses implement
+    ``_pdf``/``_cdf`` on float arrays and expose ``support`` as a closed
+    interval (endpoints may be infinite).  ``pdf`` raises
+    :class:`DomainError` outside the support; ``cdf`` is defined everywhere.
+    Values at support endpoints are the one-sided limits of the
+    representation.
     """
 
     support: Tuple[float, float] = (-math.inf, math.inf)
 
-    def _check_support(self, arr: np.ndarray) -> None:
+    def pdf(self, t):
+        arr = np.asarray(t, dtype=float)
         lo, hi = self.support
         if arr.size and (arr.min() < lo or arr.max() > hi):
             bad = arr[(arr < lo) | (arr > hi)].flat[0]
             raise DomainError(f"{bad!r} outside support [{lo}, {hi}]")
-
-    def pdf(self, t):
-        raise NotImplementedError
+        out = self._pdf(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def cdf(self, t):
+        arr = np.asarray(t, dtype=float)
+        out = self._cdf(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _pdf(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} does not support sampling")
+    def _cdf(self, arr: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def total_mass(self) -> float:
         """Integral (or sum) of the density over its support."""
@@ -191,25 +198,15 @@ class Density:
         return val
 
 
-def _scalar_like(result: np.ndarray, scalar: bool):
-    return float(result) if scalar else result
-
-
 @dataclass(frozen=True)
 class Uniform01(Density):
     support = (0.0, 1.0)
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
-        return _scalar_like(np.ones_like(arr), scalar)
+    def _pdf(self, arr):
+        return np.ones_like(arr)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(np.clip(arr, 0.0, 1.0), scalar)
-
-    def sample(self, rng, size):
-        return rng.random(size)
+    def _cdf(self, arr):
+        return np.clip(arr, 0.0, 1.0)
 
     def total_mass(self):
         return 1.0
@@ -221,16 +218,11 @@ class GaussianLocation(Density):
 
     mean: float = 0.0
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(stats.norm.pdf(arr, loc=self.mean), scalar)
+    def _pdf(self, arr):
+        return stats.norm.pdf(arr, loc=self.mean)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(stats.norm.cdf(arr, loc=self.mean), scalar)
-
-    def sample(self, rng, size):
-        return rng.normal(self.mean, 1.0, size)
+    def _cdf(self, arr):
+        return stats.norm.cdf(arr, loc=self.mean)
 
     def total_mass(self):
         return 1.0
@@ -244,16 +236,11 @@ class StudentT(Density):
         if self.dof <= 0:
             raise ValueError("dof must be positive")
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(stats.t.pdf(arr, df=self.dof), scalar)
+    def _pdf(self, arr):
+        return stats.t.pdf(arr, df=self.dof)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(stats.t.cdf(arr, df=self.dof), scalar)
-
-    def sample(self, rng, size):
-        return rng.standard_t(self.dof, size)
+    def _cdf(self, arr):
+        return stats.t.cdf(arr, df=self.dof)
 
     def total_mass(self):
         return 1.0
@@ -269,40 +256,32 @@ class BetaDensity(Density):
         if self.a <= 0 or self.b <= 0:
             raise ValueError("beta parameters must be positive")
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
+    def _pdf(self, arr):
         # via logpdf: beta.pdf itself overflows on denormal inputs, and the
         # one-sided limit at the endpoints (possibly inf) is wanted here
         with np.errstate(over="ignore"):
-            out = np.exp(stats.beta.logpdf(arr, self.a, self.b))
-        return _scalar_like(out, scalar)
+            return np.exp(stats.beta.logpdf(arr, self.a, self.b))
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        return _scalar_like(stats.beta.cdf(arr, self.a, self.b), scalar)
-
-    def sample(self, rng, size):
-        return rng.beta(self.a, self.b, size)
+    def _cdf(self, arr):
+        return stats.beta.cdf(arr, self.a, self.b)
 
     def total_mass(self):
         return 1.0
 
 
 class _StepMass:
-    """``cdf`` and ``total_mass`` of a density that is ``heights[j]`` between
+    """``_cdf`` and ``total_mass`` of a density that is ``heights[j]`` between
     ``breakpoints[j]`` and ``breakpoints[j+1]``; the value at a breakpoint
     itself carries no mass, so either continuity convention shares them."""
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _cdf(self, arr):
         edges = np.asarray(self.breakpoints)
         hts = np.asarray(self.heights)
         cum = np.concatenate([[0.0], np.cumsum(hts * np.diff(edges))])
         clipped = np.clip(arr, edges[0], edges[-1])
         idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(hts) - 1)
         out = cum[idx] + hts[idx] * (clipped - edges[idx])
-        return _scalar_like(np.clip(out, 0.0, cum[-1]), scalar)
+        return np.clip(out, 0.0, cum[-1])
 
     def total_mass(self):
         return float(np.sum(np.asarray(self.heights) * np.diff(self.breakpoints)))
@@ -332,12 +311,10 @@ class PiecewiseConstant(_StepMass, Density):
         object.__setattr__(self, "heights", hts)
         object.__setattr__(self, "support", (edges[0], edges[-1]))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
+    def _pdf(self, arr):
         edges = np.asarray(self.breakpoints)
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.heights) - 1)
-        return _scalar_like(np.asarray(self.heights)[idx], scalar)
+        return np.asarray(self.heights)[idx]
 
     @cached_property
     def _piece_cdf(self) -> np.ndarray:
@@ -375,13 +352,10 @@ class PiecewiseLinear(Density):
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "support", (xs[0], xs[-1]))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
-        return _scalar_like(np.interp(arr, self.xs, self.ys), scalar)
+    def _pdf(self, arr):
+        return np.interp(arr, self.xs, self.ys)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _cdf(self, arr):
         xs = np.asarray(self.xs)
         ys = np.asarray(self.ys)
         seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
@@ -392,16 +366,7 @@ class PiecewiseLinear(Density):
         y0 = ys[idx]
         slope = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
         d = clipped - x0
-        out = cum[idx] + y0 * d + 0.5 * slope * d * d
-        return _scalar_like(out, scalar)
-
-    def sample(self, rng, size):
-        # numeric inverse cdf on a fine grid; adequate for simulation use
-        grid = np.linspace(self.xs[0], self.xs[-1], 4097)
-        cg = self.cdf(grid)
-        cg = cg / cg[-1]
-        u = rng.random(size)
-        return np.interp(u, cg, grid)
+        return cum[idx] + y0 * d + 0.5 * slope * d * d
 
     def total_mass(self):
         xs = np.asarray(self.xs)
@@ -423,20 +388,14 @@ class ExpFamilyPoly(Density):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "support", (float(self.lo), float(self.hi)))
 
-    def _log_pdf(self, arr):
-        return np.polynomial.polynomial.polyval(arr, np.asarray(self.coefficients))
+    def _pdf(self, arr):
+        return np.exp(np.polynomial.polynomial.polyval(arr, np.asarray(self.coefficients)))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
-        return _scalar_like(np.exp(self._log_pdf(arr)), scalar)
-
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
-        flat = np.atleast_1d(np.clip(arr, self.lo, self.hi))
+    def _cdf(self, arr):
+        flat = np.clip(arr, self.lo, self.hi).ravel()
         out = np.array([integrate.quad(lambda x: self.pdf(x), self.lo, x, limit=200)[0]
                         for x in flat])
-        return _scalar_like(out.reshape(np.shape(arr)), scalar)
+        return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -458,23 +417,15 @@ class LocationMixture(Density):
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _pdf(self, arr):
         a = np.asarray(self.atoms)
         w = np.asarray(self.weights)
-        out = stats.norm.pdf(arr[..., None] - a) @ w
-        return _scalar_like(out, scalar)
+        return stats.norm.pdf(arr[..., None] - a) @ w
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _cdf(self, arr):
         a = np.asarray(self.atoms)
         w = np.asarray(self.weights)
-        out = stats.norm.cdf(arr[..., None] - a) @ w
-        return _scalar_like(out, scalar)
-
-    def sample(self, rng, size):
-        comp = rng.choice(len(self.atoms), size=size, p=np.asarray(self.weights))
-        return np.asarray(self.atoms)[comp] + rng.normal(size=size)
+        return stats.norm.cdf(arr[..., None] - a) @ w
 
     def total_mass(self):
         return float(np.sum(self.weights))
@@ -492,20 +443,14 @@ class DiscreteUniformGrid(Density):
             raise ValueError("L must be >= 1")
         object.__setattr__(self, "L", int(self.L))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
+    def _pdf(self, arr):
         k = np.rint(arr * self.L)
         on_grid = (np.abs(arr * self.L - k) < 1e-9) & (k >= 1) & (k <= self.L)
-        return _scalar_like(np.where(on_grid, 1.0 / self.L, 0.0), scalar)
+        return np.where(on_grid, 1.0 / self.L, 0.0)
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _cdf(self, arr):
         k = np.clip(np.floor(arr * self.L + 1e-9), 0, self.L)
-        return _scalar_like(k / self.L, scalar)
-
-    def sample(self, rng, size):
-        return rng.integers(1, self.L + 1, size=size) / self.L
+        return k / self.L
 
     def total_mass(self):
         return 1.0
@@ -531,29 +476,18 @@ class MixtureDensity(Density):
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "support", (lo, hi))
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _pdf(self, arr):
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
             # a weightless component adds nothing, even where its density is inf
             if w > 0.0:
                 out = out + w * np.asarray(c.pdf(arr))
-        return _scalar_like(out, scalar)
+        return out
 
-    def cdf(self, t):
-        arr, scalar = _as_float_array(t)
+    def _cdf(self, arr):
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
             out = out + w * np.asarray(c.cdf(arr))
-        return _scalar_like(out, scalar)
-
-    def sample(self, rng, size):
-        comp = rng.choice(len(self.components), size=size, p=np.asarray(self.weights))
-        out = np.empty(size, dtype=float)
-        for j, c in enumerate(self.components):
-            mask = comp == j
-            if mask.any():
-                out[mask] = c.sample(rng, int(mask.sum()))
         return out
 
     def total_mass(self):
@@ -604,12 +538,12 @@ def average_density(models: Sequence[Density], t):
     """Pointwise arithmetic mean of the m model densities at t."""
     if len(models) == 0:
         raise ValueError("need at least one density")
-    arr, scalar = _as_float_array(t)
+    arr = np.asarray(t, dtype=float)
     out = np.zeros_like(arr)
     for mod in models:
         out = out + np.asarray(mod.pdf(arr))
     out = out / len(models)
-    return _scalar_like(out, scalar)
+    return float(out) if arr.ndim == 0 else out
 
 
 def normalization_defect(model: Density) -> float:

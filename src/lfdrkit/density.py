@@ -29,8 +29,6 @@ from .core import (
     Scale,
     StatVector,
     _StepMass,
-    _as_float_array,
-    _scalar_like,
 )
 
 
@@ -69,15 +67,12 @@ class MonotoneDensityFit(_StepMass, Density):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "heights", hts)
 
-    def pdf(self, t):
-        arr, scalar = _as_float_array(t)
-        self._check_support(arr)
+    def _pdf(self, arr):
         bp = np.asarray(self.breakpoints)
         hts = np.asarray(self.heights)
         # piece ending at each knot: value on (bp[j], bp[j+1]], and h[0] at 0
         idx = np.searchsorted(bp[1:], arr, side="left")
-        out = np.where(idx < len(hts), hts[np.minimum(idx, len(hts) - 1)], 0.0)
-        return _scalar_like(out, scalar)
+        return np.where(idx < len(hts), hts[np.minimum(idx, len(hts) - 1)], 0.0)
 
 
 def grenander_fit(stats: StatVector) -> MonotoneDensityFit:

@@ -544,7 +544,7 @@ class CalibrationCurve:
             object.__setattr__(self, name, arr)
 
 
-_SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
+SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
 
 def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
@@ -562,7 +562,7 @@ def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
         pi0 = storey_pi0(pv, 0.5)
         fit = grenander_fit(pv)
         return score_hypotheses(LfdrCurve(pi0.value, Uniform01(), fit), pv)
-    raise ValueError(f"unknown scorer {scorer!r}; choose from {_SCORERS}")
+    raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORERS}")
 
 
 def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,

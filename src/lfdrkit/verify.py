@@ -516,6 +516,9 @@ def check_determinism_and_merge(seed: int = 7) -> List[CheckResult]:
 # Suites
 # ---------------------------------------------------------------------------
 
+SUITE_NAMES = ("theorems", "counterexamples", "oracles")
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     if name == "counterexamples":
         return (check_superuniform_counterexample(seed)
@@ -531,8 +534,4 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
                 + check_discrete_grid_asymptotics(seed)
                 + check_pvalue_density_bound()
                 + check_determinism_and_merge())
-    raise ValueError(f"unknown suite {name!r}; "
-                     "choose from theorems, counterexamples, oracles")
-
-
-SUITE_NAMES = ("theorems", "counterexamples", "oracles")
+    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

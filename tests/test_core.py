@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import lfdrkit as lk
-from lfdrkit.core import DomainError
+from lfdrkit.core import DomainError, to_pvalues
 
 
 def test_statvector_validation():
@@ -140,3 +141,58 @@ def test_density_sampling_matches_cdf():
 def test_mixture_density_nonnegative(pi0, t):
     spec = lk.TwoGroupsSpec(pi0, lk.Uniform01(), lk.BetaDensity(0.5, 1.0))
     assert lk.mixture_density(spec, t) >= 0.0
+
+
+_EVERY_DENSITY = [
+    lk.Uniform01(),
+    lk.GaussianLocation(1.3),
+    lk.StudentT(7.0),
+    lk.BetaDensity(0.5, 2.0),
+    lk.PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0)),
+    lk.PiecewiseLinear((0.0, 0.5, 1.0), (2.0, 1.0, 0.0)),
+    lk.ExpFamilyPoly((-math.log(2.0),), -1.0, 1.0),
+    # the matmul over atoms sums in an order that depends on the array's
+    # length, so a scalar can differ from its array element in the last bit
+    pytest.param(lk.LocationMixture((-1.0, 2.0), (0.3, 0.7)),
+                 marks=pytest.mark.xfail(strict=True, reason="matmul summation order")),
+    lk.DiscreteUniformGrid(9),
+    lk.MixtureDensity((lk.Uniform01(), lk.BetaDensity(0.5, 1.0)), (0.8, 0.2)),
+    lk.MonotoneDensityFit((0.0, 0.25, 0.5), (3.0, 1.0), loglik=0.0),
+]
+
+
+@pytest.mark.parametrize("model", _EVERY_DENSITY,
+                         ids=lambda d: type(d).__name__)
+def test_density_pdf_cdf_contract(model):
+    ts = np.array([[1 / 9, 0.3], [0.5, 1.0]])
+    outs = {fn: fn(ts) for fn in (model.pdf, model.cdf)}
+    for out in outs.values():
+        assert isinstance(out, np.ndarray) and out.shape == ts.shape
+
+    lo, hi = model.support
+    for bad in (lo - 0.5, hi + 0.5):
+        if math.isinf(bad):
+            continue
+        for t in (bad, np.array([0.5, bad])):
+            with pytest.raises(DomainError, match=re.escape(repr(bad))):
+                model.pdf(t)
+        assert type(model.cdf(bad)) is float
+        assert model.cdf(np.array([0.5, bad])).shape == (2,)
+
+    for fn, out in outs.items():
+        for idx, t in np.ndenumerate(ts):
+            for scalar in (float(t), np.asarray(t)):
+                val = fn(scalar)
+                assert type(val) is float
+                assert val == out[idx]
+
+
+def test_z_to_pvalues_equals_norm_sf_bitwise():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e308, -1e308,
+                        1e-300, -1e-300, 5e-324])
+    for z in (rng.normal(size=10**5), rng.normal(scale=10.0, size=10**5),
+              rng.normal(size=(21, 300)), special):
+        got = to_pvalues(z, lk.Scale.Z_VALUE)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), norm.sf(z).view(np.uint64))
