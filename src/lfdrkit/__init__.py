@@ -29,9 +29,6 @@ from .core import (
     StudentT,
     TwoGroupsSpec,
     Uniform01,
-    average_density,
-    mixture_density,
-    normalization_defect,
 )
 from .density import (
     ExpFamilyFit,

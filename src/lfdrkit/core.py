@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -495,7 +495,7 @@ class MixtureDensity(Density):
 
 
 # ---------------------------------------------------------------------------
-# Two-groups model, loss, shared operations
+# Two-groups model and loss
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -527,25 +527,3 @@ class LossSpec:
     @property
     def threshold(self) -> float:
         return 1.0 / (1.0 + self.lambda_)
-
-
-def mixture_density(spec: TwoGroupsSpec, t) -> float:
-    """Marginal density pi0*f0(t) + (1-pi0)*f1(t)."""
-    return spec.mixture().pdf(t)
-
-
-def average_density(models: Sequence[Density], t):
-    """Pointwise arithmetic mean of the m model densities at t."""
-    if len(models) == 0:
-        raise ValueError("need at least one density")
-    arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(arr)
-    for mod in models:
-        out = out + np.asarray(mod.pdf(arr))
-    out = out / len(models)
-    return float(out) if arr.ndim == 0 else out
-
-
-def normalization_defect(model: Density) -> float:
-    """|total mass - 1|; every valid density should be below 1e-8."""
-    return abs(model.total_mass() - 1.0)

@@ -26,8 +26,9 @@ from .core import (
 def lfdr_ratio(pi0, f0_vals, fbar_vals, clip: bool = True):
     """Core ratio pi0*f0/fbar with the zero-density contract.
 
-    Raises :class:`DomainError` wherever ``fbar`` vanishes (including 0/0),
-    never silently returning 0/0.  Works elementwise on arrays.
+    Raises :class:`DomainError` wherever ``fbar`` vanishes (including 0/0)
+    or both densities are infinite, never silently returning NaN; the ratio
+    is 0 where only ``fbar`` is infinite.  Works elementwise on arrays.
     """
     f0_vals = np.asarray(f0_vals, dtype=float)
     fbar_vals = np.asarray(fbar_vals, dtype=float)
@@ -68,17 +69,15 @@ class LfdrCurve:
 def oracle_lfdr(truth: GroundTruth, models: Sequence[Density], t) -> float:
     """Relative frequency of null statistics at t.
 
-    ``sum_{i null} f_i(t) / sum_i f_i(t)`` over the per-hypothesis densities.
+    ``sum_{i null} f_i(t) / sum_i f_i(t)`` over the per-hypothesis densities,
+    with the zero-density contract of :func:`lfdr_ratio`.
     """
     if len(models) != truth.m:
         raise ValueError("need one density per hypothesis")
     arr = np.asarray(t, dtype=float)
     dens = np.stack([np.asarray(mod.pdf(arr), dtype=float) for mod in models])
-    total = dens.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise DomainError("all densities vanish at an evaluation point")
-    num = dens[truth.null_flags].sum(axis=0) if truth.m0 else np.zeros_like(total)
-    out = num / total
+    num = dens[truth.null_flags].sum(axis=0)
+    out = lfdr_ratio(1.0, num, dens.sum(axis=0), clip=False)
     return float(out) if np.ndim(t) == 0 else out
 
 

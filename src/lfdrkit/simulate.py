@@ -23,6 +23,8 @@ from scipy import stats as spstats
 
 from .core import (
     AssumptionError,
+    BetaDensity,
+    GaussianLocation,
     GroundTruth,
     PiecewiseConstant,
     Scale,
@@ -30,7 +32,6 @@ from .core import (
     TwoGroupsSpec,
     Uniform01,
     check_values,
-    mixture_density,
     to_pvalues,
 )
 from .density import grenander_fit
@@ -219,22 +220,13 @@ def generate(spec: GeneratorSpec, seed: Optional[int] = None,
 def oracle_score_fn(spec: GeneratorSpec):
     """Closed-form pointwise score function for designs that admit one."""
     if isinstance(spec, GaussianMeans):
-        pi0 = (spec.m - spec.m1) / spec.m
-
-        def score(z):
-            f0 = spstats.norm.pdf(z)
-            f1 = spstats.norm.pdf(z, loc=spec.mu)
-            return pi0 * f0 / (pi0 * f0 + (1.0 - pi0) * f1)
-        return score
-    if isinstance(spec, TwoGroupsBeta):
-        pi0 = spec.m0 / spec.m
-
-        def score(p):
-            f1 = spstats.beta.pdf(p, spec.a, spec.b)
-            out = pi0 / (pi0 + (1.0 - pi0) * f1)
-            return np.where(np.isposinf(f1), 0.0, out)
-        return score
-    raise AssumptionError(f"no closed-form pointwise score for {type(spec).__name__}")
+        model = TwoGroupsSpec((spec.m - spec.m1) / spec.m, GaussianLocation(0.0),
+                              GaussianLocation(spec.mu))
+    elif isinstance(spec, TwoGroupsBeta):
+        model = TwoGroupsSpec(spec.m0 / spec.m, Uniform01(), BetaDensity(spec.a, spec.b))
+    else:
+        raise AssumptionError(f"no closed-form pointwise score for {type(spec).__name__}")
+    return LfdrCurve(model.pi0, model.f0, model.mixture()).evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +539,7 @@ class CalibrationCurve:
 SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
 
-def _score_replicate(scorer: str, spec, data: StatVector, truth: GroundTruth,
-                     oracle) -> np.ndarray:
+def _score_replicate(scorer: str, data: StatVector, oracle) -> np.ndarray:
     if scorer == "oracle-lfdr":
         return np.asarray(oracle(data.values), dtype=float)
     p = to_pvalues(data.values, data.scale)
@@ -581,7 +572,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     null_counts = np.zeros(nbins, dtype=np.int64)
     for rng in _replicate_streams(seed, range(reps)):
         data, truth = generate(spec, rng=rng)
-        scores = _score_replicate(scorer, spec, data, truth, oracle)
+        scores = _score_replicate(scorer, data, oracle)
         idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
         counts += np.bincount(idx, minlength=nbins)
         null_counts += np.bincount(idx[truth.null_flags], minlength=nbins)
@@ -611,7 +602,7 @@ def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
     component CDFs.  The conditional form (pFDR) is a harness criterion,
     :class:`PfdrInterval`, estimated by :func:`mc_error_rates`.
     """
-    target = spec.pi0 * spec.f0.pdf(t) / mixture_density(spec, t)
+    target = LfdrCurve(spec.pi0, spec.f0, spec.mixture(), clip=False).evaluate(t)
     records = []
     for eps in eps_sequence:
         if eps <= 0:
@@ -653,9 +644,8 @@ def discrete_population_maximizer(L: int, alpha: float,
 
 
 def discrete_limit_check(L: int, alpha: float, f_star: Sequence[float],
-                         pi0_star: float, m_sequence: Sequence[int],
-                         n_reps: int, seed: int, perturb: bool = False,
-                         start: int = 0) -> Tuple[DiscreteLimitRecord, ...]:
+                         pi0_star: float, m: int, n_reps: int, seed: int,
+                         perturb: bool = False, start: int = 0) -> DiscreteLimitRecord:
     """Boundary-FDR of the support line on grid p-values versus its m->inf limit.
 
     ``f_star`` is the limiting average pmf; the alternatives of the finite-m
@@ -673,25 +663,21 @@ def discrete_limit_check(L: int, alpha: float, f_star: Sequence[float],
         raise ValueError("f_star is incompatible with uniform nulls at pi0_star")
     alt_pmf = np.maximum(alt_pmf, 0.0)
 
-    records = []
-    for m in m_sequence:
-        m0 = int(round(pi0_star * m))
-        m1 = m - m0
-        ideal = alt_pmf * m1
-        base = np.floor(ideal).astype(int)
-        short = m1 - base.sum()
-        order = np.argsort(-(ideal - base))
-        base[order[:short]] += 1
-        positions = tuple(int(k + 1) for k in range(L) for _ in range(base[k]))
-        spec = DiscreteUniformNulls(m=m, L=L, alt_positions=positions)
-        proc = ProcedureConfig("support-line", alpha, perturb=perturb,
-                               grid_L=L if perturb else None)
-        report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed, start=start)
-        est = report.estimates["bFDR"]
-        records.append(DiscreteLimitRecord(
-            m=m, bfdr=est["mean"], std_error=est["std_error"],
-            limit=limit, l_star=l_star))
-    return tuple(records)
+    m0 = int(round(pi0_star * m))
+    m1 = m - m0
+    ideal = alt_pmf * m1
+    base = np.floor(ideal).astype(int)
+    short = m1 - base.sum()
+    order = np.argsort(-(ideal - base))
+    base[order[:short]] += 1
+    positions = tuple(int(k + 1) for k in range(L) for _ in range(base[k]))
+    spec = DiscreteUniformNulls(m=m, L=L, alt_positions=positions)
+    proc = ProcedureConfig("support-line", alpha, perturb=perturb,
+                           grid_L=L if perturb else None)
+    report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed, start=start)
+    est = report.estimates["bFDR"]
+    return DiscreteLimitRecord(m=m, bfdr=est["mean"], std_error=est["std_error"],
+                               limit=limit, l_star=l_star)
 
 
 @dataclass(frozen=True)

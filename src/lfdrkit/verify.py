@@ -330,7 +330,7 @@ def _random_two_groups_instance(rng, max_m: int):
     f0, f1 = Uniform01(), BetaDensity(a, 1.0)
     models = [f0 if f else f1 for f in flags]
     stats = StatVector(p, Scale.P_VALUE)
-    return stats, GroundTruth(flags), models, f0, f1
+    return stats, GroundTruth(flags), models
 
 
 def check_clfdr_identities(seed: int = DEFAULT_SEED,
@@ -341,7 +341,7 @@ def check_clfdr_identities(seed: int = DEFAULT_SEED,
     n_fact = 0
     for i in range(n_instances):
         rng = replicate_rng(seed, 10_000 + i)
-        stats, truth, models, f0, f1 = _random_two_groups_instance(rng, 15)
+        stats, truth, models = _random_two_groups_instance(rng, 15)
         res = clfdr_exact(stats, truth, models)
         worst_sum = max(worst_sum, abs(float(res.scores.sum()) - truth.m0))
 
@@ -434,7 +434,7 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED,
     out = []
 
     f_top = [pi0 / L] * (L - 1) + [pi0 / L + (1 - pi0)]
-    rec = discrete_limit_check(L, 0.5, f_top, pi0, [m], n_reps, seed)[0]
+    rec = discrete_limit_check(L, 0.5, f_top, pi0, m, n_reps, seed)
     tol = max(3.0 * rec.std_error, 1e-12)
     out.append(CheckResult(
         "discrete-asymptotics-zero-limit",
@@ -442,8 +442,8 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED,
         detail=f"alpha=0.5, l*={rec.l_star}, m={m}, N={n_reps}"))
 
     # each sub-experiment runs on its own replicate range of the same stream
-    rec_p = discrete_limit_check(L, 0.5, f_top, pi0, [m], n_reps, seed,
-                                 perturb=True, start=n_reps)[0]
+    rec_p = discrete_limit_check(L, 0.5, f_top, pi0, m, n_reps, seed,
+                                 perturb=True, start=n_reps)
     tol = 3.0 * rec_p.std_error
     out.append(CheckResult(
         "discrete-asymptotics-perturbed",
@@ -451,8 +451,8 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED,
         detail=f"perturbed grid p-values, m={m}, N={n_reps}"))
 
     f_bottom = [pi0 / L + (1 - pi0)] + [pi0 / L] * (L - 1)
-    rec_nz = discrete_limit_check(L, 0.6, f_bottom, pi0, [m], n_reps, seed,
-                                  start=2 * n_reps)[0]
+    rec_nz = discrete_limit_check(L, 0.6, f_bottom, pi0, m, n_reps, seed,
+                                  start=2 * n_reps)
     tol = 3.0 * rec_nz.std_error
     out.append(CheckResult(
         "discrete-asymptotics-nonzero-limit",

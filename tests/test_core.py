@@ -50,38 +50,43 @@ def test_ground_truth_counts():
 def test_mixture_density_examples():
     # degenerate mixture
     spec = lk.TwoGroupsSpec(1.0, lk.Uniform01(), lk.BetaDensity(0.05, 1.0))
-    assert lk.mixture_density(spec, 0.3) == pytest.approx(1.0)
+    assert spec.mixture().pdf(0.3) == pytest.approx(1.0)
 
     # hand evaluation of Beta(0.05, 1) at t = 1: density a * t^(a-1) = 0.05
     spec = lk.TwoGroupsSpec(0.5, lk.Uniform01(), lk.BetaDensity(0.05, 1.0))
-    assert lk.mixture_density(spec, 1.0) == pytest.approx(0.525)
+    assert spec.mixture().pdf(1.0) == pytest.approx(0.525)
 
     spec = lk.TwoGroupsSpec(0.95, lk.GaussianLocation(0.0), lk.GaussianLocation(2.0))
-    assert lk.mixture_density(spec, 0.0) == pytest.approx(
+    assert spec.mixture().pdf(0.0) == pytest.approx(
         0.95 * norm.pdf(0.0) + 0.05 * norm.pdf(-2.0))
 
 
 def test_mixture_density_outside_support():
     spec = lk.TwoGroupsSpec(0.5, lk.Uniform01(), lk.BetaDensity(0.05, 1.0))
     with pytest.raises(DomainError):
-        lk.mixture_density(spec, 1.5)
+        spec.mixture().pdf(1.5)
+
+
+def _average(models):
+    """The pointwise mean of the m model densities, as an equal-weight mixture."""
+    return lk.MixtureDensity(tuple(models), (1.0 / len(models),) * len(models))
 
 
 def test_average_density_examples():
     u = lk.Uniform01()
-    assert lk.average_density([u], 0.4) == pytest.approx(1.0)
-    assert lk.average_density([u, lk.Uniform01()], 0.7) == pytest.approx(1.0)
+    assert _average([u]).pdf(0.4) == pytest.approx(1.0)
+    assert _average([u, lk.Uniform01()]).pdf(0.7) == pytest.approx(1.0)
     b = lk.BetaDensity(0.05, 1.0)
     want = (1.0 + 0.05 * 0.25 ** (-0.95)) / 2.0
-    assert lk.average_density([u, b], 0.25) == pytest.approx(want)
+    assert _average([u, b]).pdf(0.25) == pytest.approx(want)
     with pytest.raises(ValueError):
-        lk.average_density([], 0.5)
+        lk.MixtureDensity((), ())
 
 
 def test_average_of_identical_models_is_pointwise_equal():
     b = lk.BetaDensity(0.4, 2.0)
     ts = np.linspace(0.05, 0.95, 11)
-    avg = lk.average_density([b] * 5, ts)
+    avg = _average([b] * 5).pdf(ts)
     assert np.allclose(avg, b.pdf(ts), atol=1e-14)
 
 
@@ -97,12 +102,12 @@ def test_average_of_identical_models_is_pointwise_equal():
     lk.DiscreteUniformGrid(9),
 ])
 def test_density_normalizes(model):
-    assert lk.normalization_defect(model) <= 1e-8
+    assert abs(model.total_mass() - 1.0) <= 1e-8
 
 
 def test_mixture_of_spec_is_valid_density():
     spec = lk.TwoGroupsSpec(0.8, lk.Uniform01(), lk.BetaDensity(0.05, 1.0))
-    assert lk.normalization_defect(spec.mixture()) <= 1e-8
+    assert abs(spec.mixture().total_mass() - 1.0) <= 1e-8
 
 
 def test_piecewise_constant_right_continuous():
@@ -140,7 +145,7 @@ def test_density_sampling_matches_cdf():
 @example(pi0=1.0, t=0.0)  # the weightless Beta(0.5, 1) is inf at 0
 def test_mixture_density_nonnegative(pi0, t):
     spec = lk.TwoGroupsSpec(pi0, lk.Uniform01(), lk.BetaDensity(0.5, 1.0))
-    assert lk.mixture_density(spec, t) >= 0.0
+    assert spec.mixture().pdf(t) >= 0.0
 
 
 _EVERY_DENSITY = [

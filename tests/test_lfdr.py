@@ -46,6 +46,16 @@ def test_oracle_matches_curve_when_nulls_share_density():
         assert abs(lk.oracle_lfdr(truth, models, t) - curve.evaluate(t)) < 1e-12
 
 
+def test_oracle_lfdr_infinite_null_and_total_is_domain_error():
+    # Beta(0.5, 1) and Beta(0.05, 1) are both infinite at 0, so the ratio is inf/inf
+    truth = lk.GroundTruth([True, False])
+    models = [lk.BetaDensity(0.5, 1.0), lk.BetaDensity(0.05, 1.0)]
+    with pytest.raises(DomainError):
+        lk.oracle_lfdr(truth, models, 0.0)
+    with pytest.raises(DomainError):
+        lk.oracle_lfdr(truth, models, np.array([0.5, 0.0]))
+
+
 def test_curve_eval_examples():
     all_null = lk.LfdrCurve(1.0, lk.Uniform01(), lk.Uniform01())
     assert all_null.evaluate(0.37) == pytest.approx(1.0)

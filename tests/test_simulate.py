@@ -343,6 +343,17 @@ def test_calibration_estimated_lfdr_close_to_diagonal():
     assert np.abs(curve.bin_null_fraction[use] - mids[use]).max() < 0.12
 
 
+def test_gaussian_oracle_equals_the_closed_form_bitwise():
+    spec, _ = PRESETS["fig2-gaussian"]
+    pi0 = (spec.m - spec.m1) / spec.m
+    z = np.concatenate([generate(spec, seed=5)[0].values, [-8.0, -0.0, 0.0, 1.0, 12.0]])
+    want = pi0 * sps.norm.pdf(z) / (
+        pi0 * sps.norm.pdf(z) + (1 - pi0) * sps.norm.pdf(z - spec.mu))
+    got = oracle_score_fn(spec)(z)
+    assert np.array_equal(got, want)
+    assert oracle_score_fn(spec)(float(z[0])) == want[0]
+
+
 def test_calibration_argument_validation():
     spec = GaussianMeans(m=10, m1=1, mu=1.0)
     with pytest.raises(ValueError):
@@ -401,7 +412,7 @@ def test_population_maximizer_and_uniqueness():
 def test_discrete_limit_check_nonzero_branch():
     L, pi0 = 10, 0.8
     f = [0.28] + [0.08] * 9
-    rec = discrete_limit_check(L, 0.5, f, pi0, [4000], 4000, seed=13)[0]
+    rec = discrete_limit_check(L, 0.5, f, pi0, 4000, 4000, seed=13)
     assert rec.l_star == 1
     assert rec.limit == pytest.approx(0.8 / (10 * 0.28))
     assert rec.bfdr == pytest.approx(rec.limit, abs=3.5 * rec.std_error + 0.01)
