@@ -12,7 +12,6 @@ from .core import (
     CapacityError,
     DegeneracyError,
     Density,
-    DiscreteUniformGrid,
     DomainError,
     EstimationError,
     ExpFamilyPoly,
@@ -23,10 +22,8 @@ from .core import (
     LossSpec,
     MixtureDensity,
     PiecewiseConstant,
-    PiecewiseLinear,
     Scale,
     StatVector,
-    StudentT,
     TwoGroupsSpec,
     Uniform01,
 )
@@ -49,26 +46,18 @@ from .lfdr import (
     storey_pi0,
 )
 from .procedures import (
-    ErrorRates,
     Procedure,
     QValueVector,
     RejectionResult,
-    WeightedLoss,
     bh_threshold,
-    empirical_error_rates,
-    fdp_hat,
-    interval_fdp_estimate,
     lfdr_threshold_rule,
     perturb_grid_pvalues,
     q_values,
     support_line,
-    support_line_objective,
-    weighted_loss,
 )
 from .compound import (
     ClfdrGap,
     ClfdrResult,
-    best_pe_rule,
     clfdr_exact,
     clfdr_vs_lfdr_gap,
 )

@@ -213,6 +213,7 @@ def cmd_analyze(args) -> int:
         raise CliError("bad-arg", f"unknown scale {scale_txt!r}")
     args.alpha = float(_resolve(args.alpha, config, "alpha", 0.1))
     args.lam = float(_resolve(args.lam, config, "lambda", 4.0))
+    loss = LossSpec(args.lam)
     args.pi0 = _resolve(args.pi0, config, "pi0", "storey:0.5")
     args.density = _resolve(args.density, config, "density", "grenander")
     args.out = _resolve(args.out, config, "out", None)
@@ -248,7 +249,6 @@ def cmd_analyze(args) -> int:
     qvals = q_values(pstats).qvalues
 
     alpha = args.alpha
-    loss = LossSpec(args.lam)
     results = {
         "bh": bh_threshold(pstats, alpha),
         "storey_bh": bh_threshold(pstats, alpha, m0_hat=pi0_value * pstats.m),
@@ -305,7 +305,7 @@ def _generator_from_config(cfg: Dict):
     params = {k: v for k, v in cfg.items() if k != "kind"}
     try:
         return _GENERATOR_KINDS[kind](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError("bad-arg", f"generator kind {kind!r}: {exc}")
 
 

@@ -27,7 +27,6 @@ from .core import (
     DegeneracyError,
     Density,
     GroundTruth,
-    LossSpec,
     StatVector,
 )
 from .lfdr import LfdrCurve
@@ -202,22 +201,11 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
     return ClfdrResult(scores, truth.m0, log_raw)
 
 
-def best_pe_rule(clfdr: ClfdrResult, loss: LossSpec) -> np.ndarray:
-    """Threshold the compound scores at 1/(1 + lambda)."""
-    return clfdr.scores <= loss.threshold
-
-
 @dataclass(frozen=True)
 class ClfdrGap:
     """Worst relative disagreement between compound and pointwise scores."""
 
     max_ratio_dev: float
-    deviations: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.deviations, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "deviations", arr)
 
 
 def clfdr_vs_lfdr_gap(stats: StatVector, truth: GroundTruth,
@@ -226,4 +214,4 @@ def clfdr_vs_lfdr_gap(stats: StatVector, truth: GroundTruth,
     res = clfdr_exact(stats, truth, models)
     pointwise = np.asarray(curve.evaluate(stats.values), dtype=float)
     dev = np.abs(res.scores / pointwise - 1.0)
-    return ClfdrGap(float(dev.max()), dev)
+    return ClfdrGap(float(dev.max()))

@@ -229,24 +229,6 @@ class GaussianLocation(Density):
 
 
 @dataclass(frozen=True)
-class StudentT(Density):
-    dof: float
-
-    def __post_init__(self):
-        if self.dof <= 0:
-            raise ValueError("dof must be positive")
-
-    def _pdf(self, arr):
-        return stats.t.pdf(arr, df=self.dof)
-
-    def _cdf(self, arr):
-        return stats.t.cdf(arr, df=self.dof)
-
-    def total_mass(self):
-        return 1.0
-
-
-@dataclass(frozen=True)
 class BetaDensity(Density):
     a: float
     b: float
@@ -333,48 +315,6 @@ class PiecewiseConstant(_StepMass, Density):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(Density):
-    """Density linearly interpolated between (xs[j], ys[j]) nodes."""
-
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
-
-    def __post_init__(self):
-        xs = tuple(float(x) for x in self.xs)
-        ys = tuple(float(y) for y in self.ys)
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError("need matching xs/ys with at least two nodes")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-        if min(ys) < 0:
-            raise ValueError("ys must be nonnegative")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "support", (xs[0], xs[-1]))
-
-    def _pdf(self, arr):
-        return np.interp(arr, self.xs, self.ys)
-
-    def _cdf(self, arr):
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        clipped = np.clip(arr, xs[0], xs[-1])
-        idx = np.clip(np.searchsorted(xs, clipped, side="right") - 1, 0, len(seg) - 1)
-        x0 = xs[idx]
-        y0 = ys[idx]
-        slope = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
-        d = clipped - x0
-        return cum[idx] + y0 * d + 0.5 * slope * d * d
-
-    def total_mass(self):
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
-
-
-@dataclass(frozen=True)
 class ExpFamilyPoly(Density):
     """Density exp(sum_j coefficients[j] * z**j) on [lo, hi]."""
 
@@ -429,31 +369,6 @@ class LocationMixture(Density):
 
     def total_mass(self):
         return float(np.sum(self.weights))
-
-
-@dataclass(frozen=True)
-class DiscreteUniformGrid(Density):
-    """Uniform pmf on the grid {1/L, 2/L, ..., L/L}."""
-
-    L: int
-    support = (0.0, 1.0)
-
-    def __post_init__(self):
-        if int(self.L) < 1:
-            raise ValueError("L must be >= 1")
-        object.__setattr__(self, "L", int(self.L))
-
-    def _pdf(self, arr):
-        k = np.rint(arr * self.L)
-        on_grid = (np.abs(arr * self.L - k) < 1e-9) & (k >= 1) & (k <= self.L)
-        return np.where(on_grid, 1.0 / self.L, 0.0)
-
-    def _cdf(self, arr):
-        k = np.clip(np.floor(arr * self.L + 1e-9), 0, self.L)
-        return k / self.L
-
-    def total_mass(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -521,8 +436,8 @@ class LossSpec:
     lambda_: float
 
     def __post_init__(self):
-        if self.lambda_ <= 0:
-            raise ValueError("lambda_ must be positive")
+        if not (math.isfinite(self.lambda_) and self.lambda_ > 0.0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lambda_!r}")
 
     @property
     def threshold(self) -> float:

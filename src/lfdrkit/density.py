@@ -152,10 +152,8 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
 
 @dataclass(frozen=True)
 class ExpFamilyFit:
-    degree: int
     coefficients: Tuple[float, ...]
     bin_edges: Tuple[float, ...]
-    bin_counts: Tuple[int, ...]
     converged: bool
 
     def density(self) -> ExpFamilyPoly:
@@ -242,10 +240,8 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
     beta[0] -= math.log(norm)
 
     fit = ExpFamilyFit(
-        degree=degree,
         coefficients=tuple(float(b) for b in beta),
         bin_edges=tuple(float(e) for e in edges),
-        bin_counts=tuple(int(k) for k in counts),
         converged=converged,
     )
     loglik = density_loglik(fit.density(), stats)

@@ -86,7 +86,6 @@ class Pi0Estimate:
     """Estimated fraction of true nulls; ``value`` is ``raw`` clipped at 1."""
 
     value: float
-    lambda_: float
     raw: float
     window: Optional[Tuple[float, float]] = None
 
@@ -96,7 +95,7 @@ def storey_pi0(stats: StatVector, lambda_: float = 0.5) -> Pi0Estimate:
     if stats.scale is not Scale.P_VALUE:
         raise ValueError("storey_pi0 expects p-scale statistics")
     raw = float(storey_pi0_raw(stats.values, lambda_))
-    return Pi0Estimate(value=min(raw, 1.0), lambda_=lambda_, raw=raw)
+    return Pi0Estimate(value=min(raw, 1.0), raw=raw)
 
 
 def storey_pi0_raw(p: np.ndarray, lambda_: float):
@@ -121,7 +120,7 @@ def selection_window_pi0(stats: StatVector, window: Tuple[float, float],
         raise EstimationError("no p-values inside the selection window")
     rescaled = StatVector(kept / c, Scale.P_VALUE)
     base = storey_pi0(rescaled, lambda_)
-    return Pi0Estimate(value=base.value, lambda_=lambda_, raw=base.raw, window=(0.0, c))
+    return Pi0Estimate(value=base.value, raw=base.raw, window=(0.0, c))
 
 
 def score_hypotheses(curve: LfdrCurve, stats: StatVector) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Multiple-testing procedures and error criteria.
+"""Multiple-testing procedures and score-threshold decisions.
 
-Covers the estimated-FDP threshold rule (step-up), its q-values, the
-support-line rule (which maximizes ``alpha*k/m - p_(k)`` over the number of
-rejections k), score-threshold decision rules, weighted classification loss,
-and interval FDP estimates.
+Covers the estimated-FDP threshold rule (step-up, with or without a null
+count estimate), its q-values, the support-line rule (which maximizes
+``alpha*k/m - p_(k)`` over the number of rejections k), thresholding scores
+at 1/(1 + lambda), and the perturbation that smooths grid p-values.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, LossSpec, Scale, StatVector
+from .core import LossSpec, Scale, StatVector
 
 
 class Procedure(Enum):
@@ -38,8 +38,6 @@ class RejectionResult:
     n_rejections: int
     boundary_stat: Optional[float]
     boundary_index: Optional[int]
-    alpha: float
-    procedure: Procedure
 
     def __post_init__(self):
         idx = np.array(self.rejected, dtype=int)
@@ -57,8 +55,7 @@ def _require_pvalues(stats: StatVector) -> np.ndarray:
     return stats.values
 
 
-def _lower_set(ps: np.ndarray, order: np.ndarray, k: int, alpha: float,
-               procedure: Procedure) -> RejectionResult:
+def _lower_set(ps: np.ndarray, order: np.ndarray, k: int) -> RejectionResult:
     """Reject the k smallest p-values, ``order[:k]`` of the sorted ``ps``.
 
     k must end a tie run; the boundary index is the earliest tied statistic
@@ -66,27 +63,27 @@ def _lower_set(ps: np.ndarray, order: np.ndarray, k: int, alpha: float,
     """
     rejected = np.sort(order[:k])
     if k == 0:
-        return RejectionResult(rejected, 0, None, None, alpha, procedure)
+        return RejectionResult(rejected, 0, None, None)
     b_pos = int(np.searchsorted(ps, ps[k - 1], side="left"))
-    return RejectionResult(rejected, k, float(ps[k - 1]), int(order[b_pos]), alpha, procedure)
+    return RejectionResult(rejected, k, float(ps[k - 1]), int(order[b_pos]))
 
 
-def _fdp_hat_core(m0: float, t, n_at_or_below):
-    """Shared arithmetic for the FDP estimate so callers agree bitwise."""
-    t = np.asarray(t, dtype=float)
-    n = np.asarray(n_at_or_below, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = m0 * t / n
-    out = np.where(t == 0.0, 0.0, out)
-    out = np.where((n == 0.0) & (t > 0.0), math.inf, out)
-    return out
+def _null_count(stats: StatVector, m0_hat: Optional[float]) -> float:
+    """The null count of the FDP estimate: ``m0_hat``, or m when it is None."""
+    if m0_hat is None:
+        return float(stats.m)
+    m0 = float(m0_hat)
+    if not (math.isfinite(m0) and m0 >= 0.0):
+        raise ValueError(f"m0_hat must be finite and >= 0, got {m0_hat!r}")
+    return m0
 
 
 def _fdp_hat_sorted(m0, ps: np.ndarray) -> np.ndarray:
-    """Estimated FDP at each sorted p-value, with count k at the k-th: the
-    last of a tie run has the true count and the smallest estimate, so
-    step-up thresholds and q-values equal those from true counts."""
-    return _fdp_hat_core(m0, ps, np.arange(1, ps.shape[-1] + 1))
+    """Estimated FDP ``m0 * p_(k) / k`` at each sorted p-value: the last of a
+    tie run has the true count and the smallest estimate, so step-up
+    thresholds and q-values equal those from true counts.  Every ``m0`` is
+    finite and non-negative and k >= 1, so every estimate is finite."""
+    return m0 * ps / np.arange(1, ps.shape[-1] + 1)
 
 
 def step_up_thresholds(ps: np.ndarray, alpha: float, m0) -> np.ndarray:
@@ -98,13 +95,14 @@ def step_up_thresholds(ps: np.ndarray, alpha: float, m0) -> np.ndarray:
     return np.where(_fdp_hat_sorted(m0, ps) <= alpha, ps, 0.0).max(axis=-1)
 
 
-def _support_line_objective(ps: np.ndarray, alpha: float,
-                            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``alpha*k/m - p_(k)`` for k = 0..m along each row of sorted p-values.
+def support_line_counts(ps: np.ndarray, alpha: float,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Support-line rejection count of each row of sorted p-values: the
+    largest k maximizing ``alpha*k/m - p_(k)``, with ``p_(0) = 0``.  It ends a
+    tie run, so the rule rejects exactly the p-values at or below ``p_(k)``.
 
     ``out`` (shape ``ps.shape[:-1] + (m + 1,)``, allocated when None) holds
-    it with k descending, and the result is the reversed view of ``out``, so
-    the search for the largest maximizing k reads ``out`` itself.
+    the objective with k descending, so the first maximum is the largest k.
     """
     m = ps.shape[-1]
     if out is None:
@@ -112,30 +110,7 @@ def _support_line_objective(ps: np.ndarray, alpha: float,
     out[..., :m] = ps[..., ::-1]
     out[..., m] = 0.0
     np.subtract(alpha * np.arange(m, -1, -1) / m, out, out=out)
-    return out[..., ::-1]
-
-
-def support_line_counts(ps: np.ndarray, alpha: float,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Support-line rejection count of each row of sorted p-values: the
-    largest maximizing k.  It ends a tie run, so the rule rejects exactly the
-    p-values at or below ``p_(k)``.  ``out`` is the objective's buffer."""
-    objective = _support_line_objective(ps, alpha, out)
-    return ps.shape[-1] - np.argmax(objective[..., ::-1], axis=-1)
-
-
-def fdp_hat(stats: StatVector, t: float, m0_hat: Optional[float] = None) -> float:
-    """Estimated FDP of the rejection region [0, t]: ``m0_hat * t / #{p <= t}``.
-
-    ``m0_hat`` defaults to m.  Returns 0 at t = 0 and +inf when the region
-    is empty with t > 0.
-    """
-    p = _require_pvalues(stats)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
-    n = int(np.count_nonzero(p <= t))
-    return float(_fdp_hat_core(m0, t, n))
+    return m - np.argmax(out, axis=-1)
 
 
 def bh_threshold(stats: StatVector, alpha: float,
@@ -148,13 +123,12 @@ def bh_threshold(stats: StatVector, alpha: float,
     p = _require_pvalues(stats)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
+    m0 = _null_count(stats, m0_hat)
     ps = p[stats.order]
-    proc = Procedure.BH if m0_hat is None else Procedure.STOREY_BH
     # threshold 0 still rejects any exact-zero p-values
     that = float(step_up_thresholds(ps, alpha, m0))
     k = int(np.searchsorted(ps, that, side="right"))
-    return _lower_set(ps, stats.order, k, alpha, proc)
+    return _lower_set(ps, stats.order, k)
 
 
 @dataclass(frozen=True)
@@ -173,11 +147,11 @@ def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> QValueVector:
     """Smallest level at which the step-up rule rejects each hypothesis.
 
     Backward recursion on the sorted sample:
-    ``q_(m) = fdp_hat(p_(m))`` and ``q_(i) = min(fdp_hat(p_(i)), q_(i+1))``.
+    ``q_(m) = fdp_hat(p_(m))`` and ``q_(i) = min(fdp_hat(p_(i)), q_(i+1))``,
+    where ``fdp_hat(p_(i)) = m0_hat * p_(i) / i``.
     """
     p = _require_pvalues(stats)
-    m0 = float(m0_hat) if m0_hat is not None else float(stats.m)
-    fdp = _fdp_hat_sorted(m0, p[stats.order])
+    fdp = _fdp_hat_sorted(_null_count(stats, m0_hat), p[stats.order])
     q_sorted = np.minimum.accumulate(fdp[::-1])[::-1]
     q = np.empty_like(q_sorted)
     q[stats.order] = q_sorted
@@ -194,86 +168,16 @@ def support_line(stats: StatVector, alpha: float) -> RejectionResult:
         raise ValueError("alpha must lie in (0, 1]")
     ps = p[stats.order]
     r = int(support_line_counts(ps, alpha))
-    return _lower_set(ps, stats.order, r, alpha, Procedure.SUPPORT_LINE)
-
-
-def support_line_objective(stats: StatVector, alpha: float) -> np.ndarray:
-    """The m+1 values ``alpha*k/m - p_(k)`` for k = 0..m (diagnostics)."""
-    return _support_line_objective(_require_pvalues(stats)[stats.order], alpha)
+    return _lower_set(ps, stats.order, r)
 
 
 def lfdr_threshold_rule(scores: Sequence[float], loss: LossSpec) -> np.ndarray:
     """Reject hypothesis i iff its score is at most 1/(1 + lambda)."""
     arr = np.asarray(scores, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    # min and max propagate NaN, which fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
     return arr <= loss.threshold
-
-
-@dataclass(frozen=True)
-class WeightedLoss:
-    """Both forms of the classification loss for one decision vector."""
-
-    canonical: float   # lambda * false positives + false negatives
-    net: float         # lambda * V - (R - V)
-
-
-def weighted_loss(truth: GroundTruth, decisions: Sequence[bool],
-                  loss: LossSpec) -> WeightedLoss:
-    dec = np.asarray(decisions, dtype=bool)
-    if dec.size != truth.m:
-        raise ValueError("decisions must match the number of hypotheses")
-    nulls = truth.null_flags
-    fp = int(np.count_nonzero(dec & nulls))
-    fn = int(np.count_nonzero(~dec & ~nulls))
-    r = int(np.count_nonzero(dec))
-    return WeightedLoss(
-        canonical=loss.lambda_ * fp + fn,
-        net=loss.lambda_ * fp - (r - fp),
-    )
-
-
-def interval_fdp_estimate(stats: StatVector, m0_hat: float, s: float, t: float) -> float:
-    """Estimated FDP of the hypothetical rejection region [s, t].
-
-    ``m0_hat * (t - s) / #{p_i in [s, t]}``; +inf when the interval holds no
-    p-values.
-    """
-    p = _require_pvalues(stats)
-    if not (0.0 <= s < t <= 1.0):
-        raise ValueError("need 0 <= s < t <= 1")
-    n = int(np.count_nonzero((p >= s) & (p <= t)))
-    if n == 0:
-        return math.inf
-    return float(m0_hat) * (t - s) / n
-
-
-@dataclass(frozen=True)
-class ErrorRates:
-    """Realized error quantities of one rejection result against the truth."""
-
-    fdp: float
-    boundary_is_null: bool
-    V: int
-
-
-def empirical_error_rates(result: RejectionResult, truth: GroundTruth) -> ErrorRates:
-    """FDP = V / max(1, R); the boundary event is False when R = 0."""
-    rej = result.rejected
-    if rej.size and (rej.min() < 0 or rej.max() >= truth.m):
-        raise ValueError("rejected indices out of range for the truth vector")
-    v = int(np.count_nonzero(truth.null_flags[rej])) if rej.size else 0
-    fdp = v / max(1, result.n_rejections)
-    boundary_null = bool(
-        result.n_rejections > 0 and truth.null_flags[result.boundary_index])
-    return ErrorRates(fdp=fdp, boundary_is_null=boundary_null, V=v)
-
-
-def boundary_tie_indices(stats: StatVector, result: RejectionResult) -> np.ndarray:
-    """Indices of every statistic equal to the boundary value (all rejected)."""
-    if result.n_rejections == 0:
-        return np.empty(0, dtype=int)
-    return np.flatnonzero(stats.values == result.boundary_stat)
 
 
 def perturb_grid_pvalues(stats: StatVector, L: int,

@@ -87,6 +87,14 @@ def _replicate_streams(seed: int, indices: range) -> Iterator[np.random.Generato
 # Each spec has a fixed truth (``null_flags``), a ``scale`` and a ``draw``
 # that fills one replicate's row of statistics from its stream.
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int; ValueError naming the field unless it is integral."""
+    if isinstance(value, (int, np.integer)) or \
+            (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def _alternatives_first(m: int, m1: int) -> np.ndarray:
     flags = np.ones(m, dtype=bool)
     flags[:m1] = False
@@ -103,6 +111,8 @@ class GaussianMeans:
     scale = Scale.Z_VALUE
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("m", self.m))
+        object.__setattr__(self, "m1", _integer("m1", self.m1))
         if self.m < 1 or not 0 <= self.m1 <= self.m:
             raise ValueError("need m >= 1 and 0 <= m1 <= m")
 
@@ -126,6 +136,7 @@ class TwoGroupsBeta:
     scale = Scale.P_VALUE
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.m < 1 or not 0.0 <= self.pi0 <= 1.0 or self.a <= 0 or self.b <= 0:
             raise ValueError("invalid two-groups beta parameters")
 
@@ -153,9 +164,11 @@ class DiscreteUniformNulls:
     scale = Scale.P_VALUE
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("m", self.m))
+        object.__setattr__(self, "L", _integer("L", self.L))
         if self.m < 1 or self.L < 1 or len(self.alt_positions) > self.m:
             raise ValueError("invalid discrete grid parameters")
-        pos = tuple(int(k) for k in self.alt_positions)
+        pos = tuple(_integer("alt_positions", k) for k in self.alt_positions)
         if pos and (min(pos) < 1 or max(pos) > self.L):
             raise ValueError("alt_positions must lie in 1..L")
         object.__setattr__(self, "alt_positions", pos)

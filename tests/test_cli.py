@@ -50,6 +50,15 @@ def test_analyze_fixed_pi0(pfile, tmp_path, capsys):
     assert summary["pi0_hat"] == 0.5
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-2"])
+def test_analyze_lambda_must_be_finite_and_positive(lam, pfile, tmp_path, capsys):
+    code, out, err = run_cli(["analyze", "--input", pfile, f"--lambda={lam}",
+                              "--out", str(tmp_path / "res")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR bad-arg") and "lambda" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "pvals.csv"]
+
+
 def test_analyze_all_near_one_rejects_nothing(tmp_path, capsys):
     path = tmp_path / "dull.csv"
     path.write_text("id,stat\n" + "".join(f"h{i},0.9{i}\n" for i in range(1, 8)),
@@ -255,6 +264,11 @@ def test_preset_refuses_a_config_design(command, key, tmp_path, capsys):
     {"kind": "two-groups-beta", "m": 10},  # missing pi0, a and b
     {"kind": "gaussian-means", "m": 10, "m1": 1, "mu": 2.0, "sigma": 1.0},  # unknown key
     {"kind": "superuniform-ce", "m": 10},  # the design has no parameters at all
+    # counts and grid cells must be integers
+    {"kind": "discrete-uniform-nulls", "m": 6.5, "L": 9},
+    {"kind": "gaussian-means", "m": 30.5, "m1": 3, "mu": 2.0},
+    {"kind": "discrete-uniform-nulls", "m": 6, "L": 9.5},
+    {"kind": "discrete-uniform-nulls", "m": 6, "L": 9, "alt_positions": [1.5, 2.7]},
 ])
 def test_config_generator_with_wrong_keys_is_a_bad_arg(generator, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -155,14 +155,6 @@ def test_degeneracy_error_when_density_vanishes_everywhere():
                        [dead, dead])
 
 
-def test_best_pe_rule_threshold():
-    res = lk.ClfdrResult(np.array([0.1, 0.2, 0.3, 1.0]), 2, 0.0)
-    dec = lk.best_pe_rule(res, lk.LossSpec(4.0))
-    assert dec.tolist() == [True, True, False, False]
-    all_null = lk.ClfdrResult(np.ones(3), 3, 0.0)
-    assert not lk.best_pe_rule(all_null, lk.LossSpec(4.0)).any()
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_two_groups_kernel_matches_generic_dp_and_batches_exactly(data):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
@@ -17,6 +19,21 @@ def _pstats(values):
 
 def _zstats(values):
     return lk.StatVector(values, lk.Scale.Z_VALUE)
+
+
+def _two_groups_z(m, index):
+    """m z-values, a fifth of them shifted by 2.5, from replicate ``index``."""
+    rng = replicate_rng(7, index)
+    z = rng.normal(0.0, 1.0, m)
+    z[:m // 5] += 2.5
+    return z
+
+
+# the z-scale fits place their bins and grid relative to min z and max z, so
+# refitting on z + c shifts the fit; a unit-variance kernel and the +-0.5
+# bin padding make them not scale-equivariant, by design
+_SHIFTED_INSTANCES = (st.integers(30, 300), st.integers(0, 10_000),
+                      st.floats(-3.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +164,16 @@ def test_lindsey_self_consistency_quartic():
     assert fit.coefficients[1] == pytest.approx(1.0 / 0.64, abs=0.05)
 
 
+@settings(max_examples=20, deadline=None)
+@given(*_SHIFTED_INSTANCES)
+def test_lindsey_is_shift_equivariant(m, index, c):
+    z = _two_groups_z(m, index)
+    fit = lk.lindsey_fit(_zstats(z))
+    moved = lk.lindsey_fit(_zstats(z + c))
+    assert np.allclose(moved.density().pdf(z + c), fit.density().pdf(z),
+                       rtol=1e-9, atol=0.0)
+
+
 def test_lindsey_argument_errors():
     rng = replicate_rng(3, 4)
     z = rng.normal(0.0, 1.0, 5)
@@ -228,6 +255,17 @@ def test_npmle_reports_iterations_and_convergence():
     full = lk.npmle_mixture_fit(_zstats(z), grid_size=100, tol=1e-4)
     assert full.converged and 1 <= full.iterations < 5000
     assert full.loglik >= capped.loglik
+
+
+@settings(max_examples=20, deadline=None)
+@given(*_SHIFTED_INSTANCES)
+def test_npmle_is_shift_equivariant(m, index, c):
+    z = _two_groups_z(m, index)
+    fit = lk.npmle_mixture_fit(_zstats(z), grid_size=60, tol=1e-7)
+    moved = lk.npmle_mixture_fit(_zstats(z + c), grid_size=60, tol=1e-7)
+    assert np.allclose(moved.grid, np.asarray(fit.grid) + c, rtol=0.0, atol=1e-9)
+    assert np.allclose(moved.weights, fit.weights, rtol=0.0, atol=1e-9)
+    assert moved.loglik == pytest.approx(fit.loglik, rel=0.0, abs=1e-9)
 
 
 def test_npmle_argument_errors():

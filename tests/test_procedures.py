@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta as sbeta
 
 import lfdrkit as lk
-from lfdrkit.procedures import (
-    boundary_tie_indices,
-    grid_perturbation,
-    support_line_objective,
-)
+from lfdrkit.procedures import grid_perturbation
 from lfdrkit.simulate import replicate_rng
 
 
@@ -23,13 +19,23 @@ def _pstats(values):
 # fdp_hat
 # ---------------------------------------------------------------------------
 
+def fdp_hat(stats, t, m0_hat=None):
+    """Estimated FDP of the rejection region [0, t]: ``m0_hat * t / #{p <= t}``,
+    with m0_hat = m by default; 0 at t = 0 and +inf on an empty region."""
+    m0 = stats.m if m0_hat is None else m0_hat
+    n = np.count_nonzero(stats.values <= t)
+    if t == 0.0:
+        return 0.0
+    return m0 * t / n if n else math.inf
+
+
 def test_fdp_hat_examples():
     stats = _pstats([0.01, 0.02, 0.5, 0.9])
-    assert lk.fdp_hat(stats, 0.0) == 0.0
-    assert lk.fdp_hat(stats, 0.02) == pytest.approx(0.04)
-    assert lk.fdp_hat(_pstats([0.5, 0.9]), 0.1) == math.inf
+    assert fdp_hat(stats, 0.0) == 0.0
+    assert fdp_hat(stats, 0.02) == pytest.approx(0.04)
+    assert fdp_hat(_pstats([0.5, 0.9]), 0.1) == math.inf
     # null-adjusted variant
-    assert lk.fdp_hat(stats, 0.02, m0_hat=2.0) == pytest.approx(0.02)
+    assert fdp_hat(stats, 0.02, m0_hat=2.0) == pytest.approx(0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,17 @@ def test_bh_monotone_in_alpha():
         cur = set(lk.bh_threshold(stats, alpha).rejected.tolist())
         assert prev <= cur
         prev = cur
+
+
+@pytest.mark.parametrize("m0_hat", [math.nan, math.inf, -1.0])
+def test_null_count_must_be_finite_and_nonnegative(m0_hat):
+    stats = _pstats([0.01, 0.02, 0.5])
+    with pytest.raises(ValueError, match="m0_hat must be finite and >= 0"):
+        lk.bh_threshold(stats, 0.1, m0_hat=m0_hat)
+    with pytest.raises(ValueError, match="m0_hat must be finite and >= 0"):
+        lk.q_values(stats, m0_hat=m0_hat)
+    # zero nulls is a valid estimate: every p-value has estimated FDP 0
+    assert lk.bh_threshold(stats, 0.1, m0_hat=0.0).n_rejections == 3
 
 
 def test_bh_rejects_exact_zeros_even_at_tiny_alpha():
@@ -137,6 +154,12 @@ def test_step_up_rules_match_true_tie_counts(cells, L, alpha, m0):
 # support_line
 # ---------------------------------------------------------------------------
 
+def _support_line_objective(p, alpha):
+    """``alpha*k/m - p_(k)`` for k = 0..m, with ``p_(0) = 0``."""
+    m = len(p)
+    return alpha * np.arange(m + 1) / m - np.concatenate([[0.0], np.sort(p)])
+
+
 def test_support_line_examples():
     res = lk.support_line(_pstats([1.0, 1.0, 1.0]), 0.1)
     assert res.n_rejections == 0
@@ -144,7 +167,7 @@ def test_support_line_examples():
     res = lk.support_line(_pstats([0.01, 0.02, 0.5]), 0.3)
     assert res.n_rejections == 2
     assert res.boundary_stat == pytest.approx(0.02)
-    obj = support_line_objective(_pstats([0.01, 0.02, 0.5]), 0.3)
+    obj = _support_line_objective([0.01, 0.02, 0.5], 0.3)
     assert np.allclose(obj, [0.0, 0.09, 0.18, -0.2])
 
 
@@ -172,7 +195,7 @@ def test_support_line_objective_dominance():
         p = rng.random(m)
         alpha = float(rng.uniform(0.05, 0.9))
         res = lk.support_line(_pstats(p), alpha)
-        obj = support_line_objective(_pstats(p), alpha)
+        obj = _support_line_objective(p, alpha)
         assert obj[res.n_rejections] >= obj.max() - 1e-15
 
 
@@ -190,7 +213,7 @@ def test_support_line_rejects_lower_set(values, alpha):
 
 
 # ---------------------------------------------------------------------------
-# threshold rules and loss
+# threshold rules
 # ---------------------------------------------------------------------------
 
 def test_lfdr_threshold_rule():
@@ -198,8 +221,9 @@ def test_lfdr_threshold_rule():
     dec = lk.lfdr_threshold_rule([0.1, 0.2, 0.21, 1.0], loss)
     assert dec.tolist() == [True, True, False, False]
     assert not lk.lfdr_threshold_rule([1.0, 1.0], loss).any()
-    with pytest.raises(ValueError):
-        lk.lfdr_threshold_rule([1.5], loss)
+    for bad in ([1.5], [-0.1, 0.5], [math.nan, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError, match="scores must lie in"):
+            lk.lfdr_threshold_rule(bad, loss)
 
 
 def test_lfdr_threshold_rule_monotone_invariance():
@@ -209,73 +233,6 @@ def test_lfdr_threshold_rule_monotone_invariance():
     # applying a strictly increasing map to scores and cutoff together
     transformed = np.sqrt(scores) <= math.sqrt(loss.threshold)
     assert np.array_equal(base, transformed)
-
-
-def test_weighted_loss_examples():
-    truth = lk.GroundTruth([True, True, False, False, False])
-    loss = lk.LossSpec(4.0)
-    nothing = lk.weighted_loss(truth, [False] * 5, loss)
-    assert nothing.canonical == 3.0  # one per missed alternative
-
-    # V=1, R=5: net loss 4*1 - 4 = 0, same as rejecting nothing
-    all_in = lk.weighted_loss(lk.GroundTruth([True] + [False] * 4), [True] * 5, loss)
-    assert all_in.net == pytest.approx(0.0)
-    assert lk.weighted_loss(lk.GroundTruth([True] + [False] * 4),
-                            [False] * 5, loss).net == 0.0
-
-    oracle = lk.weighted_loss(truth, [False, False, True, True, True], loss)
-    assert oracle.canonical == 0.0
-
-
-def test_interval_fdp_examples():
-    rng = replicate_rng(31, 8000)
-    inside = rng.uniform(0.2, 0.4, 20)
-    outside = rng.uniform(0.5, 1.0, 80)
-    stats = _pstats(np.concatenate([inside, outside]))
-    est = lk.interval_fdp_estimate(stats, 50.0, 0.2, 0.4)
-    assert est == pytest.approx(50.0 * 0.2 / 20.0)
-
-    rng = replicate_rng(31, 8001)
-    nulls = _pstats(rng.random(10_000))
-    assert lk.interval_fdp_estimate(nulls, 10_000.0, 0.1, 0.9) == pytest.approx(1.0, abs=0.1)
-
-    four = _pstats([0.1, 0.4, 0.6, 0.9])
-    assert lk.interval_fdp_estimate(four, 4.0, 0.0, 1.0) == pytest.approx(1.0)
-
-    assert lk.interval_fdp_estimate(four, 4.0, 0.45, 0.55) == math.inf
-    with pytest.raises(ValueError):
-        lk.interval_fdp_estimate(four, 4.0, 0.5, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# empirical error rates
-# ---------------------------------------------------------------------------
-
-def test_empirical_error_rates_conventions():
-    truth = lk.GroundTruth([False, True, True])
-    none = lk.support_line(_pstats([0.9, 0.95, 1.0]), 0.1)
-    rates = lk.empirical_error_rates(none, truth)
-    assert rates.fdp == 0.0 and rates.boundary_is_null is False and rates.V == 0
-
-    res = lk.bh_threshold(_pstats([0.001, 0.002, 0.9]), 0.2)
-    all_null_truth = lk.GroundTruth([True, True, False])
-    rates = lk.empirical_error_rates(res, all_null_truth)
-    assert rates.fdp == 1.0
-
-    # reject {0, 1}, nulls {1, 2}, boundary index 1
-    res = lk.bh_threshold(_pstats([0.01, 0.02, 0.9]), 0.2)
-    rates = lk.empirical_error_rates(res, lk.GroundTruth([False, True, True]))
-    assert rates.fdp == pytest.approx(0.5)
-    assert rates.boundary_is_null is True
-    assert rates.V == 1
-
-
-def test_boundary_tie_indices():
-    stats = _pstats([0.2, 0.2, 0.2, 0.8])
-    res = lk.support_line(stats, 0.9)
-    ties = boundary_tie_indices(stats, res)
-    assert res.boundary_stat == pytest.approx(0.2)
-    assert ties.tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +300,7 @@ def test_boundary_lfdr_dominates_fdp_hat_in_expectation():
             continue
         t = res.boundary_stat
         oracle = min(1.0, pi0 / (pi0 + (1 - pi0) * sbeta.pdf(t, a, 1.0)))
-        diffs.append(oracle - lk.fdp_hat(stats, t))
+        diffs.append(oracle - fdp_hat(stats, t))
     diffs = np.asarray(diffs)
     se = diffs.std(ddof=1) / np.sqrt(diffs.size)
     assert diffs.mean() >= -3.0 * se

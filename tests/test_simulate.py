@@ -35,7 +35,7 @@ from lfdrkit.simulate import (
     replicate_rng,
     run_procedure,
 )
-from lfdrkit.procedures import boundary_tie_indices, perturb_grid_pvalues
+from lfdrkit.procedures import perturb_grid_pvalues
 from lfdrkit.simulate import _replicate_streams
 
 
@@ -50,6 +50,26 @@ def test_generate_is_deterministic_given_seed():
     assert np.array_equal(a.values, b.values)
     c, _ = generate(spec, seed=6)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("kind, params, field", [
+    (GaussianMeans, dict(m=30.5, m1=3, mu=2.0), "m"),
+    (GaussianMeans, dict(m=30, m1=2.5, mu=2.0), "m1"),
+    (TwoGroupsBeta, dict(m=10.5, pi0=0.8, a=0.05, b=1.0), "m"),
+    (DiscreteUniformNulls, dict(m=6.5, L=9), "m"),
+    (DiscreteUniformNulls, dict(m=6, L=9.5), "L"),
+    (DiscreteUniformNulls, dict(m=6, L="9"), "L"),
+    (DiscreteUniformNulls, dict(m=6, L=9, alt_positions=(1.5, 2.7)), "alt_positions"),
+], ids=["gaussian-m", "gaussian-m1", "beta-m", "grid-m", "grid-L", "grid-L-text", "grid-alt"])
+def test_generator_specs_require_integral_counts(kind, params, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        kind(**params)
+
+
+def test_generator_specs_keep_integral_values():
+    assert repr(GaussianMeans(m=30.0, m1=3, mu=2.0)) == repr(GaussianMeans(30, 3, 2.0))
+    spec = DiscreteUniformNulls(m=np.int64(6), L=9.0, alt_positions=[1, 2.0])
+    assert repr(spec) == "DiscreteUniformNulls(m=6, L=9, alt_positions=(1, 2))"
 
 
 def test_gaussian_means_design():
@@ -210,7 +230,9 @@ def _loop_reference(spec, proc, n_reps, crits, seed, start):
             if isinstance(crit, Fdr):
                 counts[crit.name][v, r] += 1
             elif isinstance(crit, Bfdr):
-                ties = boundary_tie_indices(pdata, res)
+                # the rejected statistics equal to the boundary value; none
+                # when boundary_stat is None
+                ties = np.flatnonzero(pdata.values == res.boundary_stat)
                 pick = ties[rng.integers(ties.size)] if ties.size > 1 else ties[:1]
                 counts[crit.name][int(np.any(flags[pick])), 1] += 1
             elif isinstance(crit, Power):
