@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -94,28 +94,33 @@ def _reason_code(exc: Exception) -> str:
 # I/O helpers
 # ---------------------------------------------------------------------------
 
-def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, Optional[np.ndarray]]:
-    """Parse ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
+def _header_width(path: str, header: Sequence[str]) -> int:
+    """The column count of an ``id,stat[,truth]`` header."""
+    cols = [c.strip().lower() for c in header]
+    if cols[:2] != ["id", "stat"] or len(cols) > 3 or \
+            (len(cols) == 3 and cols[2] != "truth"):
+        raise CliError("bad-header", f"{path}:1: header must be id,stat[,truth]")
+    return len(cols)
+
+
+def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float], Optional[List[bool]]]:
+    """The ``csv.reader`` parse, row by row: the reference for ``_read_columns``
+    and the path for any input that one cannot vouch for."""
     ids: List[str] = []
     vals: List[float] = []
     truth: List[bool] = []
-    has_truth = False
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CliError("bad-input", f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["id", "stat"] or len(cols) > 3 or \
-                (len(cols) == 3 and cols[2] != "truth"):
-            raise CliError("bad-header", f"{path}:1: header must be id,stat[,truth]")
-        has_truth = len(cols) == 3
+        ncols = _header_width(path, header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(cols):
-                raise CliError("bad-row", f"{path}:{lineno}: expected {len(cols)} fields")
+            if len(row) != ncols:
+                raise CliError("bad-row", f"{path}:{lineno}: expected {ncols} fields")
             try:
                 stat = float(row[1])
             except ValueError:
@@ -125,17 +130,62 @@ def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, Optional[np.nda
                                f"id {row[0]!r}: p-value {stat} outside [0, 1]")
             ids.append(row[0])
             vals.append(stat)
-            if has_truth:
+            if ncols == 3:
                 if row[2] not in ("0", "1"):
                     raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
                 truth.append(row[2] == "0")  # 0 marks a true null
     if not vals:
         raise CliError("bad-input", f"{path}: no statistics")
+    return ids, vals, (truth if ncols == 3 else None)
+
+
+def _read_columns(path: str, data: bytes, scale: Scale):
+    """The parse of ``_read_rows`` a column at a time, or None where only the row
+    loop can tell what ``csv.reader`` makes of the bytes or which error comes
+    first: quotes, CR, blank, ragged or over-long lines, no data row, bytes
+    that are not UTF-8, or a stat, p-value or truth cell that it rejects."""
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if data[-1:] != b"\n":
+        ends = np.append(ends, buf.size)
+    m = ends.size - 1
+    if m < 1 or b'"' in data or b"\r" in data or \
+            np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    ncols = _header_width(path, text[:text.find("\n")].split(","))
+    # every data line holds exactly ncols - 1 commas
+    commas = np.flatnonzero(buf == ord(","))
+    if np.any(np.diff(np.searchsorted(commas, ends)) != ncols - 1):
+        return None
+    cells = text.replace("\n", ",").split(",")[ncols:ncols * (m + 1)]
+    try:
+        vals = np.fromiter(map(float, cells[1::ncols]), float, count=m)
+    except ValueError:
+        return None
+    if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
+        return None
+    truth = None
+    if ncols == 3:
+        if not set(cells[2::3]) <= {"0", "1"}:
+            return None
+        truth = np.fromiter(map("0".__eq__, cells[2::3]), bool, count=m)
+    return cells[::ncols], vals, truth
+
+
+def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, Optional[np.ndarray]]:
+    """Parse ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    ids, vals, truth = _read_columns(path, data, scale) or _read_rows(path, scale)
     try:
         stats = StatVector(vals, scale, ids=tuple(ids))
     except ValueError as exc:
         raise CliError("bad-input", f"{path}: {exc}")
-    return stats, (np.array(truth, dtype=bool) if has_truth else None)
+    return stats, (None if truth is None else np.asarray(truth, dtype=bool))
 
 
 def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
@@ -151,22 +201,42 @@ def write_json(path: Optional[str], payload: Dict) -> None:
     _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
+# rows joined per write: one string for the whole table would raise peak memory
+_WRITE_ROWS = 1 << 16
+
+
 def write_csv(path: Optional[str], columns: Dict[str, Sequence[str]]) -> None:
-    """Write a table given as header name -> equal-length column of formatted cells."""
-    rows = zip(*columns.values(), strict=True)
+    """Write a table given as header name -> equal-length column of formatted
+    cells; a name of several comma-joined columns takes pre-joined cells."""
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    chunks = iter(lambda: list(islice(rows, _WRITE_ROWS)), [])
     _write_lines(path, chain([",".join(columns) + "\n"],
-                             (",".join(row) + "\n" for row in rows)))
+                             ("\n".join(chunk) + "\n" for chunk in chunks)))
 
 
 def _float_cells(values: np.ndarray) -> List[str]:
-    return list(map(repr, values.tolist()))
+    """``repr`` of each value, formatted once per distinct value.  Values are
+    told apart by their bits: ``np.unique`` on floats would merge -0.0 and 0.0."""
+    values = np.asarray(values, dtype=float)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    if bits.size == values.size:  # no repeats: the gather would only cost
+        return list(map(repr, values.tolist()))
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index].tolist()
 
 
-def _flag_cells(m: int, rejected: np.ndarray) -> List[str]:
-    """Cells "1" at the rejected positions (indices or a boolean mask), "0" elsewhere."""
-    flags = np.full(m, "0")
-    flags[rejected] = "1"
-    return flags.tolist()
+# the cells of four 0/1 flag columns, indexed by a code whose bit k is column k
+_FLAG_CELLS = np.array([",".join(str(code >> k & 1) for k in range(4)) for code in range(16)],
+                       dtype=object)
+
+
+def _text_cells(texts: Sequence[str]) -> Sequence[str]:
+    """Text cells under the csv module's minimal quoting: a cell holding a
+    comma, a quote, CR or LF is quoted, with its quotes doubled."""
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+            for t in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +326,17 @@ def cmd_analyze(args) -> int:
     }
     lfdr_decisions = lfdr_threshold_rule(scores, loss)
 
+    flags = np.zeros(stats.m, dtype=np.intp)
+    for k, rejected in enumerate([*(res.rejected for res in results.values()),
+                                  lfdr_decisions]):
+        flags[rejected] |= 1 << k
     table = {
-        "id": stats.ids,
+        "id": _text_cells(stats.ids),
         "stat": _float_cells(stats.values),
         "q_value": _float_cells(qvals),
         "lfdr_score": _float_cells(scores),
-        **{f"rejected_{name}": _flag_cells(stats.m, res.rejected)
-           for name, res in results.items()},
-        "rejected_lfdr": _flag_cells(stats.m, lfdr_decisions),
+        ",".join(f"rejected_{name}" for name in [*results, "lfdr"]):
+            _FLAG_CELLS[flags].tolist(),
     }
     write_csv(args.out + ".csv" if args.out else None, table)
 

@@ -12,6 +12,7 @@ arithmetic.  Each criterion counts replicates per distinct outcome, such as
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,6 +259,12 @@ class ProcedureConfig:
 
     def __post_init__(self):
         Procedure(self.kind)  # ValueError on an unknown name
+        # the harness calls the row kernels directly, which check neither
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        lam = self.storey_lambda
+        if not (isinstance(lam, numbers.Real) and 0.0 < lam < 1.0):
+            raise ValueError(f"storey_lambda must lie in (0, 1), got {lam!r}")
         if self.perturb and self.grid_L is None:
             raise ValueError("perturbation requires grid_L")
 

@@ -236,6 +236,16 @@ def test_simulate_gaussian_preset_maps_z_to_pvalues(tmp_path, capsys):
     assert est["mean"] <= pi0_alpha + 3 * est["std_error"]
 
 
+@pytest.mark.parametrize("alpha", ["nan", "2"])
+def test_simulate_rejects_alpha_outside_the_unit_interval(alpha, tmp_path, capsys):
+    code, out, err = run_cli(["simulate", "--preset", "theorem-5.1", f"--alpha={alpha}",
+                              "--reps", "20", "--seed", "1",
+                              "--out", str(tmp_path / "rep.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR bad-arg") and "alpha" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 def test_simulate_rejects_seeds_outside_64_bits(seed, capsys):
     code, _, err = run_cli(["simulate", "--preset", "theorem-5.1", "--reps", "5",

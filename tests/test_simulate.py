@@ -140,6 +140,12 @@ def test_mc_error_rates_argument_validation():
         ProcedureConfig("unknown", 0.2)
     with pytest.raises(ValueError):
         ProcedureConfig("support-line", 0.2, perturb=True)
+    for alpha in (float("nan"), 0.0, -0.1, 1.5, "0.1"):
+        with pytest.raises(ValueError, match="alpha"):
+            ProcedureConfig("bh", alpha)
+    for lam in (float("nan"), 0.0, 1.0):
+        with pytest.raises(ValueError, match="storey_lambda"):
+            ProcedureConfig("storey-bh", 0.1, storey_lambda=lam)
 
 
 MERGE_SPEC = TwoGroupsBeta(m=40, pi0=0.7, a=0.3, b=1.0)
