@@ -291,7 +291,7 @@ def cmd_analyze(args) -> int:
     scale = Scale.P_VALUE if scale_txt == "p" else Scale.Z_VALUE
     stats, _ = read_stats_csv(input_path, scale)
     pstats = stats if scale is Scale.P_VALUE else \
-        StatVector(to_pvalues(stats.values, scale), Scale.P_VALUE, ids=stats.ids)
+        StatVector(to_pvalues(stats.values, scale), Scale.P_VALUE)
 
     pi0_cfg = _parse_pi0(args.pi0)
     if pi0_cfg[0] == "fixed":

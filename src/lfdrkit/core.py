@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,11 @@ def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
     ``rv_continuous`` wrapper would allocate several block-sized temporaries
     per call, and the Monte Carlo core calls this once per block."""
     return values if scale is Scale.P_VALUE else special.ndtr(-values)
+
+
+def normal_pdf(x):
+    """The one Gaussian kernel: scipy's own ``_norm_pdf`` formula, bit for bit."""
+    return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def check_values(values: np.ndarray, scale: Scale) -> None:
@@ -219,10 +224,10 @@ class GaussianLocation(Density):
     mean: float = 0.0
 
     def _pdf(self, arr):
-        return stats.norm.pdf(arr, loc=self.mean)
+        return normal_pdf(arr - self.mean)
 
     def _cdf(self, arr):
-        return stats.norm.cdf(arr, loc=self.mean)
+        return special.ndtr(arr - self.mean)
 
     def total_mass(self):
         return 1.0
@@ -239,13 +244,14 @@ class BetaDensity(Density):
             raise ValueError("beta parameters must be positive")
 
     def _pdf(self, arr):
-        # via logpdf: beta.pdf itself overflows on denormal inputs, and the
-        # one-sided limit at the endpoints (possibly inf) is wanted here
+        # via scipy's logpdf: beta.pdf itself overflows on denormal inputs, and
+        # the one-sided limit at the endpoints (possibly inf) is wanted here
         with np.errstate(over="ignore"):
-            return np.exp(stats.beta.logpdf(arr, self.a, self.b))
+            return np.exp(special.xlog1py(self.b - 1.0, -arr) + special.xlogy(self.a - 1.0, arr)
+                          - special.betaln(self.a, self.b))
 
     def _cdf(self, arr):
-        return stats.beta.cdf(arr, self.a, self.b)
+        return special.betainc(self.a, self.b, np.clip(arr, 0.0, 1.0))
 
     def total_mass(self):
         return 1.0
@@ -357,15 +363,18 @@ class LocationMixture(Density):
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
+    def _atom_sum(self, kernel, arr):
+        # each point sums over the last axis, in one order whatever the input's
+        # shape; ``@`` would sum a scalar and an array in different BLAS orders
+        k = kernel(arr[..., None] - np.asarray(self.atoms))
+        k *= self.weights
+        return k.sum(-1)
+
     def _pdf(self, arr):
-        a = np.asarray(self.atoms)
-        w = np.asarray(self.weights)
-        return stats.norm.pdf(arr[..., None] - a) @ w
+        return self._atom_sum(normal_pdf, arr)
 
     def _cdf(self, arr):
-        a = np.asarray(self.atoms)
-        w = np.asarray(self.weights)
-        return stats.norm.cdf(arr[..., None] - a) @ w
+        return self._atom_sum(special.ndtr, arr)
 
     def total_mass(self):
         return float(np.sum(self.weights))

@@ -29,6 +29,7 @@ from .core import (
     Scale,
     StatVector,
     _StepMass,
+    normal_pdf,
 )
 
 
@@ -278,10 +279,12 @@ def npmle_mixture_fit(stats: StatVector, grid_size: int = 300, tol: float = 1e-8
     z = stats.values
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     grid = np.linspace(float(z.min()) - 1.0, float(z.max()) + 1.0, grid_size)
     # every observation has a nearby atom, so the kernel matrix stays in
     # ordinary float range and the EM can run in the probability domain
-    phi = np.exp(-0.5 * (z[:, None] - grid[None, :]) ** 2) / math.sqrt(2 * math.pi)
+    phi = normal_pdf(z[:, None] - grid[None, :])
 
     w = np.full(grid_size, 1.0 / grid_size)
     mix = phi @ w

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats as spstats
+from scipy import special
 
 from .core import (
     AssumptionError,
@@ -718,12 +718,12 @@ def exp_family_null_density_check(theta: float, theta0: float,
     if theta > theta0:
         raise ValueError("need theta <= theta0 for a null configuration")
     delta = theta - theta0
-    alpha_star = float(1.0 - spstats.norm.cdf(0.0))
+    alpha_star = float(1.0 - special.ndtr(0.0))
     pts = np.asarray(grid, dtype=float)
     pts = pts[(pts >= 0.0) & (pts <= alpha_star)]
     if pts.size == 0:
         raise ValueError("grid contains no points inside [0, alpha*]")
-    q = spstats.norm.isf(np.clip(pts, 0.0, 1.0))
+    q = -special.ndtri(np.clip(pts, 0.0, 1.0))
     if delta == 0.0:
         dens = np.ones_like(pts)
     else:

@@ -132,6 +132,15 @@ def test_analyze_z_scale_with_lindsey(tmp_path, capsys):
     assert summary["m"] == 400
 
 
+def test_analyze_npmle_nan_tol_is_a_bad_arg(tmp_path, capsys):
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\na,-1.0\nb,0.5\nc,2.0\n", encoding="utf-8")
+    code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                            "--density", "npmle:100:nan"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR bad-arg") and "tol" in err
+
+
 def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, capsys):
     z = np.random.default_rng(0).normal(0.0, 0.01, 3000)
     path = tmp_path / "z.csv"

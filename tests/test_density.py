@@ -271,6 +271,10 @@ def test_npmle_is_shift_equivariant(m, index, c):
 def test_npmle_argument_errors():
     with pytest.raises(ValueError):
         lk.npmle_mixture_fit(_zstats([0.0, 1.0]), grid_size=1)
+    # a NaN or nonpositive tol would run every EM iteration without converging
+    for tol in (math.nan, math.inf, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol"):
+            lk.npmle_mixture_fit(_zstats([0.0, 1.0]), tol=tol)
 
 
 # ---------------------------------------------------------------------------
