@@ -18,7 +18,6 @@ from .core import (
     FitError,
     GaussianLocation,
     GroundTruth,
-    LocationMixture,
     LossSpec,
     MixtureDensity,
     PiecewiseConstant,

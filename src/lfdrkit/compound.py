@@ -210,8 +210,10 @@ class ClfdrGap:
 
 def clfdr_vs_lfdr_gap(stats: StatVector, truth: GroundTruth,
                       models: Sequence[Density], curve: LfdrCurve) -> ClfdrGap:
-    """max_i |clfdr_i / lfdr(t_i) - 1| over the observed statistics."""
+    """max_i |clfdr_i / lfdr(t_i) - 1| over the observed statistics; where both
+    scores are 0 (the null density vanishes) they agree, and x/0 is inf."""
     res = clfdr_exact(stats, truth, models)
     pointwise = np.asarray(curve.evaluate(stats.values), dtype=float)
-    dev = np.abs(res.scores / pointwise - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.where(res.scores == pointwise, 0.0, np.abs(res.scores / pointwise - 1.0))
     return ClfdrGap(float(dev.max()))

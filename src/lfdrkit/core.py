@@ -67,6 +67,14 @@ def normal_pdf(x):
     return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
+def check_finite(field: str, value, positive: bool = False) -> None:
+    """ValueError naming ``field`` unless ``value`` is finite (and > 0 if
+    ``positive``); a check written as ``value <= 0`` lets NaN through."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        kind = "finite and positive" if positive else "finite"
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+
+
 def check_values(values: np.ndarray, scale: Scale) -> None:
     """Raise ValueError unless every value is finite and, on the p-value scale,
     in [0, 1].  Reads ``values`` in place, whatever its shape: min and max
@@ -223,6 +231,9 @@ class GaussianLocation(Density):
 
     mean: float = 0.0
 
+    def __post_init__(self):
+        check_finite("mean", self.mean)
+
     def _pdf(self, arr):
         return normal_pdf(arr - self.mean)
 
@@ -240,8 +251,8 @@ class BetaDensity(Density):
     support = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("beta parameters must be positive")
+        check_finite("a", self.a, positive=True)
+        check_finite("b", self.b, positive=True)
 
     def _pdf(self, arr):
         # via scipy's logpdf: beta.pdf itself overflows on denormal inputs, and
@@ -291,10 +302,10 @@ class PiecewiseConstant(_StepMass, Density):
         hts = tuple(float(h) for h in self.heights)
         if len(edges) != len(hts) + 1 or len(hts) < 1:
             raise ValueError("need len(breakpoints) == len(heights) + 1 >= 2")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if min(hts) < 0:
-            raise ValueError("heights must be nonnegative")
+        if not all(math.isfinite(h) and h >= 0 for h in hts):
+            raise ValueError(f"heights must be finite and nonnegative, got {hts!r}")
         object.__setattr__(self, "breakpoints", edges)
         object.__setattr__(self, "heights", hts)
         object.__setattr__(self, "support", (edges[0], edges[-1]))
@@ -329,9 +340,12 @@ class ExpFamilyPoly(Density):
     hi: float
 
     def __post_init__(self):
-        if self.hi <= self.lo:
+        if not self.lo < self.hi:
             raise ValueError("need lo < hi")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        coefs = tuple(float(c) for c in self.coefficients)
+        for c in coefs:
+            check_finite("coefficients", c)
+        object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "support", (float(self.lo), float(self.hi)))
 
     def _pdf(self, arr):
@@ -342,42 +356,6 @@ class ExpFamilyPoly(Density):
         out = np.array([integrate.quad(lambda x: self.pdf(x), self.lo, x, limit=200)[0]
                         for x in flat])
         return out.reshape(arr.shape)
-
-
-@dataclass(frozen=True)
-class LocationMixture(Density):
-    """Gaussian location mixture: sum_g weights[g] * phi(z - atoms[g])."""
-
-    atoms: Tuple[float, ...]
-    weights: Tuple[float, ...]
-
-    def __post_init__(self):
-        atoms = tuple(float(a) for a in self.atoms)
-        w = np.asarray(self.weights, dtype=float)
-        if len(atoms) != w.size or w.size < 1:
-            raise ValueError("atoms and weights must have equal positive length")
-        if w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    def _atom_sum(self, kernel, arr):
-        # each point sums over the last axis, in one order whatever the input's
-        # shape; ``@`` would sum a scalar and an array in different BLAS orders
-        k = kernel(arr[..., None] - np.asarray(self.atoms))
-        k *= self.weights
-        return k.sum(-1)
-
-    def _pdf(self, arr):
-        return self._atom_sum(normal_pdf, arr)
-
-    def _cdf(self, arr):
-        return self._atom_sum(special.ndtr, arr)
-
-    def total_mass(self):
-        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -392,7 +370,7 @@ class MixtureDensity(Density):
         w = np.asarray(self.weights, dtype=float)
         if len(comps) != w.size or w.size < 1:
             raise ValueError("components and weights must have equal positive length")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-8:
+        if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-8):
             raise ValueError("weights must be nonnegative and sum to 1")
         lo = min(c.support[0] for c in comps)
         hi = max(c.support[1] for c in comps)

@@ -25,7 +25,8 @@ from .core import (
     DegeneracyError,
     ExpFamilyPoly,
     FitError,
-    LocationMixture,
+    GaussianLocation,
+    MixtureDensity,
     Scale,
     StatVector,
     _StepMass,
@@ -63,8 +64,8 @@ class MonotoneDensityFit(_StepMass, Density):
             raise ValueError("breakpoints must start at 0 and bound each height")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if min(hts) < 0 or np.any(np.diff(hts) > 0):
-            raise ValueError("heights must be nonnegative and nonincreasing")
+        if not (np.all(np.isfinite(hts)) and min(hts) >= 0 and np.all(np.diff(hts) <= 0)):
+            raise ValueError("heights must be finite, nonnegative and nonincreasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "heights", hts)
 
@@ -263,8 +264,8 @@ class MixtureFit:
     iterations: int
     converged: bool
 
-    def density(self) -> LocationMixture:
-        return LocationMixture(self.grid, self.weights)
+    def density(self) -> MixtureDensity:
+        return MixtureDensity(tuple(map(GaussianLocation, self.grid)), self.weights)
 
 
 def npmle_mixture_fit(stats: StatVector, grid_size: int = 300, tol: float = 1e-8,

@@ -32,6 +32,7 @@ from .core import (
     StatVector,
     TwoGroupsSpec,
     Uniform01,
+    check_finite,
     check_values,
     to_pvalues,
 )
@@ -116,6 +117,7 @@ class GaussianMeans:
         object.__setattr__(self, "m1", _integer("m1", self.m1))
         if self.m < 1 or not 0 <= self.m1 <= self.m:
             raise ValueError("need m >= 1 and 0 <= m1 <= m")
+        check_finite("mu", self.mu)
 
     @property
     def null_flags(self) -> np.ndarray:
@@ -138,8 +140,10 @@ class TwoGroupsBeta:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer("m", self.m))
-        if self.m < 1 or not 0.0 <= self.pi0 <= 1.0 or self.a <= 0 or self.b <= 0:
+        if self.m < 1 or not 0.0 <= self.pi0 <= 1.0:
             raise ValueError("invalid two-groups beta parameters")
+        check_finite("a", self.a, positive=True)
+        check_finite("b", self.b, positive=True)
 
     @property
     def m0(self) -> int:
@@ -510,6 +514,9 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
     criteria = tuple(criteria)
     if len({c.name for c in criteria}) != len(criteria):
         raise ValueError("criteria names must be unique")
+    if procedure.perturb and not (isinstance(spec, DiscreteUniformNulls)
+                                  and spec.L == procedure.grid_L):
+        raise ValueError(f"perturbation grid_L={procedure.grid_L} is not the design's grid")
     nulls = spec.null_flags
     streams = _replicate_streams(seed, range(start, start + n_reps))
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))

@@ -43,6 +43,15 @@ from .simulate import (
 
 DEFAULT_SEED = 20240915
 
+# the sizes the acceptance criteria state: constants, so that no run of a
+# check can be smaller than its criterion
+MC_REPS = 100_000            # replicates per Monte Carlo estimate, criteria 1-3 and 9
+CALIBRATION_REPS = 500       # replicates pooled per curve, criterion 4
+CALIBRATION_MIN_COUNT = 500  # pooled scores a bin needs to be read, criterion 4
+GRENANDER_INSTANCES = 1000   # criterion 5
+CLFDR_INSTANCES = 500        # criterion 6
+DUALITY_INSTANCES = 1000     # criterion 7
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -170,13 +179,12 @@ def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
 # Criterion 1: exact boundary-FDR of the support line under uniform nulls
 # ---------------------------------------------------------------------------
 
-def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
-                             n_reps: int = 100_000) -> List[CheckResult]:
+def check_exact_bfdr_control(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     spec, _ = PRESETS["theorem-5.1"]
     out = []
     for alpha in (0.1, 0.3):
         proc = ProcedureConfig("support-line", alpha)
-        report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed)
+        report = mc_error_rates(spec, proc, MC_REPS, [Bfdr()], seed)
         est = report.estimates["bFDR"]
         expected = spec.pi0 * alpha
         tol = 3.0 * est["std_error"]
@@ -184,7 +192,7 @@ def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
             name=f"exact-bfdr-alpha-{alpha}",
             passed=_close(est["mean"], expected, tol),
             observed=est["mean"], expected=expected, tolerance=tol,
-            detail=f"N={n_reps}"))
+            detail=f"N={MC_REPS}"))
     return out
 
 
@@ -192,15 +200,14 @@ def check_exact_bfdr_control(seed: int = DEFAULT_SEED,
 # Criteria 2-3: counterexamples
 # ---------------------------------------------------------------------------
 
-def check_superuniform_counterexample(seed: int = DEFAULT_SEED,
-                                      n_reps: int = 100_000) -> List[CheckResult]:
+def check_superuniform_counterexample(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     spec, alpha = PRESETS["counterexample-superuniform"]
     exact = superuniform_boundary_null_prob(alpha=alpha)
     out = [CheckResult(
         name="superuniform-exact",
         passed=_close(exact, 3.0 / 8.0, 1e-10),
         observed=exact, expected=3.0 / 8.0, tolerance=1e-10)]
-    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), n_reps,
+    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), MC_REPS,
                             [Bfdr()], seed)
     est = report.estimates["bFDR"]
     tol = 3.0 * est["std_error"]
@@ -208,7 +215,7 @@ def check_superuniform_counterexample(seed: int = DEFAULT_SEED,
         name="superuniform-montecarlo",
         passed=_close(est["mean"], 0.375, tol),
         observed=est["mean"], expected=0.375, tolerance=tol,
-        detail=f"N={n_reps}"))
+        detail=f"N={MC_REPS}"))
     out.append(CheckResult(
         name="superuniform-exceeds-uniform-null-level",
         passed=est["mean"] - 3.0 * est["std_error"] > 0.25,
@@ -217,8 +224,7 @@ def check_superuniform_counterexample(seed: int = DEFAULT_SEED,
     return out
 
 
-def check_discrete_counterexample(seed: int = DEFAULT_SEED,
-                                  n_reps: int = 100_000) -> List[CheckResult]:
+def check_discrete_counterexample(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     exact = discrete_boundary_null_prob()
     out = [CheckResult(
         name="discrete-exact",
@@ -226,7 +232,7 @@ def check_discrete_counterexample(seed: int = DEFAULT_SEED,
         observed=exact, expected=11.0 / 54.0, tolerance=1e-10,
         detail="must exceed 2*alpha/m = 1/6")]
     spec, alpha = PRESETS["counterexample-discrete"]
-    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), n_reps,
+    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), MC_REPS,
                             [Bfdr()], seed)
     est = report.estimates["bFDR"]
     tol = 3.0 * est["std_error"]
@@ -234,7 +240,7 @@ def check_discrete_counterexample(seed: int = DEFAULT_SEED,
         name="discrete-montecarlo",
         passed=_close(est["mean"], exact, tol),
         observed=est["mean"], expected=exact, tolerance=tol,
-        detail=f"N={n_reps}"))
+        detail=f"N={MC_REPS}"))
     return out
 
 
@@ -242,23 +248,22 @@ def check_discrete_counterexample(seed: int = DEFAULT_SEED,
 # Criterion 4: calibration of pointwise scores vs anti-conservative q-values
 # ---------------------------------------------------------------------------
 
-def check_calibration(seed: int = DEFAULT_SEED, reps: int = 500,
-                      min_count: int = 500) -> List[CheckResult]:
+def check_calibration(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     spec, _ = PRESETS["fig2-gaussian"]
     bw = 0.025
-    oracle = calibration_experiment(spec, "oracle-lfdr", reps, bw, seed)
+    oracle = calibration_experiment(spec, "oracle-lfdr", CALIBRATION_REPS, bw, seed)
     mids = 0.5 * (oracle.bin_edges[:-1] + oracle.bin_edges[1:])
-    use = oracle.bin_counts >= min_count
+    use = oracle.bin_counts >= CALIBRATION_MIN_COUNT
     dev = np.abs(oracle.bin_null_fraction[use] - mids[use])
     out = [CheckResult(
         name="calibration-oracle-diagonal",
         passed=bool(use.any()) and float(dev.max()) <= 0.05,
         observed=float(dev.max()) if use.any() else math.nan,
         expected=0.0, tolerance=0.05,
-        detail=f"{int(use.sum())} bins with >= {min_count} pooled scores")]
+        detail=f"{int(use.sum())} bins with >= {CALIBRATION_MIN_COUNT} pooled scores")]
 
-    qcurve = calibration_experiment(spec, "q-value", reps, bw, seed)
-    sel = (qcurve.bin_counts >= min_count) & (mids <= 0.3)
+    qcurve = calibration_experiment(spec, "q-value", CALIBRATION_REPS, bw, seed)
+    sel = (qcurve.bin_counts >= CALIBRATION_MIN_COUNT) & (mids <= 0.3)
     margins = qcurve.bin_null_fraction[sel] - mids[sel]
     out.append(CheckResult(
         name="calibration-qvalue-anticonservative",
@@ -287,12 +292,11 @@ def _random_grenander_instance(rng) -> np.ndarray:
     return np.clip(p, 1e-12, 1.0)
 
 
-def check_grenander_oracle(seed: int = DEFAULT_SEED,
-                           n_instances: int = 1000) -> List[CheckResult]:
+def check_grenander_oracle(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     worst = 0.0
     worst_mass = 0.0
     monotone_ok = True
-    for i in range(n_instances):
+    for i in range(GRENANDER_INSTANCES):
         rng = replicate_rng(seed, i)
         p = _random_grenander_instance(rng)
         fit = grenander_fit(StatVector(p, Scale.P_VALUE))
@@ -308,7 +312,7 @@ def check_grenander_oracle(seed: int = DEFAULT_SEED,
         monotone_ok = monotone_ok and bool(np.all(np.diff(fit.heights) <= 0))
     return [
         CheckResult("grenander-vs-hull-oracle", worst <= 1e-10, worst, 0.0, 1e-10,
-                    detail=f"{n_instances} instances, n <= 50"),
+                    detail=f"{GRENANDER_INSTANCES} instances, n <= 50"),
         CheckResult("grenander-unit-mass", worst_mass <= 1e-10, worst_mass, 0.0, 1e-10),
         CheckResult("grenander-nonincreasing", monotone_ok,
                     1.0 if monotone_ok else 0.0, 1.0, 0.0),
@@ -333,13 +337,12 @@ def _random_two_groups_instance(rng, max_m: int):
     return stats, GroundTruth(flags), models
 
 
-def check_clfdr_identities(seed: int = DEFAULT_SEED,
-                           n_instances: int = 500) -> List[CheckResult]:
+def check_clfdr_identities(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     worst_sum = 0.0
     worst_fact = 0.0
     worst_paths = 0.0
     n_fact = 0
-    for i in range(n_instances):
+    for i in range(CLFDR_INSTANCES):
         rng = replicate_rng(seed, 10_000 + i)
         stats, truth, models = _random_two_groups_instance(rng, 15)
         res = clfdr_exact(stats, truth, models)
@@ -356,11 +359,11 @@ def check_clfdr_identities(seed: int = DEFAULT_SEED,
             worst_fact = max(worst_fact, float(np.abs(res.scores - fact).max()))
     return [
         CheckResult("clfdr-sum-equals-m0", worst_sum <= 1e-8, worst_sum, 0.0, 1e-8,
-                    detail=f"{n_instances} instances, m <= 15"),
+                    detail=f"{CLFDR_INSTANCES} instances, m <= 15"),
         CheckResult("clfdr-vs-factorial", worst_fact <= 1e-10, worst_fact, 0.0, 1e-10,
                     detail=f"{n_fact} instances, m <= 7"),
         CheckResult("clfdr-fast-vs-generic", worst_paths <= 1e-10, worst_paths,
-                    0.0, 1e-10, detail=f"{n_instances} instances, m <= 15"),
+                    0.0, 1e-10, detail=f"{CLFDR_INSTANCES} instances, m <= 15"),
     ]
 
 
@@ -368,11 +371,10 @@ def check_clfdr_identities(seed: int = DEFAULT_SEED,
 # Criterion 7: q-value / step-up duality
 # ---------------------------------------------------------------------------
 
-def check_qvalue_bh_duality(seed: int = DEFAULT_SEED,
-                            n_instances: int = 1000) -> List[CheckResult]:
+def check_qvalue_bh_duality(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     failures = 0
     total = 0
-    for i in range(n_instances):
+    for i in range(DUALITY_INSTANCES):
         rng = replicate_rng(seed, 20_000 + i)
         m = int(rng.integers(1, 201))
         mix = rng.random(m) < 0.3
@@ -392,7 +394,7 @@ def check_qvalue_bh_duality(seed: int = DEFAULT_SEED,
                 failures += 1
     return [CheckResult(
         "qvalue-bh-duality", failures == 0, float(failures), 0.0, 0.0,
-        detail=f"{total} hypothesis checks across {n_instances} instances")]
+        detail=f"{total} hypothesis checks across {DUALITY_INSTANCES} instances")]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +420,7 @@ def check_mfdr_pfdr_limit() -> List[CheckResult]:
 # Criterion 9: discrete-grid asymptotics and the perturbation fix
 # ---------------------------------------------------------------------------
 
-def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED,
-                                    n_reps: int = 100_000) -> List[CheckResult]:
+def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Support-line boundary FDR on grid p-values at m = 5000, L = 10.
 
     At pi0* = 0.9 and alpha = 0.5 no grid pmf can push the population
@@ -434,25 +435,25 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED,
     out = []
 
     f_top = [pi0 / L] * (L - 1) + [pi0 / L + (1 - pi0)]
-    rec = discrete_limit_check(L, 0.5, f_top, pi0, m, n_reps, seed)
+    rec = discrete_limit_check(L, 0.5, f_top, pi0, m, MC_REPS, seed)
     tol = max(3.0 * rec.std_error, 1e-12)
     out.append(CheckResult(
         "discrete-asymptotics-zero-limit",
         _close(rec.bfdr, rec.limit, tol), rec.bfdr, rec.limit, tol,
-        detail=f"alpha=0.5, l*={rec.l_star}, m={m}, N={n_reps}"))
+        detail=f"alpha=0.5, l*={rec.l_star}, m={m}, N={MC_REPS}"))
 
     # each sub-experiment runs on its own replicate range of the same stream
-    rec_p = discrete_limit_check(L, 0.5, f_top, pi0, m, n_reps, seed,
-                                 perturb=True, start=n_reps)
+    rec_p = discrete_limit_check(L, 0.5, f_top, pi0, m, MC_REPS, seed,
+                                 perturb=True, start=MC_REPS)
     tol = 3.0 * rec_p.std_error
     out.append(CheckResult(
         "discrete-asymptotics-perturbed",
         _close(rec_p.bfdr, pi0 * 0.5, tol), rec_p.bfdr, pi0 * 0.5, tol,
-        detail=f"perturbed grid p-values, m={m}, N={n_reps}"))
+        detail=f"perturbed grid p-values, m={m}, N={MC_REPS}"))
 
     f_bottom = [pi0 / L + (1 - pi0)] + [pi0 / L] * (L - 1)
-    rec_nz = discrete_limit_check(L, 0.6, f_bottom, pi0, m, n_reps, seed,
-                                  start=2 * n_reps)
+    rec_nz = discrete_limit_check(L, 0.6, f_bottom, pi0, m, MC_REPS, seed,
+                                  start=2 * MC_REPS)
     tol = 3.0 * rec_nz.std_error
     out.append(CheckResult(
         "discrete-asymptotics-nonzero-limit",
@@ -482,7 +483,7 @@ def check_pvalue_density_bound() -> List[CheckResult]:
 # Criterion 11: determinism and the exact merge law
 # ---------------------------------------------------------------------------
 
-def check_determinism_and_merge(seed: int = 7) -> List[CheckResult]:
+def check_determinism_and_merge(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     import json
 
     from .simulate import Fdr, MfdrInterval, PfdrInterval, Power
@@ -533,5 +534,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
                 + check_mfdr_pfdr_limit()
                 + check_discrete_grid_asymptotics(seed)
                 + check_pvalue_density_bound()
-                + check_determinism_and_merge())
+                + check_determinism_and_merge(seed))
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -59,4 +59,4 @@ def test_criterion_10_null_pvalue_density_bound():
 
 
 def test_criterion_11_determinism_and_merge():
-    _report("criterion-11", vf.check_determinism_and_merge())
+    _report("criterion-11", vf.check_determinism_and_merge(SEED))

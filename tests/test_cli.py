@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +297,22 @@ def test_config_generator_with_wrong_keys_is_a_bad_arg(generator, tmp_path, caps
                               "--seed", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("ERROR bad-arg") and generator["kind"] in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("generator, field", [
+    ({"kind": "two-groups-beta", "m": 10, "pi0": 0.5, "a": math.nan, "b": 1.0}, "a"),
+    ({"kind": "gaussian-means", "m": 10, "m1": 1, "mu": math.inf}, "mu"),
+])
+def test_config_generator_with_a_nonfinite_parameter_is_a_bad_arg(
+        command, generator, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": generator}), encoding="utf-8")  # NaN, Infinity
+    code, out, err = run_cli([command, "--config", str(cfg), "--reps", "5",
+                              "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ERROR bad-arg: generator kind {generator['kind']!r}: "
+                          f"{field} must be finite")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +194,25 @@ def test_clfdr_vs_lfdr_gap_trivial_cases():
     curve = lk.LfdrCurve(m0 / m, lk.Uniform01(), lk.Uniform01(), clip=False)
     res = lk.clfdr_vs_lfdr_gap(_pstats(p), lk.GroundTruth(flags), models, curve)
     assert res.max_ratio_dev < 1e-12
+
+
+def test_clfdr_vs_lfdr_gap_where_the_null_density_vanishes():
+    # above 0.5 the null density is 0, so both scores are 0 there: 0/0 agrees
+    f0 = lk.PiecewiseConstant((0.0, 0.5, 1.0), (2.0, 0.0))
+    f1 = lk.Uniform01()
+    truth = lk.GroundTruth([True, True, False, False])
+    curve = lk.LfdrCurve(0.5, f0, lk.MixtureDensity((f0, f1), (0.5, 0.5)), clip=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = lk.clfdr_vs_lfdr_gap(_pstats([0.1, 0.2, 0.7, 0.3]), truth, [f0, f0, f1, f1],
+                                   curve)
+    assert math.isfinite(gap.max_ratio_dev)
+    res = lk.clfdr_exact(_pstats([0.1, 0.2, 0.7, 0.3]), truth, [f0, f0, f1, f1])
+    pointwise = curve.evaluate(np.array([0.1, 0.2, 0.3]))
+    assert gap.max_ratio_dev == np.abs(res.scores[[0, 1, 3]] / pointwise - 1.0).max()
+    # a positive compound score against a pointwise 0 stays infinitely far off
+    off = lk.clfdr_vs_lfdr_gap(_pstats([0.1, 0.2, 0.7, 0.3]), truth, [f1] * 4, curve)
+    assert off.max_ratio_dev == math.inf
 
 
 def test_clfdr_approaches_pointwise_score_as_m_grows():

@@ -94,13 +94,18 @@ def test_average_of_identical_models_is_pointwise_equal():
     assert np.allclose(avg, b.pdf(ts), atol=1e-14)
 
 
+# the NPMLE fit's density: Gaussian atoms summed one at a time, in order
+_GAUSSIAN_MIXTURE = lk.MixtureDensity((lk.GaussianLocation(-1.0), lk.GaussianLocation(2.0)),
+                                      (0.3, 0.7))
+
+
 @pytest.mark.parametrize("model", [
     lk.Uniform01(),
     lk.GaussianLocation(1.3),
     lk.BetaDensity(0.05, 1.0),
     lk.PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0)),
     lk.ExpFamilyPoly((-math.log(2.0),), -1.0, 1.0),
-    lk.LocationMixture((-1.0, 2.0), (0.3, 0.7)),
+    _GAUSSIAN_MIXTURE,
     lk.MixtureDensity((lk.Uniform01(), lk.BetaDensity(0.5, 1.0)), (0.8, 0.2)),
     lk.MonotoneDensityFit((0.0, 0.25, 0.5), (3.0, 1.0), loglik=0.0),
 ])
@@ -150,7 +155,7 @@ _EVERY_DENSITY = [
     lk.BetaDensity(0.5, 2.0),
     lk.PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0)),
     lk.ExpFamilyPoly((-math.log(2.0),), -1.0, 1.0),
-    lk.LocationMixture((-1.0, 2.0), (0.3, 0.7)),
+    pytest.param(_GAUSSIAN_MIXTURE, id="GaussianMixture"),
     lk.MixtureDensity((lk.Uniform01(), lk.BetaDensity(0.5, 1.0)), (0.8, 0.2)),
     lk.MonotoneDensityFit((0.0, 0.25, 0.5), (3.0, 1.0), loglik=0.0),
 ]
@@ -180,6 +185,27 @@ def test_density_pdf_cdf_contract(model):
                 val = fn(scalar)
                 assert type(val) is float
                 assert val == out[idx]
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: lk.GaussianLocation(math.nan), "mean"),
+    (lambda: lk.BetaDensity(math.nan, 1.0), "a"),
+    (lambda: lk.BetaDensity(1.0, math.inf), "b"),
+    (lambda: lk.PiecewiseConstant((0.0, 0.5, 1.0), (1.0, math.nan)), "heights"),
+    (lambda: lk.ExpFamilyPoly((0.0, math.nan), -1.0, 1.0), "coefficients"),
+    (lambda: lk.MonotoneDensityFit((0.0, 0.5, 1.0), (math.nan, 1.0), loglik=0.0), "heights"),
+    (lambda: lk.MixtureDensity((lk.Uniform01(), lk.Uniform01()), (math.nan, math.nan)),
+     "weights"),
+    (lambda: lk.TwoGroupsBeta(m=10, pi0=0.5, a=math.nan, b=1.0), "a"),
+    (lambda: lk.GaussianMeans(m=10, m1=2, mu=math.nan), "mu"),
+    (lambda: lk.GaussianMeans(m=10, m1=2, mu=math.inf), "mu"),
+], ids=["gaussian-nan", "beta-a-nan", "beta-b-inf", "piecewise-nan", "expfamily-nan",
+        "monotone-nan", "mixture-nan", "two-groups-beta-nan", "gaussian-means-nan",
+        "gaussian-means-inf"])
+def test_nonfinite_parameters_are_refused_at_construction(build, field):
+    # a check written as ``a <= 0`` lets NaN through to every evaluation
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_z_to_pvalues_equals_norm_sf_bitwise():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ def test_npmle_is_shift_equivariant(m, index, c):
     assert np.allclose(moved.grid, np.asarray(fit.grid) + c, rtol=0.0, atol=1e-9)
     assert np.allclose(moved.weights, fit.weights, rtol=0.0, atol=1e-9)
     assert moved.loglik == pytest.approx(fit.loglik, rel=0.0, abs=1e-9)
+
+
+def test_npmle_density_is_a_mixture_evaluated_in_linear_memory():
+    # 300 atoms at m = 10^5: an m x atoms kernel matrix would peak near 690 MiB
+    grid = np.linspace(-4.0, 6.0, 300)
+    fit = lk.MixtureFit(tuple(grid), tuple(np.full(300, 1.0 / 300)), 0.0, 0, True)
+    dens = fit.density()
+    assert isinstance(dens, lk.MixtureDensity)
+    assert [c.mean for c in dens.components] == list(fit.grid)
+    z = np.linspace(-5.0, 7.0, 10**5)
+    tracemalloc.start()
+    try:
+        dens.pdf(z)
+        dens.cdf(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_npmle_argument_errors():

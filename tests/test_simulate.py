@@ -477,6 +477,19 @@ def test_perturbation_restores_exact_boundary_rate():
     assert est["mean"] == pytest.approx(want, abs=3 * est["std_error"])
 
 
+def test_perturbation_refuses_a_grid_that_is_not_the_designs():
+    # every k/10 also lies on the 1/20 grid, so nothing else fails, but the
+    # perturbation then spreads the values over the wrong cells (bFDR 0.0)
+    spec = DiscreteUniformNulls(m=500, L=10, alt_positions=(10,) * 50)
+    for grid_L in (20, 5):
+        proc = ProcedureConfig("support-line", 0.5, perturb=True, grid_L=grid_L)
+        with pytest.raises(ValueError, match=f"grid_L={grid_L} is not the design's grid"):
+            mc_error_rates(spec, proc, 10, [Bfdr()], seed=3)
+    proc = ProcedureConfig("support-line", 0.5, perturb=True, grid_L=10)
+    with pytest.raises(ValueError, match="grid_L=10 is not the design's grid"):
+        mc_error_rates(TwoGroupsBeta(m=10, pi0=0.5, a=0.5, b=1.0), proc, 10, [Bfdr()], seed=3)
+
+
 # ---------------------------------------------------------------------------
 # null p-value density bound
 # ---------------------------------------------------------------------------
