@@ -497,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--pi0", default=None,
                     help="storey:LAMBDA | fixed:VALUE | window:C:LAMBDA")
     pa.add_argument("--density", default=None,
-                    help="grenander | lindsey:J:BINS | npmle:GRID:TOL")
+                    help="grenander | lindsey:J:BINS | npmle:GRID:TOL (grid NPMLE "
+                         "fitted by an interior point method; TOL bounds the KKT gap)")
     pa.add_argument("--out", default=None,
                     help="output stem; writes STEM.csv and STEM.json")
     pa.set_defaults(func=cmd_analyze)

@@ -170,6 +170,15 @@ class GroundTruth:
 # Density families
 # ---------------------------------------------------------------------------
 
+def _check_support(arr, amin, amax, support) -> None:
+    """DomainError naming the first value of ``arr`` outside ``support``,
+    given the least and greatest values ``amin`` and ``amax`` of ``arr``."""
+    lo, hi = support
+    if amin < lo or amax > hi:
+        bad = arr[(arr < lo) | (arr > hi)].flat[0]
+        raise DomainError(f"{bad!r} outside support [{lo}, {hi}]")
+
+
 class Density:
     """A density (or pmf, for discrete kinds) evaluable on its support.
 
@@ -186,10 +195,8 @@ class Density:
 
     def pdf(self, t):
         arr = np.asarray(t, dtype=float)
-        lo, hi = self.support
-        if arr.size and (arr.min() < lo or arr.max() > hi):
-            bad = arr[(arr < lo) | (arr > hi)].flat[0]
-            raise DomainError(f"{bad!r} outside support [{lo}, {hi}]")
+        if arr.size:
+            _check_support(arr, arr.min(), arr.max(), self.support)
         out = self._pdf(arr)
         return float(out) if arr.ndim == 0 else out
 
@@ -379,17 +386,21 @@ class MixtureDensity(Density):
         object.__setattr__(self, "support", (lo, hi))
 
     def _pdf(self, arr):
+        # the range of arr, found once, against each component's support: the
+        # components' own pdf would convert arr and reduce it again per atom
+        amin, amax = (arr.min(), arr.max()) if arr.size else (math.inf, -math.inf)
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
             # a weightless component adds nothing, even where its density is inf
             if w > 0.0:
-                out = out + w * np.asarray(c.pdf(arr))
+                _check_support(arr, amin, amax, c.support)
+                out = out + w * c._pdf(arr)
         return out
 
     def _cdf(self, arr):
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
-            out = out + w * np.asarray(c.cdf(arr))
+            out = out + w * c._cdf(arr)
         return out
 
     def total_mass(self):

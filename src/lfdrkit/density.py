@@ -7,7 +7,8 @@ All three maximize the same objective, the mean log-likelihood
 * :func:`lindsey_fit` -- exp(polynomial) densities fitted through a binned
   Poisson regression,
 * :func:`npmle_mixture_fit` -- Gaussian location mixtures over a fixed
-  atom grid, fitted by EM.
+  atom grid, fitted by a primal-dual interior point method that stops on the
+  KKT condition: TOL bounds the KKT gap.
 """
 
 from __future__ import annotations
@@ -253,8 +254,17 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
 
 
 # ---------------------------------------------------------------------------
-# Grid NPMLE: Gaussian location mixture by EM
+# Grid NPMLE: Gaussian location mixture by a primal-dual interior point method
 # ---------------------------------------------------------------------------
+
+# a later iterate replaces the best one unless its mean log-likelihood is lower
+# by more than this many ulps of the largest log term: the rounding of the mean
+_LOGLIK_ULPS = 64
+# fraction of the step to the boundary x = 0 (or s = 0) that an iterate takes
+_TO_BOUNDARY = 0.99
+# each Newton step aims at this fraction of the current duality gap
+_CENTERING = 0.1
+
 
 @dataclass(frozen=True)
 class MixtureFit:
@@ -268,41 +278,94 @@ class MixtureFit:
         return MixtureDensity(tuple(map(GaussianLocation, self.grid)), self.weights)
 
 
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps ``v + t * dv`` a fraction off 0."""
+    down = dv < 0.0
+    return min(1.0, _TO_BOUNDARY * float(np.min(-v[down] / dv[down], initial=math.inf)))
+
+
 def npmle_mixture_fit(stats: StatVector, grid_size: int = 300, tol: float = 1e-8,
-                      max_iter: int = 5000) -> MixtureFit:
+                      max_iter: int = 200) -> MixtureFit:
     """Maximum likelihood mixing weights over a fixed location grid.
 
-    Maximizes ``sum_i log sum_g w_g phi(z_i - mu_g)`` by EM; the objective is
-    nondecreasing across iterations and the loop stops once the gain drops
-    below ``tol``.  The fit reports the EM iterations run, and converged is
-    False when ``max_iter`` of them ran without the gain dropping below tol.
+    Solves the convex problem of Koenker & Mizera (2014),
+    ``min -(1/m) sum_i log (Phi x)_i + sum_g x_g`` over ``x >= 0`` with
+    ``Phi[i, g] = phi(z_i - mu_g)``, whose optimum has unit mass, by a
+    primal-dual interior point method.  Each Newton step solves the G x G
+    system ``(Phi' diag(1/mix^2) Phi / m + diag(s/x)) dx = rhs`` and takes a
+    fraction-to-boundary step in the weights x and their multipliers s.
+
+    ``tol`` is the TOL of ``--density npmle:GRID:TOL``, and
+    TOL bounds the KKT gap, not the gain per step: the fit has converged
+    once its normalized weights w have
+    ``max_g mean_i(phi(z_i - mu_g) / (Phi w)_i) <= 1 + tol``, which puts the
+    mean log-likelihood within ``tol`` of the optimum, and the duality gap
+    ``x's`` is at most ``tol``.
+
+    The fit is the normalized iterate with the highest log-likelihood so
+    far, so ``loglik`` does not fall, beyond the rounding of the mean, as
+    ``max_iter`` grows.  ``iterations`` counts Newton steps, and converged
+    is False when ``max_iter`` of them ran first.  Raises :class:`FitError`
+    when an observation has zero kernel mass at every atom, a Newton solve
+    fails, the log-likelihood is not finite or the weights do not have
+    unit mass.
     """
     z = stats.values
+    m = z.size
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     grid = np.linspace(float(z.min()) - 1.0, float(z.max()) + 1.0, grid_size)
-    # every observation has a nearby atom, so the kernel matrix stays in
-    # ordinary float range and the EM can run in the probability domain
     phi = normal_pdf(z[:, None] - grid[None, :])
+    massless = ~phi.any(axis=1)
+    if massless.any():
+        raise FitError(f"observation {float(z[massless][0])!r} has zero kernel mass at "
+                       f"every atom of a grid spaced {float(grid[1] - grid[0])!r} apart")
 
-    w = np.full(grid_size, 1.0 / grid_size)
-    mix = phi @ w
-    ll = float(np.mean(np.log(mix)))
+    x = np.full(grid_size, 1.0 / grid_size)
+    s = np.ones(grid_size)
+    scaled = np.empty_like(phi)
+    best_w, best_ll = x, -math.inf
     iterations, converged = 0, False
-    while iterations < max_iter and not converged:
-        w = w * (phi.T @ (1.0 / mix)) / z.size
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-        mix = phi @ w
-        new_ll = float(np.mean(np.log(mix)))
-        converged = new_ll - ll < tol
-        ll = new_ll
-        iterations += 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            w = x / x.sum()
+            mix = phi @ w
+            logs = np.log(mix)
+            ll = float(np.mean(logs))
+            if not math.isfinite(ll):
+                raise FitError(f"mixture fit has mean log-likelihood {ll!r} "
+                               f"after {iterations} Newton steps")
+            # phi / mix elementwise, not a product with 1/mix: a subnormal mix
+            # would make 1/mix inf, and inf * 0 NaN at the atoms it cannot see
+            np.divide(phi, (phi @ x)[:, None], out=scaled)
+            ratio = scaled.sum(axis=0) / m
+            if ll >= best_ll - _LOGLIK_ULPS * np.spacing(np.abs(logs).max()):
+                best_w, best_ll = w, ll
+                # mean_i(phi_g / mix) at w = x / sum(x) is sum(x) * ratio_g
+                kkt = float(x.sum() * ratio.max()) - 1.0
+                converged = kkt <= tol and float(x @ s) <= tol
+            if converged or iterations >= max_iter:
+                break
+            hess = scaled.T @ scaled / m
+            hess[np.diag_indices(grid_size)] += s / x
+            mu = _CENTERING * float(x @ s) / grid_size
+            try:
+                dx = np.linalg.solve(hess, ratio - 1.0 + mu / x)
+            except np.linalg.LinAlgError as exc:
+                raise FitError(f"Newton step {iterations + 1} failed: {exc}") from None
+            if not np.all(np.isfinite(dx)):
+                raise FitError(f"Newton step {iterations + 1} is not finite")
+            ds = mu / x - s - s / x * dx
+            x = x + _step_to_boundary(x, dx) * dx
+            s = s + _step_to_boundary(s, ds) * ds
+            iterations += 1
 
-    return MixtureFit(tuple(float(g) for g in grid), tuple(float(x) for x in w), ll,
-                      iterations, converged)
+    if not abs(math.fsum(best_w) - 1.0) <= 1e-9:
+        raise FitError(f"mixture weights sum to {math.fsum(best_w)!r}, not 1")
+    return MixtureFit(tuple(float(g) for g in grid), tuple(float(v) for v in best_w),
+                      best_ll, iterations, converged)
 
 
 def density_loglik(model: Density, stats: StatVector) -> float:

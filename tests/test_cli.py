@@ -154,6 +154,18 @@ def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, ca
     assert err.startswith("ERROR fit")
 
 
+def test_analyze_npmle_fit_without_kernel_mass_is_a_fit_error(tmp_path, capsys):
+    # 300 atoms over [-1e6 - 1, 1e6 + 1]: z = 0 has zero kernel mass at all of them
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\na,-1e6\nb,0.0\nc,1e6\n", encoding="utf-8")
+    code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                            "--density", "npmle:300:1e-8",
+                            "--out", str(tmp_path / "res")], capsys)
+    assert code == 2
+    assert err.startswith("ERROR fit")
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_analyze_grenander_fit_of_infinite_mass_is_a_fit_error(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     path.write_text("id,stat\na,5e-324\nb,1e-323\nc,0.5\nd,1.0\n", encoding="utf-8")

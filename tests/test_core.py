@@ -71,6 +71,23 @@ def test_mixture_density_outside_support():
         spec.mixture().pdf(1.5)
 
 
+def test_mixed_support_mixture_raises_the_first_component_error():
+    # the mixture's support is the real line, each component checks its own
+    step = lk.PiecewiseConstant((0.0, 2.0), (0.5,))
+    ts = np.array([0.5, 1.5, 2.5, -1.0])
+    for comps in ((lk.Uniform01(), step), (step, lk.Uniform01())):
+        mix = lk.MixtureDensity((lk.GaussianLocation(0.0), *comps), (0.2, 0.4, 0.4))
+        # the first weighted component that ts leaves raises, as its own pdf does
+        with pytest.raises(DomainError) as want:
+            comps[0].pdf(ts)
+        with pytest.raises(DomainError) as got:
+            mix.pdf(ts)
+        assert str(got.value) == str(want.value)
+    # a weightless component is not evaluated, so its support does not apply
+    mix = lk.MixtureDensity((lk.GaussianLocation(0.0), lk.Uniform01()), (1.0, 0.0))
+    assert np.array_equal(mix.pdf(ts), norm.pdf(ts))
+
+
 def _average(models):
     """The pointwise mean of the m model densities, as an equal-weight mixture."""
     return lk.MixtureDensity(tuple(models), (1.0 / len(models),) * len(models))

@@ -201,6 +201,107 @@ def test_lindsey_rejects_a_fit_that_does_not_normalize():
 # npmle_mixture_fit
 # ---------------------------------------------------------------------------
 
+def _em_reference(z, grid_size, tol=1e-8, max_iter=5000):
+    """The EM loop the interior point fit replaced: the same grid and kernel,
+    stopped once an iteration gains less than ``tol`` in mean log-likelihood."""
+    grid = np.linspace(float(z.min()) - 1.0, float(z.max()) + 1.0, grid_size)
+    phi = norm.pdf(z[:, None] - grid[None, :])
+    w = np.full(grid_size, 1.0 / grid_size)
+    mix = phi @ w
+    ll = float(np.mean(np.log(mix)))
+    iterations, converged = 0, False
+    while iterations < max_iter and not converged:
+        w = w * (phi.T @ (1.0 / mix)) / z.size
+        w = np.maximum(w, 0.0)
+        w /= w.sum()
+        mix = phi @ w
+        new_ll = float(np.mean(np.log(mix)))
+        converged = new_ll - ll < tol
+        ll = new_ll
+        iterations += 1
+    return ll
+
+
+def _kkt_gap(z, fit):
+    """``max_g mean_i(phi(z_i - mu_g) / mix_i) - 1`` at the fit's weights."""
+    phi = norm.pdf(z[:, None] - np.asarray(fit.grid)[None, :])
+    mix = phi @ np.asarray(fit.weights)
+    return float((phi / mix[:, None]).mean(axis=0).max()) - 1.0
+
+
+def _zscale_compound_z(seed, index=0, m=400, m1=40, mu=2.0):
+    """The benchmark's compound-comparison input: m1 of m N(0, 1) draws shifted by mu."""
+    z = np.random.default_rng([seed, index]).standard_normal(m)
+    z[:m1] += mu
+    return z
+
+
+def _golden_z():
+    """The z-values of the ``analyze_z-npmle`` golden table."""
+    z = np.random.default_rng(52).normal(0.0, 1.0, 400)
+    z[:40] += 2.5
+    return z
+
+
+# (z, grid_size, tol) of the compound-comparison and golden fits
+_REFERENCE_FITS = {
+    "zscale-0": (_zscale_compound_z(0), 300, 1e-8),
+    "zscale-1": (_zscale_compound_z(1), 300, 1e-8),
+    "golden": (_golden_z(), 100, 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_FITS))
+def test_npmle_loglik_is_at_least_that_of_em(name):
+    z, grid_size, tol = _REFERENCE_FITS[name]
+    fit = lk.npmle_mixture_fit(_zstats(z), grid_size=grid_size, tol=tol)
+    assert fit.converged
+    assert fit.loglik >= _em_reference(z, grid_size, tol) - 1e-12
+
+
+@pytest.mark.parametrize("z, kwargs", [
+    *((z, {"grid_size": g, "tol": tol}) for z, g, tol in _REFERENCE_FITS.values()),
+    (np.full(100, 1.5), {}),
+    (np.array([-5.0, 5.0]), {"tol": 1e-13}),
+    (np.array([0.3]), {"grid_size": 2}),
+    (_two_groups_z(250, 3), {"grid_size": 60, "tol": 1e-7}),
+    (np.random.default_rng(2).standard_cauchy(500), {"tol": 1e-10}),
+    (np.array([-300.0, 0.0, 300.0]), {}),
+], ids=["zscale-0", "zscale-1", "golden", "point-mass", "two-point", "single", "two-groups",
+        "cauchy", "wide"])
+def test_npmle_converged_fit_meets_the_kkt_condition(z, kwargs):
+    fit = lk.npmle_mixture_fit(_zstats(z), **kwargs)
+    assert fit.converged
+    assert _kkt_gap(z, fit) <= kwargs.get("tol", 1e-8)
+
+
+def test_npmle_converges_in_few_newton_steps_at_large_m():
+    # EM ran 3,043 iterations on this input and stopped at a KKT gap of 1.5e-4
+    z = _zscale_compound_z(0, m=10**4, m1=10**3)
+    fit = lk.npmle_mixture_fit(_zstats(z))
+    assert fit.converged and fit.iterations <= 50
+
+
+def test_npmle_observation_without_kernel_mass_is_a_fit_error():
+    # atoms 6,689 apart: z = 0 is thousands of units from the nearest one
+    with pytest.raises(FitError, match="zero kernel mass"):
+        lk.npmle_mixture_fit(_zstats([-1e6, 0.0, 1e6]), grid_size=300)
+
+
+def test_npmle_density_matches_the_component_sum_bitwise():
+    fit = lk.npmle_mixture_fit(_zstats(_golden_z()), grid_size=100, tol=1e-6)
+    dens = fit.density()
+    ts = np.linspace(-5.0, 7.0, 1001)
+    # the sum the mixture made before: each atom's public pdf/cdf, in order
+    want_pdf, want_cdf = np.zeros_like(ts), np.zeros_like(ts)
+    for w, c in zip(dens.weights, dens.components):
+        if w > 0.0:
+            want_pdf = want_pdf + w * np.asarray(c.pdf(ts))
+        want_cdf = want_cdf + w * np.asarray(c.cdf(ts))
+    assert np.array_equal(dens.pdf(ts), want_pdf)
+    assert np.array_equal(dens.cdf(ts), want_cdf)
+
+
 def test_npmle_point_mass():
     fit = lk.npmle_mixture_fit(_zstats(np.full(100, 1.5)))
     d = fit.density()
@@ -251,8 +352,8 @@ def test_npmle_weights_sum_to_one():
 def test_npmle_reports_iterations_and_convergence():
     rng = replicate_rng(5, 3)
     z = np.concatenate([rng.normal(0.0, 1.0, 1600), rng.normal(3.0, 1.0, 400)])
-    capped = lk.npmle_mixture_fit(_zstats(z), grid_size=100, max_iter=20)
-    assert (capped.iterations, capped.converged) == (20, False)
+    capped = lk.npmle_mixture_fit(_zstats(z), grid_size=100, max_iter=3)
+    assert (capped.iterations, capped.converged) == (3, False)
     full = lk.npmle_mixture_fit(_zstats(z), grid_size=100, tol=1e-4)
     assert full.converged and 1 <= full.iterations < 5000
     assert full.loglik >= capped.loglik
@@ -290,7 +391,7 @@ def test_npmle_density_is_a_mixture_evaluated_in_linear_memory():
 def test_npmle_argument_errors():
     with pytest.raises(ValueError):
         lk.npmle_mixture_fit(_zstats([0.0, 1.0]), grid_size=1)
-    # a NaN or nonpositive tol would run every EM iteration without converging
+    # a NaN or nonpositive tol would run every Newton step without converging
     for tol in (math.nan, math.inf, 0.0, -1e-6):
         with pytest.raises(ValueError, match="tol"):
             lk.npmle_mixture_fit(_zstats([0.0, 1.0]), tol=tol)
