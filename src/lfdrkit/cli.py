@@ -313,6 +313,11 @@ def cmd_analyze(args) -> int:
             fit = lindsey_fit(stats, degree=dens_cfg[1], bins=dens_cfg[2])
         else:
             fit = npmle_mixture_fit(stats, grid_size=dens_cfg[1], tol=dens_cfg[2])
+        if not fit.converged:
+            # the report is unchanged; only stderr says it rests on such a fit
+            print(f"WARNING fit: the {dens_cfg[0]} fit did not converge in "
+                  f"{fit.iterations} Newton steps; scoring with its last iterate",
+                  file=sys.stderr)
         null, avg, scored_stats = GaussianLocation(0.0), fit.density(), stats
 
     scores = score_hypotheses(LfdrCurve(pi0_value, null, avg), scored_stats)

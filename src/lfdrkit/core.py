@@ -63,8 +63,10 @@ def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
 
 
 def normal_pdf(x):
-    """The one Gaussian kernel: scipy's own ``_norm_pdf`` formula, bit for bit."""
-    return np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi)
+    """The one Gaussian kernel: scipy's own ``_norm_pdf`` formula, bit for bit.
+    ``x * x``, not ``x**2``: a numpy scalar's power can differ in the last bit
+    from the array square, and a scalar must equal its array element."""
+    return np.exp(-(x * x) / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def check_finite(field: str, value, positive: bool = False) -> None:

@@ -157,6 +157,7 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
 class ExpFamilyFit:
     coefficients: Tuple[float, ...]
     bin_edges: Tuple[float, ...]
+    iterations: int
     converged: bool
 
     def density(self) -> ExpFamilyPoly:
@@ -173,7 +174,9 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
 
     Bins span [min z - 0.5, max z + 0.5] with equal widths.  The GLM is
     solved by damped Newton with step halving; the returned coefficients are
-    shifted so the density integrates to 1 over the bin range.  Raises
+    shifted so the density integrates to 1 over the bin range.  ``iterations``
+    counts Newton steps, and converged is False when ``max_iter`` of them left
+    the gradient above ``grad_tol``.  Raises
     :class:`FitError` when that integral is not finite and positive, or when
     the fitted density's mean log-likelihood on the data is not finite.
     """
@@ -205,7 +208,7 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
     eta = V @ gamma + offset
     ll = _poisson_loglik(y, eta)
     converged = False
-    for _ in range(max_iter):
+    for iterations in range(max_iter):
         mu = np.exp(eta)
         grad = V.T @ (y - mu)
         if np.max(np.abs(grad)) <= grad_tol:
@@ -229,6 +232,7 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
         eta = V @ gamma + offset
         ll = _poisson_loglik(y, eta)
     else:
+        iterations = max_iter
         mu = np.exp(eta)
         converged = bool(np.max(np.abs(V.T @ (y - mu))) <= grad_tol)
 
@@ -245,6 +249,7 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
     fit = ExpFamilyFit(
         coefficients=tuple(float(b) for b in beta),
         bin_edges=tuple(float(e) for e in edges),
+        iterations=iterations,
         converged=converged,
     )
     loglik = density_loglik(fit.density(), stats)

@@ -4,9 +4,13 @@ Replicate r of a run with master seed s draws from a Philox stream keyed by
 (s, r), so results are independent of execution order.  The harness fills a
 block of rows, one replicate each, re-keying one generator per row and
 drawing in a fixed order: data, grid perturbation, then the boundary
-tie-pick.  Rejection rules run along the rows with the per-instance rules'
-arithmetic.  Each criterion counts replicates per distinct outcome, such as
-(V, R), so runs over adjacent replicate ranges merge exactly by adding counts.
+tie-pick.  The tie-pick draws from the state the row's other draws left:
+saved after each row on unperturbed grid designs, whose rows tie at most
+boundaries, and otherwise rebuilt when needed by re-keying the row's stream
+and repeating its draws.  Rejection rules run along the rows with the
+per-instance rules' arithmetic.  Each criterion counts replicates per
+distinct outcome, such as (V, R), so runs over adjacent replicate ranges
+merge exactly by adding counts.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ def _replicate_streams(seed: int, indices: range) -> Iterator[np.random.Generato
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
+    # as Python ints, which the state setter reads faster than numpy arrays
+    fresh["state"] = {name: part.tolist() for name, part in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     for index in indices:
         fresh["state"]["key"][1] = index
         bitgen.state = fresh
@@ -145,7 +152,7 @@ class TwoGroupsBeta:
         check_finite("a", self.a, positive=True)
         check_finite("b", self.b, positive=True)
 
-    @property
+    @cached_property
     def m0(self) -> int:
         return int(round(self.pi0 * self.m))
 
@@ -399,7 +406,7 @@ def _report(start, n_reps, config, criteria, counts) -> MonteCarloReport:
 
 
 # values and rows per block: bound the harness's memory whatever m is; the
-# row cap bounds the per-row stream-state snapshots (about 1 KB each)
+# row cap also bounds the saved stream states of a grid design (about 1 KB each)
 _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
@@ -437,37 +444,74 @@ def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
     return step_up_thresholds(ps, cfg.alpha, (pi0 * m)[:, None])
 
 
-def _boundary_nulls(p, cut, nulls, states, rng) -> np.ndarray:
+def _saves_states(spec: GeneratorSpec, procedure: ProcedureConfig, criteria) -> bool:
+    """Whether a run saves each row's stream state after its draws for the
+    bFDR tie-pick, instead of replaying the draws of a row that ties.
+
+    Only an unperturbed grid design puts nulls and alternatives on shared
+    values, so its rows tie at most boundaries; on every other design a tie
+    has probability zero.  Saving builds a nested dict of numpy arrays per
+    row, which was a quarter of a theorem-5.1 replicate (m = 100: 20 against
+    15 us on a 2-core host).  A replay draws the row again: on criterion 9's
+    unperturbed design (alternatives in cell 1, alpha = 0.6), where every
+    row ties, that is 4,500 grid cells a row, and replaying there made a
+    replicate 1.55x as slow as saving (171 against 110 us).
+    """
+    return (any(isinstance(c, Bfdr) for c in criteria)
+            and isinstance(spec, DiscreteUniformNulls) and not procedure.perturb)
+
+
+def _replayed_stream(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
+                     index: int) -> np.random.Generator:
+    """Replicate ``index``'s stream at the state its data and perturbation
+    draws left: Philox is counter-based, so re-keying to (seed, index) and
+    repeating the draws into a scratch row rebuilds that state bit for bit."""
+    rng = next(_replicate_streams(seed, range(index, index + 1)))
+    scratch = np.empty(spec.null_flags.size)
+    spec.draw(rng, scratch)
+    if procedure.perturb:
+        rng.random(out=scratch)
+    return rng
+
+
+def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
     """1 where the last rejection is a true null, per row.  A boundary tie of
-    nulls with non-nulls resolves uniformly at random from the row's stream,
-    restored to the state its other draws left; other ties need no draw."""
+    nulls with non-nulls resolves uniformly at random from row i's stream,
+    ``after_draws(i)``, at the state its other draws left; other ties need
+    no draw."""
     at = p == cut[:, None]
     ties = np.count_nonzero(at, axis=1)
     hits = np.count_nonzero(at & nulls, axis=1)
     out = (hits > 0).astype(np.int64)
     for i in np.flatnonzero((hits > 0) & (hits < ties)):
-        rng.bit_generator.state = states[i]
+        rng = after_draws(i)
         tied = np.flatnonzero(at[i])
         out[i] = nulls[tied[rng.integers(tied.size)]]
     return out
 
 
 def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureConfig,
-                 criteria, streams, work: _Workspace, rows: int,
+                 criteria, seed: int, indices: range, work: _Workspace,
                  counts: Dict[str, Counter]) -> None:
-    """Draw the next ``rows`` replicates from ``streams`` into ``work`` and
-    count their outcomes."""
-    keep_states = any(isinstance(c, Bfdr) for c in criteria)
+    """Draw replicates ``indices`` of ``seed`` into ``work`` and count their
+    outcomes."""
+    rows = len(indices)
     values = work.x[:rows]
     u = None if work.u is None else work.u[:rows]
-    states = []
-    # range first: zip stops before taking a stream beyond this block
-    for i, rng in zip(range(rows), streams):
+    states = [] if _saves_states(spec, procedure, criteria) else None
+    for i, rng in enumerate(_replicate_streams(seed, indices)):
         spec.draw(rng, values[i])
         if u is not None:
             rng.random(out=u[i])
-        if keep_states:
+        if states is not None:
             states.append(rng.bit_generator.state)
+
+    def after_draws(i: int) -> np.random.Generator:
+        if states is None:
+            return _replayed_stream(spec, procedure, seed, indices[i])
+        rng.bit_generator.state = states[i]
+        return rng
+
     check_values(values, spec.scale)
     if u is not None:
         grid_perturbation(values, procedure.grid_L, u, out=values)
@@ -477,14 +521,15 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
     ps.sort(axis=1)
     objective = None if work.objective is None else work.objective[:rows]
     cut = _row_thresholds(ps, procedure, objective)
-    rejected = p <= cut[:, None]
-    r = np.count_nonzero(rejected, axis=1)
-    v = np.count_nonzero(rejected & nulls, axis=1)
+    if any(isinstance(c, (Fdr, Power)) for c in criteria):
+        rejected = p <= cut[:, None]
+        r = np.count_nonzero(rejected, axis=1)
+        v = np.count_nonzero(rejected & nulls, axis=1)
     for crit in criteria:
         if isinstance(crit, Fdr):
             num, den = v, r
         elif isinstance(crit, Bfdr):
-            num, den = _boundary_nulls(p, cut, nulls, states, rng), np.ones(rows, np.int64)
+            num, den = _boundary_nulls(p, cut, nulls, after_draws), np.ones(rows, np.int64)
         elif isinstance(crit, Power):
             m1 = nulls.size - np.count_nonzero(nulls)
             if m1 == 0:
@@ -518,13 +563,12 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
                                   and spec.L == procedure.grid_L):
         raise ValueError(f"perturbation grid_L={procedure.grid_L} is not the design's grid")
     nulls = spec.null_flags
-    streams = _replicate_streams(seed, range(start, start + n_reps))
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
     work = _Workspace.for_block(rows, nulls.size, procedure)
     counts = {c.name: Counter() for c in criteria}
-    for done in range(0, n_reps, rows):
-        _tally_block(spec, nulls, procedure, criteria, streams, work,
-                     min(rows, n_reps - done), counts)
+    for first in range(start, start + n_reps, rows):
+        _tally_block(spec, nulls, procedure, criteria, seed,
+                     range(first, min(first + rows, start + n_reps)), work, counts)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
     return _report(start, n_reps, config, criteria, counts)

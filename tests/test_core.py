@@ -204,6 +204,21 @@ def test_density_pdf_cdf_contract(model):
                 assert val == out[idx]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=50), st.floats(-5.0, 5.0))
+@example([-4.841789314843784], 0.0)  # squared as a numpy scalar, it was one ulp off
+def test_gaussian_scalar_pdf_cdf_equal_the_array_elements(xs, mu):
+    x = np.array(xs)
+    mixture = lk.MixtureDensity((lk.GaussianLocation(mu), lk.GaussianLocation(mu + 1.5),
+                                 lk.GaussianLocation(-3.0)), (0.5, 0.3, 0.2))
+    for model in (lk.GaussianLocation(mu), mixture):
+        for fn in (model.pdf, model.cdf):
+            out = fn(x)
+            for t, want in zip(xs, out):
+                assert fn(t) == want
+                assert fn(np.float64(t)) == want
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: lk.GaussianLocation(math.nan), "mean"),
     (lambda: lk.BetaDensity(math.nan, 1.0), "a"),

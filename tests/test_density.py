@@ -131,7 +131,9 @@ def test_lindsey_recovers_standard_normal():
     rng = replicate_rng(3, 0)
     z = rng.normal(0.0, 1.0, 50_000)
     fit = lk.lindsey_fit(_zstats(z), degree=2)
-    assert fit.converged
+    assert fit.converged and 1 <= fit.iterations < 200
+    capped = lk.lindsey_fit(_zstats(z), degree=2, max_iter=1)
+    assert (capped.iterations, capped.converged) == (1, False)
     assert fit.coefficients[2] == pytest.approx(-0.5, abs=0.05)
     assert fit.coefficients[1] == pytest.approx(0.0, abs=0.05)
 

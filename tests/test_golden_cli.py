@@ -7,11 +7,13 @@ the exact floats.  The files pin the float text of every cell, the 0/1
 flags, the empty cell of a bin without data and the JSON summary.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lfdrkit import cli
 from lfdrkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,13 +56,40 @@ def analyze_argv(name: str, tmp_path: Path):
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
-def test_analyze_table_and_summary_bytes_are_pinned(name, tmp_path):
+def test_analyze_table_and_summary_bytes_are_pinned(name, tmp_path, capsys):
     stem = tmp_path / "out"
     assert main([*analyze_argv(name, tmp_path), "--out", str(stem)]) == 0
+    # every golden fit converges, so nothing warns
+    assert capsys.readouterr().err == ""
     assert stem.with_suffix(".csv").read_bytes() == \
         (GOLDEN / f"analyze_{name}.csv").read_bytes()
     assert stem.with_suffix(".json").read_bytes() == \
         (GOLDEN / f"analyze_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["npmle", "lindsey"])
+def test_an_unconverged_fit_warns_once_and_still_reports(kind, tmp_path, capsys,
+                                                         monkeypatch):
+    z = tmp_path / "z.csv"
+    write_zvalues(z)
+    if kind == "npmle":
+        # no fit certifies a KKT gap of 1e-300, so all 200 Newton steps run
+        density, steps = "npmle:100:1e-300", 200
+    else:
+        density, steps = "lindsey:5:60", 2
+        monkeypatch.setattr(cli, "lindsey_fit", functools.partial(cli.lindsey_fit,
+                                                                  max_iter=steps))
+    stem = tmp_path / "out"
+    argv = ["analyze", "--input", str(z), "--scale", "z", "--density", density]
+    assert main([*argv, "--out", str(stem)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"WARNING fit: the {kind} fit did not converge in {steps} Newton "
+                   "steps; scoring with its last iterate\n")
+    # the warning stays off stdout, which carries the same report as --out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stem.with_suffix(".csv").read_text() + \
+        stem.with_suffix(".json").read_text()
 
 
 def test_analyze_to_stdout_writes_the_table_then_the_summary(tmp_path, capsysbinary):

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -301,6 +302,88 @@ def test_block_counts_match_the_per_replicate_loop_across_blocks(
         mp.setattr(simulate, "_BLOCK_VALUES", rows_by_values * m + m - 1)
         report = mc_error_rates(spec, proc, n_reps, crits, seed, start=start)
     assert report.counts == _loop_reference(spec, proc, n_reps, crits, seed, start)
+
+
+@dataclass(frozen=True)
+class QuarterRounded:
+    """Beta(0.3, 1) alternatives then uniform nulls, each rounded up to a
+    quarter: a spec the harness does not know as a grid, so it replays the
+    draws of a row that ties, and one whose rows tie at most boundaries."""
+
+    m: int
+    m1: int
+    scale = lk.Scale.P_VALUE
+
+    @property
+    def null_flags(self):
+        return ~(np.arange(self.m) < self.m1)
+
+    def draw(self, rng, row):
+        row[:self.m1] = rng.beta(0.3, 1.0, self.m1)
+        rng.random(out=row[self.m1:])
+        np.ceil(row * 4.0, out=row)
+        row /= 4.0
+
+
+def _count_replays(mp):
+    """Calls to the harness's replay helper, counted in a list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+
+    replay = simulate._replayed_stream
+    mp.setattr(simulate, "_replayed_stream", counted)
+    return calls
+
+
+def _state_bytes(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("spec, perturb", [
+    *((spec, False) for spec, _ in PRESETS.values()),
+    (DiscreteUniformNulls(m=7, L=3, alt_positions=(1, 2, 2)), True),
+    (QuarterRounded(m=9, m1=3), False),
+], ids=[*PRESETS, "grid-perturbed", "quarter-rounded"])
+def test_replayed_stream_reaches_the_state_the_row_draws_left(spec, perturb):
+    proc = ProcedureConfig("support-line", 0.5, perturb=perturb,
+                           grid_L=spec.L if perturb else None)
+    for index in (0, 7, (1 << 64) - 1):
+        rng = replicate_rng(5, index)
+        generate(spec, rng=rng)
+        if perturb:
+            rng.random(spec.m)
+        assert _state_bytes(simulate._replayed_stream(spec, proc, 5, index)) == \
+            _state_bytes(rng)
+
+
+@pytest.mark.parametrize("kind", ["support-line", "bh", "storey-bh"])
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "blocks-of-3"])
+def test_replayed_tie_picks_match_the_per_replicate_loop(kind, block_rows):
+    spec, proc = QuarterRounded(m=9, m1=3), ProcedureConfig(kind, 0.5)
+    crits = [Fdr(), Bfdr(), Power()]
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows:
+            mp.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        replays = _count_replays(mp)
+        report = mc_error_rates(spec, proc, 40, crits, seed=17, start=3)
+    assert report.counts == _loop_reference(spec, proc, 40, crits, 17, 3)
+    assert replays  # the rows did tie, and took the replay path
+
+
+def test_continuous_and_grid_runs_make_no_replays():
+    bfdr = [Fdr(), Bfdr(), Power()]
+    with pytest.MonkeyPatch.context() as mp:
+        replays = _count_replays(mp)
+        spec, alpha = PRESETS["theorem-5.1"]
+        mc_error_rates(spec, ProcedureConfig("support-line", alpha), 2000, bfdr, seed=1)
+        assert replays == []
+        # a grid design ties at most boundaries, so it saves its states instead
+        spec, alpha = PRESETS["counterexample-discrete"]
+        mc_error_rates(spec, ProcedureConfig("support-line", alpha), 2000, bfdr, seed=1)
+        assert replays == []
 
 
 def test_merge_requires_matching_config():
