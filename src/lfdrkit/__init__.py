@@ -74,12 +74,9 @@ from .simulate import (
     SuperUniformCE,
     TwoGroupsBeta,
     calibration_experiment,
-    discrete_limit_check,
-    exp_family_null_density_check,
     generate,
     mc_error_rates,
     merge_reports,
-    mfdr_pfdr_limit_check,
     replicate_rng,
 )
 

@@ -397,12 +397,12 @@ def _parse_criteria(text: str):
             crits.append(Bfdr())
         elif item == "power":
             crits.append(Power())
-        elif item.startswith("mfdr:"):
-            _, s, t = item.split(":")
-            crits.append(MfdrInterval(float(s), float(t)))
-        elif item.startswith("pfdr:"):
-            _, s, t = item.split(":")
-            crits.append(PfdrInterval(float(s), float(t)))
+        elif item.startswith(("mfdr:", "pfdr:")):
+            kind, *bounds = item.split(":")
+            if len(bounds) != 2:
+                raise CliError("bad-arg", f"criterion {item!r} needs the form {kind}:S:T")
+            interval = MfdrInterval if kind == "mfdr" else PfdrInterval
+            crits.append(interval(float(bounds[0]), float(bounds[1])))
         else:
             raise CliError("bad-arg", f"unknown criterion {item!r}")
     return crits

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from .core import (
     AssumptionError,
@@ -559,6 +558,10 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
     criteria = tuple(criteria)
     if len({c.name for c in criteria}) != len(criteria):
         raise ValueError("criteria names must be unique")
+    for c in criteria:
+        # also refuses a NaN bound, which would select no value
+        if isinstance(c, (MfdrInterval, PfdrInterval)) and not c.s <= c.t:
+            raise ValueError(f"interval criterion {c.name} needs bounds s <= t")
     if procedure.perturb and not (isinstance(spec, DiscreteUniformNulls)
                                   and spec.L == procedure.grid_L):
         raise ValueError(f"perturbation grid_L={procedure.grid_L} is not the design's grid")
@@ -653,132 +656,3 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     edges = np.linspace(0.0, 1.0, nbins + 1)
     return CalibrationCurve(edges, frac, counts)
 
-
-# ---------------------------------------------------------------------------
-# Limit checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitRecord:
-    eps: float
-    mfdr: float
-    mfdr_deviation: float
-
-
-def mfdr_pfdr_limit_check(spec: TwoGroupsSpec, t: float,
-                          eps_sequence: Sequence[float]) -> Tuple[LimitRecord, ...]:
-    """Interval error rates on [t-eps, t+eps] against the pointwise score.
-
-    The interval ratio-of-expectations is computed analytically from the
-    component CDFs.  The conditional form (pFDR) is a harness criterion,
-    :class:`PfdrInterval`, estimated by :func:`mc_error_rates`.
-    """
-    target = LfdrCurve(spec.pi0, spec.f0, spec.mixture(), clip=False).evaluate(t)
-    records = []
-    for eps in eps_sequence:
-        if eps <= 0:
-            raise ValueError("eps values must be positive")
-        lo, hi = t - eps, t + eps
-        mass0 = spec.pi0 * (spec.f0.cdf(hi) - spec.f0.cdf(lo))
-        mass1 = (1.0 - spec.pi0) * (spec.f1.cdf(hi) - spec.f1.cdf(lo))
-        mfdr = float(mass0 / (mass0 + mass1))
-        records.append(LimitRecord(eps=eps, mfdr=mfdr, mfdr_deviation=abs(mfdr - target)))
-    return tuple(records)
-
-
-@dataclass(frozen=True)
-class DiscreteLimitRecord:
-    m: int
-    bfdr: float
-    std_error: float
-    limit: float
-    l_star: int
-
-
-def discrete_population_maximizer(L: int, alpha: float,
-                                  f_star: Sequence[float]) -> Tuple[int, float]:
-    """Maximizer of ``alpha * sum_{k<=l} f*(k/L) - l/L`` and the induced limit.
-
-    Raises :class:`AssumptionError` unless the maximizer is unique with a
-    strict gap; the limit carries the indicator that the maximizer is
-    positive.
-    """
-    f = np.asarray(f_star, dtype=float)
-    if f.size != L or f.min() < 0 or abs(f.sum() - 1.0) > 1e-8:
-        raise ValueError("f_star must be a pmf over the L grid points")
-    objective = alpha * np.concatenate([[0.0], np.cumsum(f)]) - np.arange(L + 1) / L
-    order = np.argsort(objective)
-    if objective[order[-1]] - objective[order[-2]] < 1e-9:
-        raise AssumptionError("population objective has no unique maximizer")
-    l_star = int(order[-1])
-    return l_star, objective[l_star]
-
-
-def discrete_limit_check(L: int, alpha: float, f_star: Sequence[float],
-                         pi0_star: float, m: int, n_reps: int, seed: int,
-                         perturb: bool = False, start: int = 0) -> DiscreteLimitRecord:
-    """Boundary-FDR of the support line on grid p-values versus its m->inf limit.
-
-    ``f_star`` is the limiting average pmf; the alternatives of the finite-m
-    design are placed to match ``(f_star - pi0_star/L) / (1 - pi0_star)`` by
-    largest-remainder rounding.
-    """
-    if not 0.0 < pi0_star < 1.0:
-        raise ValueError("pi0_star must lie in (0, 1)")
-    f = np.asarray(f_star, dtype=float)
-    l_star, _ = discrete_population_maximizer(L, alpha, f)
-    limit = pi0_star / (L * f[l_star - 1]) if l_star > 0 else 0.0
-
-    alt_pmf = (f - pi0_star / L) / (1.0 - pi0_star)
-    if alt_pmf.min() < -1e-9:
-        raise ValueError("f_star is incompatible with uniform nulls at pi0_star")
-    alt_pmf = np.maximum(alt_pmf, 0.0)
-
-    m0 = int(round(pi0_star * m))
-    m1 = m - m0
-    ideal = alt_pmf * m1
-    base = np.floor(ideal).astype(int)
-    short = m1 - base.sum()
-    order = np.argsort(-(ideal - base))
-    base[order[:short]] += 1
-    positions = tuple(int(k + 1) for k in range(L) for _ in range(base[k]))
-    spec = DiscreteUniformNulls(m=m, L=L, alt_positions=positions)
-    proc = ProcedureConfig("support-line", alpha, perturb=perturb,
-                           grid_L=L if perturb else None)
-    report = mc_error_rates(spec, proc, n_reps, [Bfdr()], seed, start=start)
-    est = report.estimates["bFDR"]
-    return DiscreteLimitRecord(m=m, bfdr=est["mean"], std_error=est["std_error"],
-                               limit=limit, l_star=l_star)
-
-
-@dataclass(frozen=True)
-class NullDensityBoundCheck:
-    max_density_on_window: float
-    alpha_star: float
-
-
-def exp_family_null_density_check(theta: float, theta0: float,
-                                  grid: Sequence[float]) -> NullDensityBoundCheck:
-    """Density of the one-sided Gaussian p-value under a shifted null.
-
-    For p = 1 - Phi(z - theta0) with Z ~ N(theta, 1), theta <= theta0, the
-    density at t is exp(delta * q(t) - delta^2 / 2) with q(t) the upper
-    t-quantile and delta = theta - theta0.  It is bounded by 1 on
-    [0, alpha*] with alpha* = 0.5.
-    """
-    if theta > theta0:
-        raise ValueError("need theta <= theta0 for a null configuration")
-    delta = theta - theta0
-    alpha_star = float(1.0 - special.ndtr(0.0))
-    pts = np.asarray(grid, dtype=float)
-    pts = pts[(pts >= 0.0) & (pts <= alpha_star)]
-    if pts.size == 0:
-        raise ValueError("grid contains no points inside [0, alpha*]")
-    q = -special.ndtri(np.clip(pts, 0.0, 1.0))
-    if delta == 0.0:
-        dens = np.ones_like(pts)
-    else:
-        with np.errstate(invalid="ignore"):
-            dens = np.exp(delta * q - 0.5 * delta * delta)
-        dens = np.where(np.isposinf(q), 0.0, dens)
-    return NullDensityBoundCheck(float(dens.max()), alpha_star)

@@ -8,15 +8,18 @@ stated tolerance and returns :class:`CheckResult` records.  The CLI
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 import numpy as np
+from scipy import special
 
 from .compound import _clfdr_generic, clfdr_exact
 from .core import (
+    AssumptionError,
     BetaDensity,
     GaussianLocation,
     GroundTruth,
@@ -26,18 +29,22 @@ from .core import (
     Uniform01,
 )
 from .density import grenander_fit
+from .lfdr import LfdrCurve
 from .procedures import bh_threshold, q_values
 from .simulate import (
+    _SUPERUNIFORM_NULL,
     PRESETS,
     Bfdr,
+    DiscreteUniformNulls,
+    Fdr,
+    MfdrInterval,
+    PfdrInterval,
+    Power,
     ProcedureConfig,
     TwoGroupsBeta,
     calibration_experiment,
-    discrete_limit_check,
-    exp_family_null_density_check,
     mc_error_rates,
     merge_reports,
-    mfdr_pfdr_limit_check,
     replicate_rng,
 )
 
@@ -71,6 +78,17 @@ class CheckResult:
 
 def _close(observed: float, expected: float, tol: float) -> bool:
     return abs(observed - expected) <= tol
+
+
+def _bfdr_check(name: str, spec, proc: ProcedureConfig, expected: float, seed: int,
+                start: int = 0, detail: Optional[str] = None):
+    """The bFDR of ``proc`` on ``spec`` over replicates ``start .. start +
+    MC_REPS - 1`` against ``expected``, within 3 standard errors (at least
+    1e-12, for a run whose replicates all agree); the check and the estimate."""
+    est = mc_error_rates(spec, proc, MC_REPS, [Bfdr()], seed, start=start).estimates["bFDR"]
+    tol = max(3.0 * est["std_error"], 1e-12)
+    return CheckResult(name, _close(est["mean"], expected, tol), est["mean"], expected, tol,
+                       detail=f"N={MC_REPS}" if detail is None else detail), est
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +150,21 @@ def superuniform_boundary_null_prob(alpha: float = 0.5) -> float:
     the last support-line rejection is an interval in p1, integrated under
     the three-piece null density.
     """
-    from .simulate import _SUPERUNIFORM_NULL as null_density
-
     p2 = 0.25
     prob = 0.0
     # boundary == p1 as the smaller value: p1 - alpha/2 < min(p2 - alpha, 0)
     upper_small = alpha / 2.0 - max(0.0, alpha - p2)
     a = min(p2, upper_small)
     if a > 0.0:
-        prob += float(null_density.cdf(a))
+        prob += float(_SUPERUNIFORM_NULL.cdf(a))
     # boundary == p1 as the larger value: p1 - alpha < min(p2 - alpha/2, 0)
     upper_large = min(1.0, alpha - max(0.0, alpha / 2.0 - p2))
     if upper_large > p2:
-        prob += float(null_density.cdf(upper_large)) - float(null_density.cdf(p2))
+        prob += float(_SUPERUNIFORM_NULL.cdf(upper_large)) - float(_SUPERUNIFORM_NULL.cdf(p2))
     return prob
 
 
-def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
+def discrete_boundary_null_prob(alpha: Fraction) -> float:
     """Exact boundary-null probability of the ``counterexample-discrete`` design.
 
     Enumerates the L grid values of its one null p-value in rational
@@ -181,19 +197,9 @@ def discrete_boundary_null_prob(alpha: Fraction = Fraction(1, 2)) -> float:
 
 def check_exact_bfdr_control(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     spec, _ = PRESETS["theorem-5.1"]
-    out = []
-    for alpha in (0.1, 0.3):
-        proc = ProcedureConfig("support-line", alpha)
-        report = mc_error_rates(spec, proc, MC_REPS, [Bfdr()], seed)
-        est = report.estimates["bFDR"]
-        expected = spec.pi0 * alpha
-        tol = 3.0 * est["std_error"]
-        out.append(CheckResult(
-            name=f"exact-bfdr-alpha-{alpha}",
-            passed=_close(est["mean"], expected, tol),
-            observed=est["mean"], expected=expected, tolerance=tol,
-            detail=f"N={MC_REPS}"))
-    return out
+    return [_bfdr_check(f"exact-bfdr-alpha-{alpha}", spec,
+                        ProcedureConfig("support-line", alpha), spec.pi0 * alpha, seed)[0]
+            for alpha in (0.1, 0.3)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +213,9 @@ def check_superuniform_counterexample(seed: int = DEFAULT_SEED) -> List[CheckRes
         name="superuniform-exact",
         passed=_close(exact, 3.0 / 8.0, 1e-10),
         observed=exact, expected=3.0 / 8.0, tolerance=1e-10)]
-    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), MC_REPS,
-                            [Bfdr()], seed)
-    est = report.estimates["bFDR"]
-    tol = 3.0 * est["std_error"]
-    out.append(CheckResult(
-        name="superuniform-montecarlo",
-        passed=_close(est["mean"], 0.375, tol),
-        observed=est["mean"], expected=0.375, tolerance=tol,
-        detail=f"N={MC_REPS}"))
+    check, est = _bfdr_check("superuniform-montecarlo", spec,
+                             ProcedureConfig("support-line", alpha), 0.375, seed)
+    out.append(check)
     out.append(CheckResult(
         name="superuniform-exceeds-uniform-null-level",
         passed=est["mean"] - 3.0 * est["std_error"] > 0.25,
@@ -225,23 +225,16 @@ def check_superuniform_counterexample(seed: int = DEFAULT_SEED) -> List[CheckRes
 
 
 def check_discrete_counterexample(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    exact = discrete_boundary_null_prob()
-    out = [CheckResult(
-        name="discrete-exact",
-        passed=_close(exact, 11.0 / 54.0, 1e-10) and exact > 1.0 / 6.0,
-        observed=exact, expected=11.0 / 54.0, tolerance=1e-10,
-        detail="must exceed 2*alpha/m = 1/6")]
     spec, alpha = PRESETS["counterexample-discrete"]
-    report = mc_error_rates(spec, ProcedureConfig("support-line", alpha), MC_REPS,
-                            [Bfdr()], seed)
-    est = report.estimates["bFDR"]
-    tol = 3.0 * est["std_error"]
-    out.append(CheckResult(
-        name="discrete-montecarlo",
-        passed=_close(est["mean"], exact, tol),
-        observed=est["mean"], expected=exact, tolerance=tol,
-        detail=f"N={MC_REPS}"))
-    return out
+    exact = discrete_boundary_null_prob(Fraction(alpha))
+    return [
+        CheckResult(name="discrete-exact",
+                    passed=_close(exact, 11.0 / 54.0, 1e-10) and exact > 1.0 / 6.0,
+                    observed=exact, expected=11.0 / 54.0, tolerance=1e-10,
+                    detail="must exceed 2*alpha/m = 1/6"),
+        _bfdr_check("discrete-montecarlo", spec, ProcedureConfig("support-line", alpha),
+                    exact, seed)[0],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +395,16 @@ def check_qvalue_bh_duality(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_mfdr_pfdr_limit() -> List[CheckResult]:
+    """The interval mFDR on [-eps, eps], null mass over total mass from the
+    component cdfs, against the pointwise score at 0 as eps shrinks.  Its
+    conditional form, pFDR, is the harness criterion :class:`PfdrInterval`."""
     spec = TwoGroupsSpec(0.95, GaussianLocation(0.0), GaussianLocation(2.0))
-    eps = (0.5, 0.1, 0.02)
-    records = mfdr_pfdr_limit_check(spec, t=0.0, eps_sequence=eps)
-    devs = [r.mfdr_deviation for r in records]
+    target = LfdrCurve(spec.pi0, spec.f0, spec.mixture(), clip=False).evaluate(0.0)
+    devs = []
+    for eps in (0.5, 0.1, 0.02):
+        mass0 = spec.pi0 * (spec.f0.cdf(eps) - spec.f0.cdf(-eps))
+        mass1 = (1.0 - spec.pi0) * (spec.f1.cdf(eps) - spec.f1.cdf(-eps))
+        devs.append(abs(float(mass0 / (mass0 + mass1)) - target))
     decreasing = all(devs[k] > devs[k + 1] for k in range(len(devs) - 1))
     return [
         CheckResult("mfdr-limit-strictly-decreasing", decreasing,
@@ -420,6 +419,35 @@ def check_mfdr_pfdr_limit() -> List[CheckResult]:
 # Criterion 9: discrete-grid asymptotics and the perturbation fix
 # ---------------------------------------------------------------------------
 
+def _grid_design(L: int, alpha: float, f_star, pi0_star: float, m: int):
+    """A grid design of m p-values on {1/L..L/L} whose average pmf tends to
+    ``f_star`` with null share ``pi0_star``, the maximizer l* of the
+    population objective ``alpha * sum_{k<=l} f*(k/L) - l/L``, and the
+    support line's limiting bFDR, pi0* / (L * f*(l*/L)) when l* > 0, else 0.
+
+    The alternatives match ``(f_star - pi0_star/L) / (1 - pi0_star)`` by
+    largest-remainder rounding.  Raises :class:`AssumptionError` unless the
+    maximizer is unique with a strict gap.
+    """
+    f = np.asarray(f_star, dtype=float)
+    objective = alpha * np.concatenate([[0.0], np.cumsum(f)]) - np.arange(L + 1) / L
+    order = np.argsort(objective)
+    if objective[order[-1]] - objective[order[-2]] < 1e-9:
+        raise AssumptionError("population objective has no unique maximizer")
+    l_star = int(order[-1])
+    limit = pi0_star / (L * f[l_star - 1]) if l_star > 0 else 0.0
+
+    # clipped, so that a cell a rounding error below 0 floors to 0, not -1
+    alt_pmf = np.maximum((f - pi0_star / L) / (1.0 - pi0_star), 0.0)
+    m1 = m - int(round(pi0_star * m))
+    ideal = alt_pmf * m1
+    base = np.floor(ideal).astype(int)
+    order = np.argsort(-(ideal - base))
+    base[order[:m1 - base.sum()]] += 1
+    positions = tuple(k + 1 for k in range(L) for _ in range(base[k]))
+    return DiscreteUniformNulls(m=m, L=L, alt_positions=positions), l_star, limit
+
+
 def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Support-line boundary FDR on grid p-values at m = 5000, L = 10.
 
@@ -432,33 +460,24 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED) -> List[CheckResul
     """
     L, pi0 = 10, 0.9
     m = 5000
-    out = []
-
     f_top = [pi0 / L] * (L - 1) + [pi0 / L + (1 - pi0)]
-    rec = discrete_limit_check(L, 0.5, f_top, pi0, m, MC_REPS, seed)
-    tol = max(3.0 * rec.std_error, 1e-12)
-    out.append(CheckResult(
-        "discrete-asymptotics-zero-limit",
-        _close(rec.bfdr, rec.limit, tol), rec.bfdr, rec.limit, tol,
-        detail=f"alpha=0.5, l*={rec.l_star}, m={m}, N={MC_REPS}"))
+    spec, l_star, limit = _grid_design(L, 0.5, f_top, pi0, m)
+    out = [_bfdr_check("discrete-asymptotics-zero-limit", spec,
+                       ProcedureConfig("support-line", 0.5), limit, seed,
+                       detail=f"alpha=0.5, l*={l_star}, m={m}, N={MC_REPS}")[0]]
 
     # each sub-experiment runs on its own replicate range of the same stream
-    rec_p = discrete_limit_check(L, 0.5, f_top, pi0, m, MC_REPS, seed,
-                                 perturb=True, start=MC_REPS)
-    tol = 3.0 * rec_p.std_error
-    out.append(CheckResult(
-        "discrete-asymptotics-perturbed",
-        _close(rec_p.bfdr, pi0 * 0.5, tol), rec_p.bfdr, pi0 * 0.5, tol,
-        detail=f"perturbed grid p-values, m={m}, N={MC_REPS}"))
+    out.append(_bfdr_check("discrete-asymptotics-perturbed", spec,
+                           ProcedureConfig("support-line", 0.5, perturb=True, grid_L=L),
+                           pi0 * 0.5, seed, start=MC_REPS,
+                           detail=f"perturbed grid p-values, m={m}, N={MC_REPS}")[0])
 
     f_bottom = [pi0 / L + (1 - pi0)] + [pi0 / L] * (L - 1)
-    rec_nz = discrete_limit_check(L, 0.6, f_bottom, pi0, m, MC_REPS, seed,
-                                  start=2 * MC_REPS)
-    tol = 3.0 * rec_nz.std_error
-    out.append(CheckResult(
-        "discrete-asymptotics-nonzero-limit",
-        _close(rec_nz.bfdr, rec_nz.limit, tol), rec_nz.bfdr, rec_nz.limit, tol,
-        detail=f"alpha=0.6, l*={rec_nz.l_star}, limit={rec_nz.limit:.6f}"))
+    spec, l_star, limit = _grid_design(L, 0.6, f_bottom, pi0, m)
+    out.append(_bfdr_check("discrete-asymptotics-nonzero-limit", spec,
+                           ProcedureConfig("support-line", 0.6), limit, seed,
+                           start=2 * MC_REPS,
+                           detail=f"alpha=0.6, l*={l_star}, limit={limit:.6f}")[0])
     return out
 
 
@@ -467,15 +486,20 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED) -> List[CheckResul
 # ---------------------------------------------------------------------------
 
 def check_pvalue_density_bound() -> List[CheckResult]:
-    grid = np.linspace(0.0, 0.5, 10_000)
+    """The density of p = 1 - Phi(z) when Z ~ N(theta, 1), theta <= 0, is
+    exp(theta * q(t) - theta^2 / 2) at t, with q(t) the upper t-quantile:
+    at most 1 on [0, alpha*], alpha* = 1/2."""
+    alpha_star = 0.5
+    q = -special.ndtri(np.linspace(0.0, alpha_star, 10_000))
     out = []
     for theta in (0.0, -0.5, -2.0):
-        res = exp_family_null_density_check(theta, 0.0, grid)
+        with np.errstate(invalid="ignore"):
+            dens = np.exp(theta * q - 0.5 * theta * theta)
+        # at t = 0, q = +inf: the density's limit there is 0 for theta < 0
+        peak = float(np.where(np.isposinf(q), 0.0, dens).max())
         out.append(CheckResult(
-            f"null-pvalue-density-bound-theta-{theta}",
-            res.max_density_on_window <= 1.0 + 1e-9,
-            res.max_density_on_window, 1.0, 1e-9,
-            detail=f"alpha* = {res.alpha_star}"))
+            f"null-pvalue-density-bound-theta-{theta}", peak <= 1.0 + 1e-9,
+            peak, 1.0, 1e-9, detail=f"alpha* = {alpha_star}"))
     return out
 
 
@@ -484,10 +508,6 @@ def check_pvalue_density_bound() -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_determinism_and_merge(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    import json
-
-    from .simulate import Fdr, MfdrInterval, PfdrInterval, Power
-
     spec = TwoGroupsBeta(m=50, pi0=0.6, a=0.2, b=1.0)
     proc = ProcedureConfig("support-line", 0.3)
     crits = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.5), PfdrInterval(0.0, 0.5)]

@@ -241,6 +241,22 @@ def test_perturb_discrete_takes_the_grid_of_the_design(tmp_path, capsys):
     assert "perturb=True" in procedure and "grid_L=9" in procedure
 
 
+def test_simulate_refuses_interval_criteria_without_two_ordered_bounds(tmp_path, capsys):
+    base = ["simulate", "--preset", "theorem-5.1", "--seed", "1", "--reps", "3"]
+    for criteria, message in [("mfdr:nan:1,pfdr:1:0,fdr", "mFDR[nan,1.0] needs bounds s <= t"),
+                              ("pfdr:1:0", "pFDR[1.0,0.0] needs bounds s <= t"),
+                              ("mfdr:0.5", "'mfdr:0.5' needs the form mfdr:S:T"),
+                              ("pfdr:0:1:2", "'pfdr:0:1:2' needs the form pfdr:S:T")]:
+        code, out, err = run_cli(base + ["--criteria", criteria], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR bad-arg") and message in err
+    out = str(tmp_path / "rep.json")
+    code, _, err = run_cli(base + ["--criteria", "mfdr:0:inf,fdr", "--out", out], capsys)
+    assert code == 0, err
+    estimates = json.loads((tmp_path / "rep.json").read_text())["estimates"]
+    assert sorted(estimates) == ["FDR", "mFDR[0.0,inf]"]
+
+
 def test_simulate_unknown_preset(capsys):
     code, _, err = run_cli(["simulate", "--preset", "nope", "--reps", "5",
                             "--seed", "1"], capsys)

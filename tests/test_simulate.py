@@ -25,13 +25,9 @@ from lfdrkit.simulate import (
     SuperUniformCE,
     TwoGroupsBeta,
     calibration_experiment,
-    discrete_limit_check,
-    discrete_population_maximizer,
-    exp_family_null_density_check,
     generate,
     mc_error_rates,
     merge_reports,
-    mfdr_pfdr_limit_check,
     oracle_score_fn,
     replicate_rng,
     run_procedure,
@@ -137,6 +133,13 @@ def test_mc_error_rates_argument_validation():
     proc = ProcedureConfig("support-line", 0.2)
     with pytest.raises(ValueError):
         mc_error_rates(spec, proc, 0, [Bfdr()], seed=1)
+    for crit in (MfdrInterval(math.nan, 1.0), PfdrInterval(0.0, math.nan),
+                 PfdrInterval(1.0, 0.0)):
+        with pytest.raises(ValueError, match="needs bounds s <= t"):
+            mc_error_rates(spec, proc, 5, [Fdr(), crit], seed=1)
+    rep = mc_error_rates(spec, proc, 5, [MfdrInterval(0.0, math.inf),
+                                         PfdrInterval(0.5, 0.5)], seed=1)
+    assert "mFDR[0.0,inf]" in rep.estimates
     with pytest.raises(ValueError):
         ProcedureConfig("unknown", 0.2)
     with pytest.raises(ValueError):
@@ -478,56 +481,8 @@ def test_calibration_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# interval limit check
-# ---------------------------------------------------------------------------
-
-def test_mfdr_limit_pure_null_is_one():
-    spec = lk.TwoGroupsSpec(1.0, lk.GaussianLocation(0.0), lk.GaussianLocation(2.0))
-    records = mfdr_pfdr_limit_check(spec, 0.0, (0.5, 0.1))
-    assert all(r.mfdr == pytest.approx(1.0) for r in records)
-
-
-def test_mfdr_limit_matches_quadrature_and_pfdr_converges():
-    spec = lk.TwoGroupsSpec(0.95, lk.GaussianLocation(0.0), lk.GaussianLocation(2.0))
-    records = mfdr_pfdr_limit_check(spec, 0.0, (0.5, 0.1, 0.02))
-    devs = [r.mfdr_deviation for r in records]
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 0.01
-    # the conditional rate over the same interval, from the harness
-    report = mc_error_rates(GaussianMeans(m=400, m1=20, mu=2.0),
-                            ProcedureConfig("support-line", 0.1), 400,
-                            [PfdrInterval(-0.5, 0.5)], seed=9)
-    pfdr = report.estimates["pFDR[-0.5,0.5]"]["mean"]
-    assert pfdr == pytest.approx(records[0].mfdr, abs=0.05)
-
-
-# ---------------------------------------------------------------------------
 # discrete grid checks
 # ---------------------------------------------------------------------------
-
-def test_population_maximizer_and_uniqueness():
-    L = 10
-    f_uniform = [1.0 / L] * L
-    l_star, _ = discrete_population_maximizer(L, 0.5, f_uniform)
-    assert l_star == 0   # alpha * f = 0.05 < 1/L everywhere
-
-    f_spiky = [0.28] + [0.08] * 9
-    l_star, _ = discrete_population_maximizer(L, 0.5, f_spiky)
-    assert l_star == 1
-
-    with pytest.raises(AssumptionError):
-        # alpha = 1, uniform pmf: objective is identically zero
-        discrete_population_maximizer(L, 1.0, f_uniform)
-
-
-def test_discrete_limit_check_nonzero_branch():
-    L, pi0 = 10, 0.8
-    f = [0.28] + [0.08] * 9
-    rec = discrete_limit_check(L, 0.5, f, pi0, 4000, 4000, seed=13)
-    assert rec.l_star == 1
-    assert rec.limit == pytest.approx(0.8 / (10 * 0.28))
-    assert rec.bfdr == pytest.approx(rec.limit, abs=3.5 * rec.std_error + 0.01)
-
 
 def test_discrete_exceedance_at_matched_growth():
     # grid length tied to m: the boundary rate overshoots pi0 * alpha
@@ -571,32 +526,6 @@ def test_perturbation_refuses_a_grid_that_is_not_the_designs():
     proc = ProcedureConfig("support-line", 0.5, perturb=True, grid_L=10)
     with pytest.raises(ValueError, match="grid_L=10 is not the design's grid"):
         mc_error_rates(TwoGroupsBeta(m=10, pi0=0.5, a=0.5, b=1.0), proc, 10, [Bfdr()], seed=3)
-
-
-# ---------------------------------------------------------------------------
-# null p-value density bound
-# ---------------------------------------------------------------------------
-
-def test_null_density_identity_at_theta0():
-    grid = np.linspace(0.0, 0.5, 2001)
-    res = exp_family_null_density_check(0.0, 0.0, grid)
-    assert res.max_density_on_window == pytest.approx(1.0)
-    assert res.alpha_star == pytest.approx(0.5)
-
-
-def test_null_density_increasing_toward_bound():
-    grid = np.linspace(0.0, 0.5, 2001)
-    theta = -1.0
-    q = sps.norm.isf(grid[1:])
-    dens = np.exp(theta * q - 0.5 * theta * theta)
-    assert np.all(np.diff(dens) > 0)
-    res = exp_family_null_density_check(theta, 0.0, grid)
-    assert res.max_density_on_window == pytest.approx(dens[-1], rel=1e-9)
-
-
-def test_null_density_requires_theta_below_theta0():
-    with pytest.raises(ValueError):
-        exp_family_null_density_check(0.5, 0.0, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
