@@ -46,7 +46,6 @@ from .lfdr import (
 )
 from .procedures import (
     Procedure,
-    QValueVector,
     RejectionResult,
     bh_threshold,
     lfdr_threshold_rule,

@@ -265,6 +265,14 @@ def _parse_density(text: str):
     raise CliError("bad-arg", f"cannot parse --density {text!r}")
 
 
+def _read_config(path: str) -> Dict:
+    """The JSON object in a --config file; any other JSON value is refused."""
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise CliError("bad-arg", f"--config {path} must hold a JSON object")
+    return config
+
+
 def _resolve(flag_value, config: Dict, key: str, default):
     if flag_value is not None:
         return flag_value
@@ -272,9 +280,7 @@ def _resolve(flag_value, config: Dict, key: str, default):
 
 
 def cmd_analyze(args) -> int:
-    config: Dict = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_config(args.config) if args.config else {}
     input_path = _resolve(args.input, config, "input", None)
     if input_path is None:
         raise CliError("bad-arg", "analyze needs --input (or an input config key)")
@@ -301,7 +307,7 @@ def cmd_analyze(args) -> int:
     elif pi0_cfg[0] == "storey":
         pi0_value = storey_pi0(pstats, pi0_cfg[1]).value
     else:
-        pi0_value = selection_window_pi0(pstats, (0.0, pi0_cfg[1]), pi0_cfg[2]).value
+        pi0_value = selection_window_pi0(pstats, pi0_cfg[1], pi0_cfg[2]).value
 
     dens_cfg = _parse_density(args.density)
     if dens_cfg[0] == "grenander":
@@ -321,7 +327,7 @@ def cmd_analyze(args) -> int:
         null, avg, scored_stats = GaussianLocation(0.0), fit.density(), stats
 
     scores = score_hypotheses(LfdrCurve(pi0_value, null, avg), scored_stats)
-    qvals = q_values(pstats).qvalues
+    qvals = q_values(pstats)
 
     alpha = args.alpha
     results = {
@@ -413,7 +419,7 @@ def _seeded_design(args, command: str):
     a design from both is refused rather than one of them silently dropped."""
     if args.seed is None:
         raise CliError("bad-arg", f"--seed is mandatory for {command}")
-    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    config = _read_config(args.config) if args.config else {}
     if args.preset:
         if args.preset not in PRESETS:
             raise CliError("bad-arg", f"unknown preset {args.preset!r}; "
@@ -423,8 +429,8 @@ def _seeded_design(args, command: str):
             raise CliError("bad-arg", f"--preset {args.preset} conflicts with the "
                                       f"--config keys {clash}; give one design")
         return PRESETS[args.preset]
-    if "generator" not in config:
-        raise CliError("bad-arg", f"{command} needs --preset or a config generator")
+    if not isinstance(config.get("generator"), dict):
+        raise CliError("bad-arg", f"{command} needs --preset or a config generator object")
     return _generator_from_config(config["generator"]), config.get("alpha", 0.1)
 
 
@@ -445,6 +451,10 @@ def cmd_simulate(args) -> int:
     criteria = _parse_criteria(args.criteria)
     report = mc_error_rates(generator, proc, args.reps, criteria, seed=args.seed)
     write_json(args.out, report.to_jsonable())
+    # the report is unchanged; only stderr names the criteria it leaves out
+    for name in dict.fromkeys(c.name for c in criteria if c.name not in report.estimates):
+        print(f"WARNING criterion: {name} is undefined on all {report.n_replicates} replicates "
+              "and is left out of estimates", file=sys.stderr)
     return 0
 
 

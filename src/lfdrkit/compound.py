@@ -28,6 +28,7 @@ from .core import (
     Density,
     GroundTruth,
     StatVector,
+    _frozen_array,
 )
 from .lfdr import LfdrCurve
 
@@ -36,16 +37,12 @@ _GENERIC_MAX_M = 20
 
 @dataclass(frozen=True)
 class ClfdrResult:
-    """Per-hypothesis compound scores plus the log of the permutation total."""
+    """Per-hypothesis compound scores."""
 
     scores: np.ndarray
-    m0: int
-    log_permanent_total: float
 
     def __post_init__(self):
-        arr = np.array(self.scores, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
+        object.__setattr__(self, "scores", _frozen_array(self.scores, float))
 
 
 def _log_esym_prefixes(log_r: np.ndarray, degree: int) -> np.ndarray:
@@ -94,7 +91,7 @@ def _subsets_by_size(m: int):
     return [masks[pop == k] for k in range(m + 1)]
 
 
-def _clfdr_generic(dens: np.ndarray, null_flags: np.ndarray) -> Tuple[np.ndarray, float]:
+def _clfdr_generic(dens: np.ndarray, null_flags: np.ndarray) -> np.ndarray:
     """Subset DP over hypothesis-to-position assignments.
 
     ``dens[h, j]`` is the density of hypothesis h at statistic j.  Columns
@@ -139,9 +136,7 @@ def _clfdr_generic(dens: np.ndarray, null_flags: np.ndarray) -> Tuple[np.ndarray
                 comp = full ^ S[ok] ^ bit
                 num += M[h, i] * float(f[S[ok]] @ g[comp])
         scores[i] = num / total
-    # f[full] already sums over all m! assignments; undo the column rescale
-    log_total = math.log(total) + float(np.sum(np.log(col_max)))
-    return scores, log_total
+    return scores
 
 
 def clfdr_exact(stats: StatVector, truth: GroundTruth,
@@ -167,9 +162,7 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
         dens = np.asarray(only.pdf(stats.values), dtype=float)
         if np.any(dens <= 0.0):
             raise DegeneracyError("a statistic has zero density under every model")
-        score = truth.m0 / m
-        log_total = math.lgamma(m + 1) + float(np.sum(np.log(dens)))
-        return ClfdrResult(np.full(m, score), truth.m0, log_total)
+        return ClfdrResult(np.full(m, truth.m0 / m))
 
     if two_groups:
         f0 = null_models.pop()
@@ -181,13 +174,10 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
                 raise DegeneracyError("a statistic has zero density under every model")
             with np.errstate(divide="ignore"):
                 log_r = np.log(d1) - np.log(d0)
-            m0, m1 = truth.m0, m - truth.m0
-            scores, log_e = _two_groups_scores(log_r, m1)
+            scores, log_e = _two_groups_scores(log_r, m - truth.m0)
             if not np.isfinite(log_e):
                 raise DegeneracyError("every relabeling has zero likelihood")
-            log_total = (math.lgamma(m0 + 1) + math.lgamma(m1 + 1)
-                         + float(np.sum(np.log(d0))) + float(log_e))
-            return ClfdrResult(scores, m0, log_total)
+            return ClfdrResult(scores)
         # fall through to the generic path for zero/inf null densities
 
     if m > _GENERIC_MAX_M:
@@ -195,10 +185,7 @@ def clfdr_exact(stats: StatVector, truth: GroundTruth,
     dens = np.stack([np.asarray(mod.pdf(stats.values), dtype=float) for mod in models])
     if not np.all(np.isfinite(dens)):
         raise DegeneracyError("non-finite density evaluation in the generic path")
-    scores, log_raw = _clfdr_generic(dens, null_flags)
-    # the subset DP counts each assignment once; permutations of equal rows
-    # are distinct assignments already, so only the column rescale is undone
-    return ClfdrResult(scores, truth.m0, log_raw)
+    return ClfdrResult(_clfdr_generic(dens, null_flags))
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def check_values(values: np.ndarray, scale: Scale) -> None:
         raise ValueError("p-values must lie in [0, 1]")
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
+def _frozen_array(values, dtype=None) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr

@@ -9,7 +9,7 @@ statistics there; clipped at 1 it is a per-hypothesis score in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class Pi0Estimate:
 
     value: float
     raw: float
-    window: Optional[Tuple[float, float]] = None
 
 
 def storey_pi0(stats: StatVector, lambda_: float = 0.5) -> Pi0Estimate:
@@ -105,22 +104,18 @@ def storey_pi0_raw(p: np.ndarray, lambda_: float):
     return np.count_nonzero(p > lambda_, axis=-1) / (p.shape[-1] * (1.0 - lambda_))
 
 
-def selection_window_pi0(stats: StatVector, window: Tuple[float, float],
-                         lambda_: float = 0.5) -> Pi0Estimate:
-    """Null proportion among p-values selected into [0, c], rescaled by 1/c.
+def selection_window_pi0(stats: StatVector, c: float, lambda_: float = 0.5) -> Pi0Estimate:
+    """Null proportion among p-values selected into the window [0, c].
 
     The retained p-values are divided by c (making uniform nulls uniform
     again) and the standard estimator is applied to the rescaled sample.
     """
-    lo, c = float(window[0]), float(window[1])
-    if lo != 0.0 or not 0.0 < c <= 1.0:
+    if not 0.0 < c <= 1.0:
         raise ValueError("window must be [0, c] with c in (0, 1]")
     kept = stats.values[stats.values <= c]
     if kept.size == 0:
         raise EstimationError("no p-values inside the selection window")
-    rescaled = StatVector(kept / c, Scale.P_VALUE)
-    base = storey_pi0(rescaled, lambda_)
-    return Pi0Estimate(value=base.value, raw=base.raw, window=(0.0, c))
+    return storey_pi0(StatVector(kept / c, Scale.P_VALUE), lambda_)
 
 
 def score_hypotheses(curve: LfdrCurve, stats: StatVector) -> np.ndarray:

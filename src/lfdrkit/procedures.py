@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LossSpec, Scale, StatVector
+from .core import LossSpec, Scale, StatVector, _frozen_array
 
 
 class Procedure(Enum):
@@ -28,25 +28,21 @@ class Procedure(Enum):
 class RejectionResult:
     """Output of a threshold procedure: a lower set of the p-values.
 
-    ``boundary_stat`` is the largest rejected p-value (None when nothing is
-    rejected) and ``boundary_index`` the original index of that order
-    statistic; with tied boundary values the index of the earliest tied
-    statistic in stable sort order is reported.
+    ``rejected`` holds the original indices, ascending; ``boundary_stat`` is
+    the largest rejected p-value, None when nothing is rejected.
     """
 
     rejected: np.ndarray
-    n_rejections: int
     boundary_stat: Optional[float]
-    boundary_index: Optional[int]
 
     def __post_init__(self):
-        idx = np.array(self.rejected, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "rejected", idx)
-        if self.n_rejections != idx.size:
-            raise ValueError("n_rejections must equal len(rejected)")
+        object.__setattr__(self, "rejected", _frozen_array(self.rejected, int))
         if (self.n_rejections > 0) != (self.boundary_stat is not None):
             raise ValueError("boundary_stat must be present iff rejections exist")
+
+    @property
+    def n_rejections(self) -> int:
+        return int(self.rejected.size)
 
 
 def _require_pvalues(stats: StatVector) -> np.ndarray:
@@ -55,17 +51,17 @@ def _require_pvalues(stats: StatVector) -> np.ndarray:
     return stats.values
 
 
-def _lower_set(ps: np.ndarray, order: np.ndarray, k: int) -> RejectionResult:
-    """Reject the k smallest p-values, ``order[:k]`` of the sorted ``ps``.
+def _sorted_pvalues(stats: StatVector, alpha: float) -> np.ndarray:
+    """The ascending p-values of a threshold rule at level ``alpha``."""
+    p = _require_pvalues(stats)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    return p[stats.order]
 
-    k must end a tie run; the boundary index is the earliest tied statistic
-    at ``ps[k - 1]`` in stable sort order.
-    """
-    rejected = np.sort(order[:k])
-    if k == 0:
-        return RejectionResult(rejected, 0, None, None)
-    b_pos = int(np.searchsorted(ps, ps[k - 1], side="left"))
-    return RejectionResult(rejected, k, float(ps[k - 1]), int(order[b_pos]))
+
+def _lower_set(ps: np.ndarray, order: np.ndarray, k: int) -> RejectionResult:
+    """Reject the k smallest p-values, ``order[:k]`` of the sorted ``ps``; k ends a tie run."""
+    return RejectionResult(np.sort(order[:k]), float(ps[k - 1]) if k else None)
 
 
 def _null_count(stats: StatVector, m0_hat: Optional[float]) -> float:
@@ -120,31 +116,16 @@ def bh_threshold(stats: StatVector, alpha: float,
     Candidate thresholds are 0 and the observed p-values; the optional
     ``m0_hat`` gives the null-adjusted (Storey-style) variant.
     """
-    p = _require_pvalues(stats)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    ps = _sorted_pvalues(stats, alpha)
     m0 = _null_count(stats, m0_hat)
-    ps = p[stats.order]
     # threshold 0 still rejects any exact-zero p-values
     that = float(step_up_thresholds(ps, alpha, m0))
     k = int(np.searchsorted(ps, that, side="right"))
     return _lower_set(ps, stats.order, k)
 
 
-@dataclass(frozen=True)
-class QValueVector:
-    """Per-hypothesis q-values aligned to the input order."""
-
-    qvalues: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.qvalues, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "qvalues", arr)
-
-
-def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> QValueVector:
-    """Smallest level at which the step-up rule rejects each hypothesis.
+def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> np.ndarray:
+    """Read-only array of the smallest level at which the step-up rule rejects each hypothesis.
 
     Backward recursion on the sorted sample:
     ``q_(m) = fdp_hat(p_(m))`` and ``q_(i) = min(fdp_hat(p_(i)), q_(i+1))``,
@@ -155,7 +136,9 @@ def q_values(stats: StatVector, m0_hat: Optional[float] = None) -> QValueVector:
     q_sorted = np.minimum.accumulate(fdp[::-1])[::-1]
     q = np.empty_like(q_sorted)
     q[stats.order] = q_sorted
-    return QValueVector(np.minimum(q, 1.0))
+    np.minimum(q, 1.0, out=q)
+    q.setflags(write=False)
+    return q
 
 
 def support_line(stats: StatVector, alpha: float) -> RejectionResult:
@@ -163,10 +146,7 @@ def support_line(stats: StatVector, alpha: float) -> RejectionResult:
 
     ``p_(0) = 0``; ties in the argmax resolve to the largest maximizing k.
     """
-    p = _require_pvalues(stats)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    ps = p[stats.order]
+    ps = _sorted_pvalues(stats, alpha)
     r = int(support_line_counts(ps, alpha))
     return _lower_set(ps, stats.order, r)
 

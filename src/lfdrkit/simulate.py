@@ -35,6 +35,7 @@ from .core import (
     StatVector,
     TwoGroupsSpec,
     Uniform01,
+    _frozen_array,
     check_finite,
     check_values,
     to_pvalues,
@@ -605,9 +606,7 @@ class CalibrationCurve:
 
     def __post_init__(self):
         for name in ("bin_edges", "bin_null_fraction", "bin_counts"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
@@ -620,13 +619,11 @@ def _score_replicate(scorer: str, data: StatVector, oracle) -> np.ndarray:
     if scorer == "p-value":
         return p
     pv = StatVector(np.clip(p, 1e-300, 1.0), Scale.P_VALUE)
+    pi0 = storey_pi0(pv, 0.5).value
     if scorer == "q-value":
-        pi0 = storey_pi0(pv, 0.5)
-        return q_values(pv, m0_hat=pi0.value * pv.m).qvalues
+        return q_values(pv, m0_hat=pi0 * pv.m)
     if scorer == "estimated-lfdr":
-        pi0 = storey_pi0(pv, 0.5)
-        fit = grenander_fit(pv)
-        return score_hypotheses(LfdrCurve(pi0.value, Uniform01(), fit), pv)
+        return score_hypotheses(LfdrCurve(pi0, Uniform01(), grenander_fit(pv)), pv)
     raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORERS}")
 
 

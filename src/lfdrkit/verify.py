@@ -343,7 +343,7 @@ def check_clfdr_identities(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
         dens = np.stack([np.asarray(mod.pdf(stats.values), dtype=float)
                          for mod in models])
-        generic_scores, _ = _clfdr_generic(dens, truth.null_flags)
+        generic_scores = _clfdr_generic(dens, truth.null_flags)
         worst_paths = max(worst_paths, float(np.abs(res.scores - generic_scores).max()))
 
         if stats.m <= 7:
@@ -374,7 +374,7 @@ def check_qvalue_bh_duality(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         p = np.where(mix, rng.beta(0.2, 1.0, m), rng.random(m))
         p = np.clip(p, 1e-6, 1.0)
         stats = StatVector(p, Scale.P_VALUE)
-        q = q_values(stats).qvalues
+        q = q_values(stats)
         for j in range(m):
             total += 1
             hit = bh_threshold(stats, float(q[j]))

@@ -308,6 +308,50 @@ def test_preset_refuses_a_config_design(command, key, tmp_path, capsys):
     assert code == 2 and "ERROR io" in err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("analyze", [1], "must hold a JSON object"),
+    ("simulate", {"generator": [1]}, "simulate needs --preset or a config generator object"),
+    ("calibrate", ["generator"], "must hold a JSON object"),
+])
+def test_config_that_is_not_a_json_object_is_a_bad_arg(command, config, message, pfile,
+                                                       tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    tail = ["--input", pfile] if command == "analyze" else ["--reps", "3", "--seed", "1"]
+    code, out, err = run_cli([command, "--config", str(cfg), *tail], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR bad-arg") and message in err
+    assert err.count("\n") == 1
+
+
+def test_simulate_warns_of_each_requested_criterion_left_out_of_estimates(tmp_path, capsys):
+    # no alternatives: power is undefined on every replicate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "discrete-uniform-nulls", "m": 6,
+                                             "L": 9, "alt_positions": []},
+                               "alpha": 0.5}), encoding="utf-8")
+    out = tmp_path / "rep.json"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--criteria", "power,fdr",
+                            "--reps", "20", "--seed", "1", "--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(json.loads(out.read_text())["estimates"]) == ["FDR"]
+    assert err == ("WARNING criterion: power is undefined on all 20 replicates "
+                   "and is left out of estimates\n")
+    # the support line at alpha 0.1 rejects no p-value above 2
+    code, _, err = run_cli(["simulate", "--preset", "theorem-5.1", "--criteria",
+                            "pfdr:2:3,mfdr:2:3,fdr", "--reps", "20", "--seed", "1",
+                            "--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(json.loads(out.read_text())["estimates"]) == ["FDR"]
+    assert err.splitlines() == [
+        f"WARNING criterion: {name} is undefined on all 20 replicates and is left out "
+        f"of estimates" for name in ("pFDR[2.0,3.0]", "mFDR[2.0,3.0]")]
+    # a criterion that some replicate defines prints nothing
+    code, _, err = run_cli(["simulate", "--preset", "theorem-5.1", "--criteria", "bfdr,fdr",
+                            "--reps", "20", "--seed", "1", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("generator", [
     {"kind": "two-groups-beta", "m": 10},  # missing pi0, a and b
     {"kind": "gaussian-means", "m": 10, "m1": 1, "mu": 2.0, "sigma": 1.0},  # unknown key

@@ -206,7 +206,7 @@ def test_analyze_table_over_several_write_chunks(tmp_path, monkeypatch):
         column[rejected] = True
         flag_columns.append(column)
     assert all(column.any() and not column.all() for column in flag_columns)
-    want = _reference_table(ids, p, seen["q_values"][0].qvalues,
+    want = _reference_table(ids, p, seen["q_values"][0],
                             seen["score_hypotheses"][0], flag_columns)
     assert stem.with_suffix(".csv").read_text(encoding="utf-8") == want
 

@@ -21,7 +21,6 @@ def _pstats(values):
 def test_single_null_scores_one():
     res = lk.clfdr_exact(_pstats([0.4]), lk.GroundTruth([True]), [lk.Uniform01()])
     assert res.scores[0] == pytest.approx(1.0)
-    assert res.m0 == 1
 
 
 def test_two_hypothesis_hand_enumeration():
@@ -116,18 +115,9 @@ def test_scaling_invariance_at_matrix_level():
     m = 6
     dens = rng.uniform(0.1, 3.0, size=(m, m))
     flags = np.array([True, False, True, True, False, False])
-    base, _ = _clfdr_generic(dens, flags)
-    scaled, _ = _clfdr_generic(dens * 17.3, flags)
+    base = _clfdr_generic(dens, flags)
+    scaled = _clfdr_generic(dens * 17.3, flags)
     assert np.abs(base - scaled).max() < 1e-12
-
-
-def test_log_total_tracks_density_scale():
-    f0, f1 = lk.Uniform01(), lk.BetaDensity(0.25, 1.0)
-    p = _pstats([0.3, 0.6])
-    res = lk.clfdr_exact(p, lk.GroundTruth([True, False]), [f0, f1])
-    # m0! * m1! * sum over subsets of prod f0 * prod ratios
-    want = np.log(f0.pdf(0.3) * f1.pdf(0.6) + f0.pdf(0.6) * f1.pdf(0.3))
-    assert res.log_permanent_total == pytest.approx(want, rel=1e-12)
 
 
 def test_capacity_error_for_large_generic_instances():
@@ -174,7 +164,7 @@ def test_two_groups_kernel_matches_generic_dp_and_batches_exactly(data):
         scores, log_e = _two_groups_scores(row, m1)
         assert np.array_equal(row_scores, scores) and row_log_e == log_e
         dens = np.where(flags[:, None], 1.0, np.exp(row)[None, :])
-        generic, _ = _clfdr_generic(dens, flags)
+        generic = _clfdr_generic(dens, flags)
         assert np.abs(scores - generic).max() <= 1e-10
         assert abs(scores.sum() - (m - m1)) <= 1e-10
         permuted, _ = _two_groups_scores(row[perm], m1)

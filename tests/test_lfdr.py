@@ -115,26 +115,26 @@ def test_storey_clip_retains_raw():
 
 def test_selection_window_examples():
     p = _pstats([0.1, 0.3, 0.6, 0.9])
-    full = lk.selection_window_pi0(p, (0.0, 1.0), 0.5)
+    full = lk.selection_window_pi0(p, 1.0, 0.5)
     assert full.raw == lk.storey_pi0(p, 0.5).raw
 
-    est = lk.selection_window_pi0(_pstats([0.005, 0.01, 0.02]), (0.0, 0.025), 0.5)
+    est = lk.selection_window_pi0(_pstats([0.005, 0.01, 0.02]), 0.025, 0.5)
     assert est.raw == pytest.approx(2.0 / 3.0)
-    assert est.window == (0.0, 0.025)
 
     rng = replicate_rng(17, 1)
     c = 0.05
     nulls = rng.random(200_000)
     kept = lk.StatVector(nulls, lk.Scale.P_VALUE)
-    est = lk.selection_window_pi0(kept, (0.0, c), 0.5)
+    est = lk.selection_window_pi0(kept, c, 0.5)
     assert est.value == pytest.approx(1.0, abs=0.05)
 
 
 def test_selection_window_errors():
     with pytest.raises(EstimationError):
-        lk.selection_window_pi0(_pstats([0.9, 0.8]), (0.0, 0.1), 0.5)
-    with pytest.raises(ValueError):
-        lk.selection_window_pi0(_pstats([0.5]), (0.1, 0.5), 0.5)
+        lk.selection_window_pi0(_pstats([0.9, 0.8]), 0.1, 0.5)
+    for c in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"window must be \[0, c\] with c in \(0, 1\]"):
+            lk.selection_window_pi0(_pstats([0.5]), c, 0.5)
 
 
 def test_storey_upward_bias_under_pure_null():

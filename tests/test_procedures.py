@@ -110,15 +110,15 @@ def test_bh_rejects_exact_zeros_even_at_tiny_alpha():
 # ---------------------------------------------------------------------------
 
 def test_qvalue_examples():
-    assert lk.q_values(_pstats([0.37])).qvalues[0] == pytest.approx(0.37)
-    q = lk.q_values(_pstats([0.01, 0.02, 0.03, 0.04])).qvalues
+    assert lk.q_values(_pstats([0.37]))[0] == pytest.approx(0.37)
+    q = lk.q_values(_pstats([0.01, 0.02, 0.03, 0.04]))
     assert np.allclose(q, 0.04)
 
 
 def test_qvalues_nondecreasing_in_p_order():
     rng = replicate_rng(31, 6000)
     p = rng.random(200)
-    q = lk.q_values(_pstats(p)).qvalues
+    q = lk.q_values(_pstats(p))
     order = np.argsort(p)
     assert np.all(np.diff(q[order]) >= 0)
 
@@ -127,7 +127,7 @@ def test_qvalue_duality_spot_check():
     rng = replicate_rng(31, 6001)
     p = np.clip(rng.beta(0.3, 1.0, 50), 1e-6, 1.0)
     stats = _pstats(p)
-    q = lk.q_values(stats).qvalues
+    q = lk.q_values(stats)
     for j in (0, 17, 33, 49):
         assert j in lk.bh_threshold(stats, float(q[j])).rejected
         assert j not in lk.bh_threshold(stats, float(q[j]) - 1e-9).rejected
@@ -147,7 +147,7 @@ def test_step_up_rules_match_true_tie_counts(cells, L, alpha, m0):
     res = lk.bh_threshold(_pstats(p), alpha, m0_hat=m0)
     assert res.n_rejections == np.count_nonzero(p <= threshold)
     q_sorted = np.minimum(np.minimum.accumulate(fdp[::-1])[::-1], 1.0)
-    assert np.array_equal(np.sort(lk.q_values(_pstats(p), m0_hat=m0).qvalues), q_sorted)
+    assert np.array_equal(np.sort(lk.q_values(_pstats(p), m0_hat=m0)), q_sorted)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_support_line_boundary_event_interval():
     # odd multiples of 1/1001 avoids the measure-zero tie points 1/4 and 1/2.
     for p1 in np.arange(1, 1001, 2) / 1001.0:
         res = lk.support_line(_pstats([p1, 0.25]), 0.5)
-        is_boundary = res.n_rejections > 0 and res.boundary_index == 0
+        is_boundary = res.n_rejections > 0 and res.boundary_stat == p1
         assert is_boundary == (0.25 < p1 < 0.5)
 
 
