@@ -100,6 +100,30 @@ def test_analyze_config_file_with_flag_override(pfile, tmp_path, capsys):
     assert summary["pi0_hat"] == 0.9      # config key survives
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--pi0", "storey", "cannot parse --pi0 'storey'"),
+    ("--pi0", "storey:abc", "could not convert string to float: 'abc'"),
+    ("--pi0", "fixed:1.5", "fixed pi0 must lie in [0, 1]"),
+    ("--pi0", "window:0.5", "cannot parse --pi0 'window:0.5'"),
+    ("--pi0", "bogus:1", "cannot parse --pi0 'bogus:1'"),
+    ("--density", "lindsey:7", "cannot parse --density 'lindsey:7'"),
+    ("--density", "grenander:1", "cannot parse --density 'grenander:1'"),
+    ("--density", "npmle:abc:1e-8", "invalid literal for int() with base 10: 'abc'"),
+    # a well-formed fit of z-statistics, given p-values
+    ("--density", "lindsey:7:120", "lindsey density requires --scale z"),
+    ("--density", "npmle:300:nan", "npmle density requires --scale z"),
+])
+def test_analyze_pi0_and_density_errors_are_one_bad_arg_line(flag, value, message,
+                                                              tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("id,stat\na,0.01\nb,0.2\nc,0.7\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", "--input", str(path), flag, value,
+                              "--out", str(tmp_path / "res")], capsys)
+    assert code == 2 and out == ""
+    assert err == f"ERROR bad-arg: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_analyze_bad_row_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,stat\nh1,0.2\nh2,oops\n", encoding="utf-8")
