@@ -37,7 +37,7 @@ def main():
                                args.reps, [Bfdr()], seed=args.seed)
         pert = mc_error_rates(
             spec,
-            ProcedureConfig("support-line", args.alpha, perturb=True, grid_L=L),
+            ProcedureConfig("support-line", args.alpha, perturb=True),
             args.reps, [Bfdr()], seed=args.seed, start=args.reps)
         a = plain.estimates["bFDR"]
         b = pert.estimates["bFDR"]

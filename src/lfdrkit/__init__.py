@@ -45,7 +45,6 @@ from .lfdr import (
     storey_pi0,
 )
 from .procedures import (
-    Procedure,
     RejectionResult,
     bh_threshold,
     lfdr_threshold_rule,

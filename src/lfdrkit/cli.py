@@ -37,7 +37,7 @@ from .core import (
 from .density import grenander_fit, lindsey_fit, npmle_mixture_fit
 from .lfdr import LfdrCurve, score_hypotheses, selection_window_pi0, storey_pi0
 from .procedures import (
-    Procedure,
+    PROCEDURES,
     bh_threshold,
     lfdr_threshold_rule,
     q_values,
@@ -103,12 +103,11 @@ def _header_width(path: str, header: Sequence[str]) -> int:
     return len(cols)
 
 
-def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float], Optional[List[bool]]]:
+def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
     """The ``csv.reader`` parse, row by row: the reference for ``_read_columns``
     and the path for any input that one cannot vouch for."""
     ids: List[str] = []
     vals: List[float] = []
-    truth: List[bool] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -128,15 +127,13 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float], Optiona
             if scale is Scale.P_VALUE and not 0.0 <= stat <= 1.0:
                 raise CliError("bad-pvalue",
                                f"id {row[0]!r}: p-value {stat} outside [0, 1]")
+            if ncols == 3 and row[2] not in ("0", "1"):
+                raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
             ids.append(row[0])
             vals.append(stat)
-            if ncols == 3:
-                if row[2] not in ("0", "1"):
-                    raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
-                truth.append(row[2] == "0")  # 0 marks a true null
     if not vals:
         raise CliError("bad-input", f"{path}: no statistics")
-    return ids, vals, (truth if ncols == 3 else None)
+    return ids, vals
 
 
 def _read_columns(path: str, data: bytes, scale: Scale):
@@ -168,24 +165,20 @@ def _read_columns(path: str, data: bytes, scale: Scale):
         return None
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
-    truth = None
-    if ncols == 3:
-        if not set(cells[2::3]) <= {"0", "1"}:
-            return None
-        truth = np.fromiter(map("0".__eq__, cells[2::3]), bool, count=m)
-    return cells[::ncols], vals, truth
+    if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
+        return None
+    return cells[::ncols], vals
 
 
-def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, Optional[np.ndarray]]:
-    """Parse ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
+def read_stats_csv(path: str, scale: Scale) -> StatVector:
+    """The ids and stats of ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
     with open(path, "rb") as fh:
         data = fh.read()
-    ids, vals, truth = _read_columns(path, data, scale) or _read_rows(path, scale)
+    ids, vals = _read_columns(path, data, scale) or _read_rows(path, scale)
     try:
-        stats = StatVector(vals, scale, ids=tuple(ids))
+        return StatVector(vals, scale, ids=tuple(ids))
     except ValueError as exc:
         raise CliError("bad-input", f"{path}: {exc}")
-    return stats, (None if truth is None else np.asarray(truth, dtype=bool))
 
 
 def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
@@ -243,44 +236,77 @@ def _text_cells(texts: Sequence[str]) -> Sequence[str]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _parse_pi0(text: str):
-    parts = text.split(":")
-    if parts[0] == "storey" and len(parts) == 2:
-        return ("storey", float(parts[1]))
-    if parts[0] == "fixed" and len(parts) == 2:
-        return ("fixed", float(parts[1]))
-    if parts[0] == "window" and len(parts) == 3:
-        return ("window", float(parts[1]), float(parts[2]))
+def _pi0_value(text: str, pstats: StatVector) -> float:
+    """The pi0 that ``--pi0`` storey:LAMBDA | fixed:VALUE | window:C:LAMBDA gives."""
+    form, *fields = text.split(":")
+    if form == "fixed" and len(fields) == 1:
+        value = float(fields[0])
+        if not 0.0 <= value <= 1.0:
+            raise CliError("bad-arg", "fixed pi0 must lie in [0, 1]")
+        return value
+    if form == "storey" and len(fields) == 1:
+        return storey_pi0(pstats, float(fields[0])).value
+    if form == "window" and len(fields) == 2:
+        return selection_window_pi0(pstats, *map(float, fields)).value
     raise CliError("bad-arg", f"cannot parse --pi0 {text!r}")
 
 
-def _parse_density(text: str):
-    parts = text.split(":")
-    if parts[0] == "grenander" and len(parts) == 1:
-        return ("grenander",)
-    if parts[0] == "lindsey" and len(parts) == 3:
-        return ("lindsey", int(parts[1]), int(parts[2]))
-    if parts[0] == "npmle" and len(parts) == 3:
-        return ("npmle", int(parts[1]), float(parts[2]))
-    raise CliError("bad-arg", f"cannot parse --density {text!r}")
+def _fitted_density(text: str, stats: StatVector, pstats: StatVector):
+    """The null, the fitted average density and the statistics they score, for
+    ``--density`` grenander | lindsey:J:BINS | npmle:GRID:TOL."""
+    form, *fields = text.split(":")
+    if form == "grenander" and not fields:
+        return Uniform01(), grenander_fit(pstats), pstats
+    if form == "lindsey" and len(fields) == 2:
+        fit_args = {"degree": int(fields[0]), "bins": int(fields[1])}
+    elif form == "npmle" and len(fields) == 2:
+        fit_args = {"grid_size": int(fields[0]), "tol": float(fields[1])}
+    else:
+        raise CliError("bad-arg", f"cannot parse --density {text!r}")
+    if stats.scale is not Scale.Z_VALUE:
+        raise CliError("bad-arg", f"{form} density requires --scale z")
+    fit = (lindsey_fit if form == "lindsey" else npmle_mixture_fit)(stats, **fit_args)
+    if not fit.converged:
+        # the report is unchanged; only stderr says it rests on such a fit
+        print(f"WARNING fit: the {form} fit did not converge in {fit.iterations} "
+              "Newton steps; scoring with its last iterate", file=sys.stderr)
+    return GaussianLocation(0.0), fit.density(), stats
 
 
-def _read_config(path: str) -> Dict:
-    """The JSON object in a --config file; any other JSON value is refused."""
+# the --config keys each command reads, with the JSON type of each value; the
+# generator object is checked by _seeded_design
+_ANALYZE_KEYS = {"input": "string", "scale": "string", "pi0": "string", "density": "string",
+                 "out": "string", "alpha": "number", "lambda": "number"}
+_DESIGN_KEYS = {"generator": "object", "alpha": "number"}
+# the exact types json.loads gives a string and a number (a bool is an int)
+_JSON_TYPES = {"string": (str,), "number": (int, float)}
+
+
+def _read_config(path: str, keys: Dict[str, str]) -> Dict:
+    """The JSON object in a --config file; any other JSON value, a key outside
+    ``keys`` or a value of another type is refused."""
     config = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise CliError("bad-arg", f"--config {path} must hold a JSON object")
+    for key, value in config.items():
+        kind = keys.get(key)
+        if kind is None:
+            problem = "is not read"
+        elif kind in _JSON_TYPES and type(value) not in _JSON_TYPES[kind]:
+            problem = f"must be a {kind}, not {json.dumps(value)}"
+        else:
+            continue
+        raise CliError("bad-arg", f"--config key {key!r} {problem}; this command reads "
+                                  f"{', '.join(keys)}")
     return config
 
 
 def _resolve(flag_value, config: Dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
+    return config.get(key, default) if flag_value is None else flag_value
 
 
 def cmd_analyze(args) -> int:
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config, _ANALYZE_KEYS) if args.config else {}
     input_path = _resolve(args.input, config, "input", None)
     if input_path is None:
         raise CliError("bad-arg", "analyze needs --input (or an input config key)")
@@ -295,37 +321,12 @@ def cmd_analyze(args) -> int:
     args.out = _resolve(args.out, config, "out", None)
 
     scale = Scale.P_VALUE if scale_txt == "p" else Scale.Z_VALUE
-    stats, _ = read_stats_csv(input_path, scale)
+    stats = read_stats_csv(input_path, scale)
     pstats = stats if scale is Scale.P_VALUE else \
         StatVector(to_pvalues(stats.values, scale), Scale.P_VALUE)
 
-    pi0_cfg = _parse_pi0(args.pi0)
-    if pi0_cfg[0] == "fixed":
-        pi0_value = float(pi0_cfg[1])
-        if not 0.0 <= pi0_value <= 1.0:
-            raise CliError("bad-arg", "fixed pi0 must lie in [0, 1]")
-    elif pi0_cfg[0] == "storey":
-        pi0_value = storey_pi0(pstats, pi0_cfg[1]).value
-    else:
-        pi0_value = selection_window_pi0(pstats, pi0_cfg[1], pi0_cfg[2]).value
-
-    dens_cfg = _parse_density(args.density)
-    if dens_cfg[0] == "grenander":
-        null, avg, scored_stats = Uniform01(), grenander_fit(pstats), pstats
-    else:
-        if scale is not Scale.Z_VALUE:
-            raise CliError("bad-arg", f"{dens_cfg[0]} density requires --scale z")
-        if dens_cfg[0] == "lindsey":
-            fit = lindsey_fit(stats, degree=dens_cfg[1], bins=dens_cfg[2])
-        else:
-            fit = npmle_mixture_fit(stats, grid_size=dens_cfg[1], tol=dens_cfg[2])
-        if not fit.converged:
-            # the report is unchanged; only stderr says it rests on such a fit
-            print(f"WARNING fit: the {dens_cfg[0]} fit did not converge in "
-                  f"{fit.iterations} Newton steps; scoring with its last iterate",
-                  file=sys.stderr)
-        null, avg, scored_stats = GaussianLocation(0.0), fit.density(), stats
-
+    pi0_value = _pi0_value(args.pi0, pstats)
+    null, avg, scored_stats = _fitted_density(args.density, stats, pstats)
     scores = score_hypotheses(LfdrCurve(pi0_value, null, avg), scored_stats)
     qvals = q_values(pstats)
 
@@ -419,15 +420,14 @@ def _seeded_design(args, command: str):
     a design from both is refused rather than one of them silently dropped."""
     if args.seed is None:
         raise CliError("bad-arg", f"--seed is mandatory for {command}")
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config, _DESIGN_KEYS) if args.config else {}
     if args.preset:
         if args.preset not in PRESETS:
             raise CliError("bad-arg", f"unknown preset {args.preset!r}; "
                                       f"choose from {sorted(PRESETS)}")
-        clash = [key for key in ("generator", "alpha") if key in config]
-        if clash:
+        if config:  # it holds only design keys
             raise CliError("bad-arg", f"--preset {args.preset} conflicts with the "
-                                      f"--config keys {clash}; give one design")
+                                      f"--config keys {list(config)}; give one design")
         return PRESETS[args.preset]
     if not isinstance(config.get("generator"), dict):
         raise CliError("bad-arg", f"{command} needs --preset or a config generator object")
@@ -440,14 +440,7 @@ def cmd_simulate(args) -> int:
     generator, alpha = _seeded_design(args, "simulate")
     if args.alpha is not None:
         alpha = args.alpha
-
-    grid_L = None
-    if args.perturb_discrete:
-        if not isinstance(generator, DiscreteUniformNulls):
-            raise CliError("bad-arg", "--perturb-discrete requires a grid generator")
-        grid_L = generator.L
-    proc = ProcedureConfig(args.procedure, alpha,
-                           perturb=args.perturb_discrete, grid_L=grid_L)
+    proc = ProcedureConfig(args.procedure, alpha, perturb=args.perturb_discrete)
     criteria = _parse_criteria(args.criteria)
     report = mc_error_rates(generator, proc, args.reps, criteria, seed=args.seed)
     write_json(args.out, report.to_jsonable())
@@ -522,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--preset", default=None,
                     help=f"one of {sorted(PRESETS)}")
     ps.add_argument("--config", default=None, help="JSON config file")
-    ps.add_argument("--procedure", choices=[p.value for p in Procedure],
-                    default=Procedure.SUPPORT_LINE.value)
+    ps.add_argument("--procedure", choices=PROCEDURES, default="support-line")
     ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--criteria", default="bfdr,fdr")
     ps.add_argument("--reps", type=int, default=100_000)

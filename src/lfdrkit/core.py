@@ -324,21 +324,6 @@ class PiecewiseConstant(_StepMass, Density):
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.heights) - 1)
         return np.asarray(self.heights)[idx]
 
-    @cached_property
-    def _piece_cdf(self) -> np.ndarray:
-        """Normalized CDF over the pieces, as ``Generator.choice`` forms it."""
-        masses = np.asarray(self.heights) * np.diff(self.breakpoints)
-        if not masses.sum() > 0.0:
-            raise ValueError("cannot sample a density with zero mass")
-        cdf = (masses / masses.sum()).cumsum()
-        return cdf / cdf[-1]
-
-    def sample(self, rng, size):
-        # the draws of rng.choice(pieces, size, p=masses / masses.sum())
-        piece = self._piece_cdf.searchsorted(rng.random(size), side="right")
-        edges = np.asarray(self.breakpoints)
-        return edges[piece] + np.diff(edges)[piece] * rng.random(size)
-
 
 @dataclass(frozen=True)
 class ExpFamilyPoly(Density):

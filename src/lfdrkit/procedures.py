@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,10 +17,8 @@ import numpy as np
 from .core import LossSpec, Scale, StatVector, _frozen_array
 
 
-class Procedure(Enum):
-    BH = "bh"
-    STOREY_BH = "storey-bh"
-    SUPPORT_LINE = "support-line"
+# the rules the harness and ``lfdrkit simulate --procedure`` run
+PROCEDURES = ("bh", "storey-bh", "support-line")
 
 
 @dataclass(frozen=True)

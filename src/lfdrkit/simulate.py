@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .lfdr import LfdrCurve, score_hypotheses, storey_pi0, storey_pi0_raw
 # perturb_grid_pvalues is not called here but stays importable from this
 # module, where the benchmark's tracer (bench/spans.py) looks it up
 from .procedures import (
-    Procedure,
+    PROCEDURES,
     RejectionResult,
     bh_threshold,
     grid_perturbation,
@@ -212,7 +212,10 @@ class SuperUniformCE:
         return np.array([True, False])
 
     def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
-        row[0] = _SUPERUNIFORM_NULL.sample(rng, 1)[0]
+        # a piece by its mass (accumulated: 1/8, 1/2, 1), then a uniform point in it
+        piece = int(np.searchsorted((0.125, 0.5, 1.0), rng.random(), side="right"))
+        lo, hi = _SUPERUNIFORM_NULL.breakpoints[piece:piece + 2]
+        row[0] = lo + (hi - lo) * rng.random()
         row[1] = 0.25
 
 
@@ -258,26 +261,25 @@ def oracle_score_fn(spec: GeneratorSpec):
 # Procedures and error criteria
 # ---------------------------------------------------------------------------
 
+# the Storey lambda of the storey-bh procedure and of the estimated scorers
+STOREY_LAMBDA = 0.5
+
+
 @dataclass(frozen=True)
 class ProcedureConfig:
-    """Which procedure the harness runs, and the optional grid perturbation."""
+    """Which procedure the harness runs, and whether it perturbs the design's grid."""
 
-    kind: str  # a Procedure value: "support-line" | "bh" | "storey-bh"
+    kind: str  # one of PROCEDURES
     alpha: float
-    storey_lambda: float = 0.5
     perturb: bool = False
-    grid_L: Optional[int] = None
 
     def __post_init__(self):
-        Procedure(self.kind)  # ValueError on an unknown name
+        if self.kind not in PROCEDURES:
+            raise ValueError(f"unknown procedure {self.kind!r}; choose from {PROCEDURES}")
         # the harness calls the row kernels directly, which check neither
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha <= 1.0):
+        if isinstance(self.alpha, bool) or not (isinstance(self.alpha, numbers.Real)
+                                                and 0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        lam = self.storey_lambda
-        if not (isinstance(lam, numbers.Real) and 0.0 < lam < 1.0):
-            raise ValueError(f"storey_lambda must lie in (0, 1), got {lam!r}")
-        if self.perturb and self.grid_L is None:
-            raise ValueError("perturbation requires grid_L")
 
 
 def run_procedure(data: StatVector, cfg: ProcedureConfig) -> RejectionResult:
@@ -286,23 +288,23 @@ def run_procedure(data: StatVector, cfg: ProcedureConfig) -> RejectionResult:
         return support_line(data, cfg.alpha)
     if cfg.kind == "bh":
         return bh_threshold(data, cfg.alpha)
-    pi0 = storey_pi0(data, cfg.storey_lambda)
+    pi0 = storey_pi0(data, STOREY_LAMBDA)
     return bh_threshold(data, cfg.alpha, m0_hat=pi0.value * data.m)
 
 
 @dataclass(frozen=True)
 class Fdr:
-    name: str = "FDR"
+    name: ClassVar[str] = "FDR"
 
 
 @dataclass(frozen=True)
 class Bfdr:
-    name: str = "bFDR"
+    name: ClassVar[str] = "bFDR"
 
 
 @dataclass(frozen=True)
 class Power:
-    name: str = "power"
+    name: ClassVar[str] = "power"
 
 
 @dataclass(frozen=True)
@@ -440,7 +442,7 @@ def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
     m = ps.shape[1]
     if cfg.kind == "bh":
         return step_up_thresholds(ps, cfg.alpha, float(m))
-    pi0 = np.minimum(storey_pi0_raw(ps, cfg.storey_lambda), 1.0)
+    pi0 = np.minimum(storey_pi0_raw(ps, STOREY_LAMBDA), 1.0)
     return step_up_thresholds(ps, cfg.alpha, (pi0 * m)[:, None])
 
 
@@ -514,7 +516,7 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
 
     check_values(values, spec.scale)
     if u is not None:
-        grid_perturbation(values, procedure.grid_L, u, out=values)
+        grid_perturbation(values, spec.L, u, out=values)
     p = to_pvalues(values, spec.scale)
     ps = work.sorted[:rows]
     np.copyto(ps, p)
@@ -563,9 +565,8 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
         # also refuses a NaN bound, which would select no value
         if isinstance(c, (MfdrInterval, PfdrInterval)) and not c.s <= c.t:
             raise ValueError(f"interval criterion {c.name} needs bounds s <= t")
-    if procedure.perturb and not (isinstance(spec, DiscreteUniformNulls)
-                                  and spec.L == procedure.grid_L):
-        raise ValueError(f"perturbation grid_L={procedure.grid_L} is not the design's grid")
+    if procedure.perturb and not isinstance(spec, DiscreteUniformNulls):
+        raise ValueError(f"perturbation needs a grid generator, not {type(spec).__name__}")
     nulls = spec.null_flags
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
     work = _Workspace.for_block(rows, nulls.size, procedure)
@@ -619,7 +620,7 @@ def _score_replicate(scorer: str, data: StatVector, oracle) -> np.ndarray:
     if scorer == "p-value":
         return p
     pv = StatVector(np.clip(p, 1e-300, 1.0), Scale.P_VALUE)
-    pi0 = storey_pi0(pv, 0.5).value
+    pi0 = storey_pi0(pv, STOREY_LAMBDA).value
     if scorer == "q-value":
         return q_values(pv, m0_hat=pi0 * pv.m)
     if scorer == "estimated-lfdr":

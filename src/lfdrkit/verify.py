@@ -468,7 +468,7 @@ def check_discrete_grid_asymptotics(seed: int = DEFAULT_SEED) -> List[CheckResul
 
     # each sub-experiment runs on its own replicate range of the same stream
     out.append(_bfdr_check("discrete-asymptotics-perturbed", spec,
-                           ProcedureConfig("support-line", 0.5, perturb=True, grid_L=L),
+                           ProcedureConfig("support-line", 0.5, perturb=True),
                            pi0 * 0.5, seed, start=MC_REPS,
                            detail=f"perturbed grid p-values, m={m}, N={MC_REPS}")[0])
 

@@ -262,7 +262,7 @@ def test_perturb_discrete_takes_the_grid_of_the_design(tmp_path, capsys):
                             "--seed", "1", "--out", out], capsys)
     assert code == 0, err
     procedure = json.loads((tmp_path / "rep.json").read_text())["config"]["procedure"]
-    assert "perturb=True" in procedure and "grid_L=9" in procedure
+    assert procedure == "ProcedureConfig(kind='support-line', alpha=0.5, perturb=True)"
 
 
 def test_simulate_refuses_interval_criteria_without_two_ordered_bounds(tmp_path, capsys):
@@ -346,6 +346,54 @@ def test_config_that_is_not_a_json_object_is_a_bad_arg(command, config, message,
     assert code == 2 and out == ""
     assert err.startswith("ERROR bad-arg") and message in err
     assert err.count("\n") == 1
+
+
+ANALYZE_READS = "input, scale, pi0, density, out, alpha, lambda"
+DESIGN_READS = "generator, alpha"
+CE_DESIGN = {"generator": {"kind": "superuniform-ce"}}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("analyze", {"alhpa": 0.01}, f"'alhpa' is not read; this command reads {ANALYZE_READS}"),
+    ("analyze", {"input": 0}, f"'input' must be a string, not 0; this command reads "
+                              f"{ANALYZE_READS}"),
+    ("analyze", {"density": 5}, "'density' must be a string, not 5"),
+    ("analyze", {"pi0": 5}, "'pi0' must be a string, not 5"),
+    ("analyze", {"out": 5}, "'out' must be a string, not 5"),
+    ("analyze", {"alpha": [1]}, "'alpha' must be a number, not [1]"),
+    ("analyze", {"alpha": True}, "'alpha' must be a number, not true"),
+    ("analyze", {"lambda": None}, "'lambda' must be a number, not null"),
+    ("analyze", {"generator": {}}, f"'generator' is not read; this command reads "
+                                   f"{ANALYZE_READS}"),
+    ("simulate", {**CE_DESIGN, "alpah": 0.3},
+     f"'alpah' is not read; this command reads {DESIGN_READS}"),
+    ("simulate", {**CE_DESIGN, "alpha": True},
+     f"'alpha' must be a number, not true; this command reads {DESIGN_READS}"),
+    ("simulate", {**CE_DESIGN, "alpha": "0.3"}, "'alpha' must be a number, not \"0.3\""),
+    ("calibrate", {**CE_DESIGN, "input": "p.csv"}, "'input' is not read"),
+])
+def test_config_key_not_read_or_of_another_type_is_a_bad_arg(command, config, message,
+                                                              pfile, tmp_path, capsys):
+    if command == "analyze":
+        config = {"input": pfile, **config}
+        tail = []
+    else:
+        tail = ["--reps", "3", "--seed", "1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli([command, "--config", str(cfg), *tail], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ERROR bad-arg: --config key {message}")
+    assert err.count("\n") == 1
+
+
+def test_calibrate_reads_the_alpha_of_a_simulate_design_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "gaussian-means", "m": 20, "m1": 2,
+                                             "mu": 2.0}, "alpha": 0.3}), encoding="utf-8")
+    code, _, err = run_cli(["calibrate", "--config", str(cfg), "--reps", "3", "--seed", "1",
+                            "--out", str(tmp_path / "cal.csv")], capsys)
+    assert code == 0, err
 
 
 def test_simulate_warns_of_each_requested_criterion_left_out_of_estimates(tmp_path, capsys):

@@ -86,13 +86,12 @@ def malformed_files(draw):
 
 
 def _outcome(path, scale):
-    """What ``read_stats_csv`` gives: values bitwise, ids and truth, or its error."""
+    """What ``read_stats_csv`` gives: values bitwise and ids, or its error."""
     try:
-        stats, truth = cli.read_stats_csv(str(path), scale)
+        stats = cli.read_stats_csv(str(path), scale)
     except (cli.CliError, ValueError, csv.Error) as exc:
         return type(exc), getattr(exc, "code", None), str(exc)
-    return (stats.values.view(np.int64).tolist(), stats.ids,
-            None if truth is None else truth.tolist())
+    return stats.values.view(np.int64).tolist(), stats.ids
 
 
 def _row_loop_outcome(path, scale):

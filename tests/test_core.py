@@ -151,13 +151,6 @@ def test_loss_spec_threshold():
             lk.LossSpec(bad)
 
 
-def test_density_sampling_matches_cdf():
-    rng = np.random.default_rng(1)
-    pc = lk.PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0))
-    x = pc.sample(rng, 20000)
-    assert abs(np.mean(x <= 0.5) - pc.cdf(0.5)) < 0.02
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @example(pi0=1.0, t=0.0)  # the weightless Beta(0.5, 1) is inf at 0
