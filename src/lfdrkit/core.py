@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
     Computed as ``ndtr(-z)``, which equals ``norm.sf(z)`` bitwise; the
     ``rv_continuous`` wrapper would allocate several block-sized temporaries
     per call, and the Monte Carlo core calls this once per block."""
-    return values if scale is Scale.P_VALUE else special.ndtr(-values)
+    return values if scale is Scale.P_VALUE else scipy.special.ndtr(-values)
 
 
 def normal_pdf(x):
@@ -216,7 +216,7 @@ class Density:
     def total_mass(self) -> float:
         """Integral (or sum) of the density over its support."""
         lo, hi = self.support
-        val, _ = integrate.quad(lambda x: self.pdf(x), lo, hi, limit=200)
+        val, _ = scipy.integrate.quad(lambda x: self.pdf(x), lo, hi, limit=200)
         return val
 
 
@@ -247,7 +247,7 @@ class GaussianLocation(Density):
         return normal_pdf(arr - self.mean)
 
     def _cdf(self, arr):
-        return special.ndtr(arr - self.mean)
+        return scipy.special.ndtr(arr - self.mean)
 
     def total_mass(self):
         return 1.0
@@ -267,11 +267,12 @@ class BetaDensity(Density):
         # via scipy's logpdf: beta.pdf itself overflows on denormal inputs, and
         # the one-sided limit at the endpoints (possibly inf) is wanted here
         with np.errstate(over="ignore"):
-            return np.exp(special.xlog1py(self.b - 1.0, -arr) + special.xlogy(self.a - 1.0, arr)
-                          - special.betaln(self.a, self.b))
+            return np.exp(scipy.special.xlog1py(self.b - 1.0, -arr)
+                          + scipy.special.xlogy(self.a - 1.0, arr)
+                          - scipy.special.betaln(self.a, self.b))
 
     def _cdf(self, arr):
-        return special.betainc(self.a, self.b, np.clip(arr, 0.0, 1.0))
+        return scipy.special.betainc(self.a, self.b, np.clip(arr, 0.0, 1.0))
 
     def total_mass(self):
         return 1.0
@@ -347,7 +348,7 @@ class ExpFamilyPoly(Density):
 
     def _cdf(self, arr):
         flat = np.clip(arr, self.lo, self.hi).ravel()
-        out = np.array([integrate.quad(lambda x: self.pdf(x), self.lo, x, limit=200)[0]
+        out = np.array([scipy.integrate.quad(lambda x: self.pdf(x), self.lo, x, limit=200)[0]
                         for x in flat])
         return out.reshape(arr.shape)
 

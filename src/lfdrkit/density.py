@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import isotonic_regression
+import scipy
 
 from .core import (
     Density,
@@ -111,7 +110,7 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     # subnormal spacings overflow the slopes to inf, and with them the
     # majorant, so a vertex without a finite majorant is always a candidate
     with np.errstate(over="ignore", invalid="ignore"):
-        iso = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
+        iso = scipy.optimize.isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
         # majorant at each vertex, from the first vertex of its block: a
         # running sum over the spacings would gather error that grows with m
         start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
@@ -240,7 +239,7 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
     beta = poly_u(np.polynomial.Polynomial([-c / s, 1.0 / s])).coef
     beta = np.concatenate([beta, np.zeros(degree + 1 - beta.size)])
 
-    norm, _ = integrate.quad(
+    norm, _ = scipy.integrate.quad(
         lambda x: np.exp(np.polynomial.polynomial.polyval(x, beta)), lo, hi, limit=200)
     if not (math.isfinite(norm) and norm > 0.0):
         raise FitError(f"exp-polynomial fit has mass {norm!r} over the bin range")

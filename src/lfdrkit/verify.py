@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .compound import _clfdr_generic, clfdr_exact
 from .core import (
@@ -490,7 +490,7 @@ def check_pvalue_density_bound() -> List[CheckResult]:
     exp(theta * q(t) - theta^2 / 2) at t, with q(t) the upper t-quantile:
     at most 1 on [0, alpha*], alpha* = 1/2."""
     alpha_star = 0.5
-    q = -special.ndtri(np.linspace(0.0, alpha_star, 10_000))
+    q = -scipy.special.ndtri(np.linspace(0.0, alpha_star, 10_000))
     out = []
     for theta in (0.0, -0.5, -2.0):
         with np.errstate(invalid="ignore"):

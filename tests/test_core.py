@@ -288,9 +288,28 @@ def test_negated_ndtri_equals_scipy_stats_norm_isf_bitwise(qs):
     assert np.array_equal(_bits(-ndtri(q) + 0.0), _bits(norm.isf(q)))
 
 
-def test_package_import_leaves_scipy_stats_out():
-    code = "import sys, lfdrkit, lfdrkit.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ), timeout=120)
+_SUBMODULES = ("scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize")
+_LOADED = ("import sys, lfdrkit, lfdrkit.cli\n"
+           "assert len(sys.argv) == 1 or lfdrkit.cli.main(sys.argv[1:]) == 0\n"
+           f"print(*[m for m in {_SUBMODULES!r} if m in sys.modules])")
+
+
+# Each case starts a fresh interpreter: in this one other tests have already
+# loaded scipy, so a stray eager import would not show.
+@pytest.mark.parametrize("argv, absent", [
+    pytest.param([], _SUBMODULES, id="import"),
+    pytest.param(["simulate", "--preset", "theorem-5.1", "--reps", "5", "--seed", "1"],
+                 _SUBMODULES, id="simulate-theorem"),
+    pytest.param(["simulate", "--preset", "counterexample-discrete", "--perturb-discrete",
+                  "--reps", "5", "--seed", "1"], _SUBMODULES, id="simulate-perturbed"),
+    pytest.param(["analyze", "--input", "{tmp}/p.csv", "--scale", "p", "--density",
+                  "grenander", "--out", "{tmp}/res"], ("scipy.stats",), id="analyze-grenander"),
+])
+def test_entry_point_leaves_scipy_submodules_out(tmp_path, argv, absent):
+    (tmp_path / "p.csv").write_text("id,stat\na,0.01\nb,0.2\nc,0.7\n", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, env=dict(os.environ), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert not set(absent) & set(loaded), loaded
