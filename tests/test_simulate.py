@@ -461,6 +461,31 @@ def test_gaussian_oracle_equals_the_closed_form_bitwise():
     assert oracle_score_fn(spec)(float(z[0])) == want[0]
 
 
+@pytest.mark.parametrize("spec, scorers", [
+    (GaussianMeans(m=40, m1=6, mu=2.0), simulate.SCORERS),
+    (PRESETS["theorem-5.1"][0], simulate.SCORERS),
+    (PRESETS["counterexample-superuniform"][0], ("p-value",)),
+], ids=["gaussian", "theorem-5.1", "superuniform"])
+def test_calibration_does_not_depend_on_the_block_size(spec, scorers):
+    # 11 replicates in blocks of 4 rows: three blocks, the last one short;
+    # one-row blocks are the per-replicate loop
+    m = spec.null_flags.size
+    for scorer in scorers:
+        curves = []
+        for rows in (1, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "_BLOCK_ROWS", rows)
+                mp.setattr(simulate, "_BLOCK_VALUES", rows * m + m - 1)
+                curves.append(calibration_experiment(spec, scorer, 11, 0.05, seed=3))
+        one, blocked = curves
+        assert np.array_equal(blocked.bin_counts, one.bin_counts)
+        assert blocked.bin_null_fraction.tobytes() == one.bin_null_fraction.tobytes()
+    if "oracle-lfdr" in scorers:
+        oracle = oracle_score_fn(spec)
+        block = np.stack([generate(spec, seed=s)[0].values for s in range(5)])
+        assert oracle(block).tobytes() == np.stack([oracle(row) for row in block]).tobytes()
+
+
 def test_calibration_argument_validation():
     spec = GaussianMeans(m=10, m1=1, mu=1.0)
     with pytest.raises(ValueError):
