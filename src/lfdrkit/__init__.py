@@ -23,7 +23,6 @@ from .core import (
     PiecewiseConstant,
     Scale,
     StatVector,
-    TwoGroupsSpec,
     Uniform01,
 )
 from .density import (

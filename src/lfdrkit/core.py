@@ -65,8 +65,10 @@ def to_pvalues(values: np.ndarray, scale: Scale) -> np.ndarray:
 def normal_pdf(x):
     """The one Gaussian kernel: scipy's own ``_norm_pdf`` formula, bit for bit.
     ``x * x``, not ``x**2``: a numpy scalar's power can differ in the last bit
-    from the array square, and a scalar must equal its array element."""
-    return np.exp(-(x * x) / 2.0) / math.sqrt(2.0 * math.pi)
+    from the array square, and a scalar must equal its array element.  A
+    huge ``x`` squares to inf, whose density is 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(x * x) / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def check_finite(field: str, value, positive: bool = False) -> None:
@@ -162,10 +164,6 @@ class GroundTruth:
     @property
     def m0(self) -> int:
         return int(self.null_flags.sum())
-
-    @property
-    def pi0_bar(self) -> float:
-        return self.m0 / self.m
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +394,8 @@ class MixtureDensity(Density):
 
 
 # ---------------------------------------------------------------------------
-# Two-groups model and loss
+# Loss
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoGroupsSpec:
-    """Mixture model: null with probability pi0 from f0, otherwise from f1."""
-
-    pi0: float
-    f0: Density
-    f1: Density
-
-    def __post_init__(self):
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError("pi0 must lie in [0, 1]")
-
-    def mixture(self) -> MixtureDensity:
-        return MixtureDensity((self.f0, self.f1), (self.pi0, 1.0 - self.pi0))
-
 
 @dataclass(frozen=True)
 class LossSpec:

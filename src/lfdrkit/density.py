@@ -202,48 +202,50 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
     V = np.vander(u, degree + 1, increasing=True)
     offset = math.log(m * width)
 
-    gamma = np.zeros(degree + 1)
-    y = counts.astype(float)
-    eta = V @ gamma + offset
-    ll = _poisson_loglik(y, eta)
-    converged = False
-    for iterations in range(max_iter):
-        mu = np.exp(eta)
-        grad = V.T @ (y - mu)
-        if np.max(np.abs(grad)) <= grad_tol:
-            converged = True
-            break
-        hess = V.T @ (mu[:, None] * V)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # step halving keeps the objective nondecreasing
-        t = 1.0
-        for _ in range(60):
-            cand = gamma + t * step
-            eta_cand = V @ cand + offset
-            ll_cand = _poisson_loglik(y, eta_cand)
-            if np.isfinite(ll_cand) and ll_cand >= ll - 1e-12:
-                break
-            t *= 0.5
-        gamma = gamma + t * step
+    # exp may overflow to inf: step halving refuses a -inf loglik, the mass gate an inf norm
+    with np.errstate(over="ignore"):
+        gamma = np.zeros(degree + 1)
+        y = counts.astype(float)
         eta = V @ gamma + offset
         ll = _poisson_loglik(y, eta)
-    else:
-        iterations = max_iter
-        mu = np.exp(eta)
-        converged = bool(np.max(np.abs(V.T @ (y - mu))) <= grad_tol)
+        converged = False
+        for iterations in range(max_iter):
+            mu = np.exp(eta)
+            grad = V.T @ (y - mu)
+            if np.max(np.abs(grad)) <= grad_tol:
+                converged = True
+                break
+            hess = V.T @ (mu[:, None] * V)
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            # step halving keeps the objective nondecreasing
+            t = 1.0
+            for _ in range(60):
+                cand = gamma + t * step
+                eta_cand = V @ cand + offset
+                ll_cand = _poisson_loglik(y, eta_cand)
+                if np.isfinite(ll_cand) and ll_cand >= ll - 1e-12:
+                    break
+                t *= 0.5
+            gamma = gamma + t * step
+            eta = V @ gamma + offset
+            ll = _poisson_loglik(y, eta)
+        else:
+            iterations = max_iter
+            mu = np.exp(eta)
+            converged = bool(np.max(np.abs(V.T @ (y - mu))) <= grad_tol)
 
-    poly_u = np.polynomial.Polynomial(gamma)
-    beta = poly_u(np.polynomial.Polynomial([-c / s, 1.0 / s])).coef
-    beta = np.concatenate([beta, np.zeros(degree + 1 - beta.size)])
+        poly_u = np.polynomial.Polynomial(gamma)
+        beta = poly_u(np.polynomial.Polynomial([-c / s, 1.0 / s])).coef
+        beta = np.concatenate([beta, np.zeros(degree + 1 - beta.size)])
 
-    norm, _ = scipy.integrate.quad(
-        lambda x: np.exp(np.polynomial.polynomial.polyval(x, beta)), lo, hi, limit=200)
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise FitError(f"exp-polynomial fit has mass {norm!r} over the bin range")
-    beta[0] -= math.log(norm)
+        norm, _ = scipy.integrate.quad(
+            lambda x: np.exp(np.polynomial.polynomial.polyval(x, beta)), lo, hi, limit=200)
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise FitError(f"exp-polynomial fit has mass {norm!r} over the bin range")
+        beta[0] -= math.log(norm)
 
     fit = ExpFamilyFit(
         coefficients=tuple(float(b) for b in beta),

@@ -7,10 +7,11 @@ drawing in a fixed order: data, grid perturbation, then the boundary
 tie-pick.  The tie-pick draws from the state the row's other draws left:
 saved after each row on unperturbed grid designs, whose rows tie at most
 boundaries, and otherwise rebuilt when needed by re-keying the row's stream
-and repeating its draws.  Rejection rules run along the rows with the
-per-instance rules' arithmetic.  Each criterion counts replicates per
-distinct outcome, such as (V, R), so runs over adjacent replicate ranges
-merge exactly by adding counts.
+and repeating its draws.  One function draws every row, so the replay, the
+calibration pool and ``generate`` keep that order.  Rejection rules run
+along the rows with the per-instance rules' arithmetic.  Each criterion
+counts replicates per distinct outcome, such as (V, R), so runs over
+adjacent replicate ranges merge exactly by adding counts.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .core import (
     BetaDensity,
     GaussianLocation,
     GroundTruth,
+    MixtureDensity,
     PiecewiseConstant,
     Scale,
     StatVector,
-    TwoGroupsSpec,
     Uniform01,
     _frozen_array,
     check_finite,
@@ -234,27 +235,42 @@ PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
 }
 
 
+def _draw_rows(spec: GeneratorSpec, streams, values: np.ndarray, u: Optional[np.ndarray] = None,
+               states: Optional[list] = None) -> np.random.Generator:
+    """The one draw order: row i of ``values`` from the i-th stream, then the
+    row's perturbation uniforms into ``u[i]``, then that stream's state onto
+    ``states``.  Checks the drawn values and returns the last stream."""
+    for i, rng in enumerate(streams):
+        spec.draw(rng, values[i])
+        if u is not None:
+            rng.random(out=u[i])
+        if states is not None:
+            states.append(rng.bit_generator.state)
+    check_values(values, spec.scale)
+    return rng
+
+
 def generate(spec: GeneratorSpec, seed: Optional[int] = None,
              rng: Optional[np.random.Generator] = None) -> Tuple[StatVector, GroundTruth]:
     """Draw one replicate; deterministic given the seed (or supplied rng)."""
     if rng is None:
         rng = replicate_rng(0 if seed is None else seed, 0)
     flags = spec.null_flags
-    row = np.empty(flags.size)
-    spec.draw(rng, row)
-    return StatVector(row, spec.scale), GroundTruth(flags)
+    row = np.empty((1, flags.size))
+    _draw_rows(spec, [rng], row)
+    return StatVector(row[0], spec.scale), GroundTruth(flags)
 
 
 def oracle_score_fn(spec: GeneratorSpec):
     """Closed-form pointwise score function for designs that admit one."""
     if isinstance(spec, GaussianMeans):
-        model = TwoGroupsSpec((spec.m - spec.m1) / spec.m, GaussianLocation(0.0),
-                              GaussianLocation(spec.mu))
+        pi0, f0, f1 = ((spec.m - spec.m1) / spec.m, GaussianLocation(0.0),
+                       GaussianLocation(spec.mu))
     elif isinstance(spec, TwoGroupsBeta):
-        model = TwoGroupsSpec(spec.m0 / spec.m, Uniform01(), BetaDensity(spec.a, spec.b))
+        pi0, f0, f1 = spec.m0 / spec.m, Uniform01(), BetaDensity(spec.a, spec.b)
     else:
         raise AssumptionError(f"no closed-form pointwise score for {type(spec).__name__}")
-    return LfdrCurve(model.pi0, model.f0, model.mixture()).evaluate
+    return LfdrCurve(pi0, f0, MixtureDensity((f0, f1), (pi0, 1.0 - pi0))).evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +484,9 @@ def _replayed_stream(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
     """Replicate ``index``'s stream at the state its data and perturbation
     draws left: Philox is counter-based, so re-keying to (seed, index) and
     repeating the draws into a scratch row rebuilds that state bit for bit."""
-    rng = next(_replicate_streams(seed, range(index, index + 1)))
-    scratch = np.empty(spec.null_flags.size)
-    spec.draw(rng, scratch)
-    if procedure.perturb:
-        rng.random(out=scratch)
-    return rng
+    scratch = np.empty((1, spec.null_flags.size))
+    return _draw_rows(spec, _replicate_streams(seed, range(index, index + 1)), scratch,
+                      scratch if procedure.perturb else None)
 
 
 def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
@@ -501,12 +514,7 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
     values = work.x[:rows]
     u = None if work.u is None else work.u[:rows]
     states = [] if _saves_states(spec, procedure, criteria) else None
-    for i, rng in enumerate(_replicate_streams(seed, indices)):
-        spec.draw(rng, values[i])
-        if u is not None:
-            rng.random(out=u[i])
-        if states is not None:
-            states.append(rng.bit_generator.state)
+    rng = _draw_rows(spec, _replicate_streams(seed, indices), values, u, states)
 
     def after_draws(i: int) -> np.random.Generator:
         if states is None:
@@ -514,7 +522,6 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
         rng.bit_generator.state = states[i]
         return rng
 
-    check_values(values, spec.scale)
     if u is not None:
         grid_perturbation(values, spec.L, u, out=values)
     p = to_pvalues(values, spec.scale)
@@ -613,19 +620,20 @@ class CalibrationCurve:
 SCORERS = ("p-value", "q-value", "oracle-lfdr", "estimated-lfdr")
 
 
-def _score_replicate(scorer: str, data: StatVector, oracle) -> np.ndarray:
+def _score_block(scorer: str, values: np.ndarray, scale: Scale, oracle) -> np.ndarray:
+    """Scores of a block of rows; the estimated scorers fit each row on its own."""
     if scorer == "oracle-lfdr":
-        return np.asarray(oracle(data.values), dtype=float)
-    p = to_pvalues(data.values, data.scale)
+        return oracle(values)
+    p = to_pvalues(values, scale)
     if scorer == "p-value":
         return p
-    pv = StatVector(np.clip(p, 1e-300, 1.0), Scale.P_VALUE)
-    pi0 = storey_pi0(pv, STOREY_LAMBDA).value
-    if scorer == "q-value":
-        return q_values(pv, m0_hat=pi0 * pv.m)
-    if scorer == "estimated-lfdr":
-        return score_hypotheses(LfdrCurve(pi0, Uniform01(), grenander_fit(pv)), pv)
-    raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORERS}")
+    scores = np.empty_like(p)
+    for row, out in zip(p, scores):
+        pv = StatVector(np.clip(row, 1e-300, 1.0), Scale.P_VALUE)
+        pi0 = storey_pi0(pv, STOREY_LAMBDA).value
+        out[:] = q_values(pv, m0_hat=pi0 * pv.m) if scorer == "q-value" else \
+            score_hypotheses(LfdrCurve(pi0, Uniform01(), grenander_fit(pv)), pv)
+    return scores
 
 
 def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
@@ -638,19 +646,25 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     nbins = int(round(1.0 / bin_width))
     if abs(nbins * bin_width - 1.0) > 1e-9:
         raise ValueError("bin_width must divide [0, 1] evenly")
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORERS}")
     oracle = oracle_score_fn(spec) if scorer == "oracle-lfdr" else None
 
-    counts = np.zeros(nbins, dtype=np.int64)
-    null_counts = np.zeros(nbins, dtype=np.int64)
-    for rng in _replicate_streams(seed, range(reps)):
-        data, truth = generate(spec, rng=rng)
-        scores = _score_replicate(scorer, data, oracle)
+    nulls = spec.null_flags
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, reps))
+    values = np.empty((rows, nulls.size))
+    # bin counts of the alternatives, then of the nulls
+    tally = np.zeros(2 * nbins, dtype=np.int64)
+    for first in range(0, reps, rows):
+        block = values[:min(rows, reps - first)]
+        _draw_rows(spec, _replicate_streams(seed, range(first, first + len(block))), block)
+        scores = _score_block(scorer, block, spec.scale, oracle)
         idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
-        counts += np.bincount(idx, minlength=nbins)
-        null_counts += np.bincount(idx[truth.null_flags], minlength=nbins)
+        tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
 
+    null_counts = tally[nbins:]
+    counts = tally[:nbins] + null_counts
     with np.errstate(invalid="ignore"):
         frac = np.where(counts > 0, null_counts / np.maximum(counts, 1), np.nan)
     edges = np.linspace(0.0, 1.0, nbins + 1)
     return CalibrationCurve(edges, frac, counts)
-

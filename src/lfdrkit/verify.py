@@ -23,9 +23,9 @@ from .core import (
     BetaDensity,
     GaussianLocation,
     GroundTruth,
+    MixtureDensity,
     Scale,
     StatVector,
-    TwoGroupsSpec,
     Uniform01,
 )
 from .density import grenander_fit
@@ -398,12 +398,13 @@ def check_mfdr_pfdr_limit() -> List[CheckResult]:
     """The interval mFDR on [-eps, eps], null mass over total mass from the
     component cdfs, against the pointwise score at 0 as eps shrinks.  Its
     conditional form, pFDR, is the harness criterion :class:`PfdrInterval`."""
-    spec = TwoGroupsSpec(0.95, GaussianLocation(0.0), GaussianLocation(2.0))
-    target = LfdrCurve(spec.pi0, spec.f0, spec.mixture(), clip=False).evaluate(0.0)
+    pi0, f0, f1 = 0.95, GaussianLocation(0.0), GaussianLocation(2.0)
+    target = LfdrCurve(pi0, f0, MixtureDensity((f0, f1), (pi0, 1.0 - pi0)),
+                       clip=False).evaluate(0.0)
     devs = []
     for eps in (0.5, 0.1, 0.02):
-        mass0 = spec.pi0 * (spec.f0.cdf(eps) - spec.f0.cdf(-eps))
-        mass1 = (1.0 - spec.pi0) * (spec.f1.cdf(eps) - spec.f1.cdf(-eps))
+        mass0 = pi0 * (f0.cdf(eps) - f0.cdf(-eps))
+        mass1 = (1.0 - pi0) * (f1.cdf(eps) - f1.cdf(-eps))
         devs.append(abs(float(mass0 / (mass0 + mass1)) - target))
     decreasing = all(devs[k] > devs[k + 1] for k in range(len(devs) - 1))
     return [

@@ -171,11 +171,23 @@ def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, ca
     path = tmp_path / "z.csv"
     path.write_text("id,stat\n" + "".join(f"g{i},{v!r}\n" for i, v in enumerate(z.tolist())),
                     encoding="utf-8")
-    with np.errstate(over="ignore"):
-        code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
-                                "--density", "lindsey:7:120"], capsys)
+    code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                            "--density", "lindsey:7:120"], capsys)
     assert code == 2
-    assert err.startswith("ERROR fit")
+    assert err.startswith("ERROR fit") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_analyze_huge_z_leaves_stderr_empty(tmp_path):
+    # 2e154 squares to inf in the Gaussian kernel, whose density there is 0;
+    # numpy's overflow warning must not reach the user
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\na,-1.3\nb,0.2\nc,2e154\nd,0.9\ne,-0.4\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lfdrkit.cli", "analyze", "--input", str(path), "--scale", "z",
+         "--density", "npmle:50:1e-6", "--out", str(tmp_path / "res")],
+        capture_output=True, text=True, env=dict(os.environ), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_analyze_npmle_fit_without_kernel_mass_is_a_fit_error(tmp_path, capsys):

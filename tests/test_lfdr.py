@@ -41,7 +41,7 @@ def test_oracle_matches_curve_when_nulls_share_density():
     f1 = lk.BetaDensity(0.3, 1.0)
     models = [f1] * m1 + [lk.Uniform01()] * (m - m1)
     avg = lk.MixtureDensity(tuple(models), tuple([1 / m] * m))
-    curve = lk.LfdrCurve(truth.pi0_bar, lk.Uniform01(), avg, clip=False)
+    curve = lk.LfdrCurve(truth.m0 / truth.m, lk.Uniform01(), avg, clip=False)
     for t in (0.05, 0.4, 0.99):
         assert abs(lk.oracle_lfdr(truth, models, t) - curve.evaluate(t)) < 1e-12
 

@@ -74,7 +74,7 @@ def test_gaussian_means_design():
     stats, truth = generate(spec, seed=1)
     assert stats.m == 3000 and stats.scale is lk.Scale.Z_VALUE
     assert truth.m0 == 2850
-    assert truth.pi0_bar == pytest.approx(0.95)
+    assert truth.m0 / truth.m == pytest.approx(0.95)
     # the planted block really is shifted
     assert stats.values[:150].mean() > 1.5
 
@@ -459,6 +459,16 @@ def test_gaussian_oracle_equals_the_closed_form_bitwise():
     got = oracle_score_fn(spec)(z)
     assert np.array_equal(got, want)
     assert oracle_score_fn(spec)(float(z[0])) == want[0]
+
+    # the beta design: a uniform null, so the score is pi0 / fbar
+    spec, _ = PRESETS["theorem-5.1"]
+    pi0 = spec.m0 / spec.m
+    p = np.concatenate([generate(spec, seed=5)[0].values, [1e-300, 0.5, 1.0]])
+    want = np.minimum(
+        pi0 / (pi0 + (1 - pi0) * np.exp(sps.beta.logpdf(p, spec.a, spec.b))), 1.0)
+    got = oracle_score_fn(spec)(p)
+    assert np.array_equal(got, want)
+    assert oracle_score_fn(spec)(float(p[0])) == want[0]
 
 
 @pytest.mark.parametrize("spec, scorers", [

@@ -45,20 +45,22 @@ def reference_grenander(p):
     u, counts = np.unique(p, return_counts=True)
     ys = np.concatenate([[0.0], np.cumsum(counts) / m])
     xs = np.concatenate([[0.0], u])
-    hull = [0]
-    for j in range(1, xs.size):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            s_prev = (ys[b] - ys[a]) / (xs[b] - xs[a])
-            s_new = (ys[j] - ys[b]) / (xs[j] - xs[b])
-            if s_prev <= s_new:
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    hx = xs[hull]
-    hy = ys[hull]
-    heights = np.diff(hy) / np.diff(hx)
+    # a subnormal spacing overflows a slope or a height to inf
+    with np.errstate(over="ignore"):
+        hull = [0]
+        for j in range(1, xs.size):
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                s_prev = (ys[b] - ys[a]) / (xs[b] - xs[a])
+                s_new = (ys[j] - ys[b]) / (xs[j] - xs[b])
+                if s_prev <= s_new:
+                    hull.pop()
+                else:
+                    break
+            hull.append(j)
+        hx = xs[hull]
+        hy = ys[hull]
+        heights = np.diff(hy) / np.diff(hx)
     idx = np.searchsorted(hx[1:], p, side="left")
     return tuple(hx), tuple(heights), float(np.mean(np.log(heights[idx])))
 
