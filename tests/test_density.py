@@ -123,6 +123,119 @@ def test_monotone_fit_cdf_accumulates_the_step_masses():
             assert fit.cdf(t) == pytest.approx(fit.total_mass(), rel=1e-14)
 
 
+def _pava_grenander_fit(stats):
+    """Reference fit: candidates from the pool-adjacent-violators majorant.
+
+    Vertices within 1e-12 of the PAVA majorant of the ECDF, and both ends,
+    go to the same float stack scan the package runs.
+    """
+    from scipy.optimize import isotonic_regression
+
+    p = stats.values[stats.order]
+    m = p.size
+    if p[0] <= 0.0:
+        raise DegeneracyError("observation at exactly 0")
+    last = np.append(np.flatnonzero(p[1:] != p[:-1]), m - 1)
+    xs = np.concatenate([[0.0], p[last]])
+    ys = np.concatenate([[0.0], (last + 1) / m])
+    dx = np.diff(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iso = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
+        start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
+        majorant = ys[start] + iso.x * (xs[1:] - xs[start])
+    near = np.flatnonzero(~np.isfinite(majorant) | (majorant - ys[1:] <= 1e-12)) + 1
+    cand = np.unique(np.concatenate([[0], near, [xs.size - 1]]))
+    cx, cy = xs[cand].tolist(), ys[cand].tolist()
+    hull = [0]
+    for j in range(1, len(cx)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (cy[b] - cy[a]) / (cx[b] - cx[a]) <= (cy[j] - cy[b]) / (cx[j] - cx[b]):
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    hx = xs[cand[hull]]
+    hy = ys[cand[hull]]
+    with np.errstate(over="ignore"):
+        heights = np.diff(hy) / np.diff(hx)
+    idx = np.searchsorted(hx[1:], p, side="left")
+    ll = float(np.mean(np.log(heights[idx])))
+    if not (np.all(np.isfinite(heights)) and math.isfinite(ll)):
+        raise FitError("monotone fit of infinite mass")
+    return lk.MonotoneDensityFit(tuple(hx), tuple(heights), loglik=ll)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _assert_fit_matches_reference(p):
+    stats = _pstats(p)
+    try:
+        want = _pava_grenander_fit(stats)
+    except (DegeneracyError, FitError) as err:
+        with pytest.raises(type(err)):
+            lk.grenander_fit(stats)
+        return
+    got = lk.grenander_fit(stats)
+    assert np.array_equal(_bits(got.breakpoints), _bits(want.breakpoints))
+    assert np.array_equal(_bits(got.heights), _bits(want.heights))
+    assert _bits(got.loglik) == _bits(want.loglik)
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def _grenander_inputs(draw):
+    shape = draw(st.sampled_from(["draws", "grid", "subnormal", "even", "power"]))
+    n = draw(st.integers(1, 80))
+    if shape == "draws":
+        return draw(st.lists(_UNIT, min_size=1, max_size=80))
+    if shape == "grid":
+        # ties on a coarse grid; k = 0 is an exact 0
+        g = draw(st.integers(1, 12))
+        return [k / g for k in draw(st.lists(st.integers(0, g), min_size=1, max_size=80))]
+    if shape == "subnormal":
+        tiny = st.integers(1, 4).map(lambda k: k * 5e-324)
+        return draw(st.lists(tiny | _UNIT, min_size=1, max_size=40))
+    if shape == "even":
+        lo = draw(st.floats(1e-6, 1.0))
+        return np.linspace(lo, draw(st.floats(lo, 1.0)), n)
+    # quantiles (i/n)**k: concave ECDFs for k > 1, convex for k < 1
+    k = draw(st.floats(0.1, 10.0))
+    return (np.arange(1, n + 1) / n) ** k
+
+
+@settings(max_examples=500, deadline=None)
+@given(_grenander_inputs())
+def test_grenander_equals_the_pava_reference_bitwise(p):
+    _assert_fit_matches_reference(p)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param([5e-324, 1e-323, 0.5, 1.0], id="subnormal"),
+    pytest.param([0.0, 0.5], id="zero"),
+    pytest.param([0.1, 0.1, 0.2, 0.5, 0.5, 0.5, 1.0], id="ties"),
+    pytest.param(np.linspace(0.001, 1.0, 2000), id="even"),
+    pytest.param((np.arange(1, 2001) / 2000) ** 3, id="concave"),
+    pytest.param((np.arange(1, 2001) / 2000) ** 0.3, id="convex"),
+])
+def test_grenander_equals_the_pava_reference_on_fixed_inputs(p):
+    _assert_fit_matches_reference(p)
+
+
+def test_grenander_equals_the_pava_reference_on_draws():
+    for i in range(50):
+        rng = replicate_rng(23, i)
+        m = int(rng.integers(1, 5000))
+        p = rng.random(m)
+        alt = rng.random(m) < 0.1
+        p[alt] = rng.beta(0.05, 1.0, int(alt.sum()))
+        _assert_fit_matches_reference(np.clip(p, 1e-300, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # lindsey_fit
 # ---------------------------------------------------------------------------
