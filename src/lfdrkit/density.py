@@ -38,9 +38,92 @@ from .core import (
 # Grenander: monotone maximum likelihood on [0, 1]
 # ---------------------------------------------------------------------------
 
-# vertices this close under the pool-adjacent-violators majorant are kept for
-# the exact stack scan; float error in the majorant is far below it at m = 10^6
+# vertices this close under a chord between two vertices are kept for the
+# exact stack scan; float error in the chord test is far below it
 _HULL_CANDIDATE_TOL = 1e-12
+# a chord shorter than this drops nothing: its cross products could underflow
+# and lose the relative precision that the tolerance test needs
+_MIN_CHORD_SPAN = 2.0 ** -600
+# a pass of the filter that would drop less than this share of the vertices
+# it tests ends its loop, which keeps the filter's work O(m)
+_MIN_DROP_SHARE = 0.125
+# while more than _COARSE_MIN vertices are left, the filter tests them against
+# the hull of every _COARSE_STRIDE-th one
+_COARSE_STRIDE = 32
+_COARSE_MIN = 1024
+
+
+def _far_under(gap, span):
+    """Whether a vertex whose height over a chord, times the chord's span,
+    is ``gap`` lies more than ``_HULL_CANDIDATE_TOL`` under that chord."""
+    far = span >= _MIN_CHORD_SPAN
+    far &= gap < -_HULL_CANDIDATE_TOL * span
+    return far
+
+
+def _hull_candidates(xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ECDF vertices ``(xs, ys)`` that the hull scan must see, in order.
+
+    A vertex more than ``_HULL_CANDIDATE_TOL`` under a chord between two
+    vertices lies at least that far under the least concave majorant, and
+    is dropped.  Heights over a chord are taken in cross-product form, times
+    the chord's span: there is no division, so subnormal spacings cannot
+    overflow it.  While more than ``_COARSE_MIN`` vertices are left, coarse
+    passes test each against the hull of every ``_COARSE_STRIDE``-th one,
+    which this filter and the stack scan find; local rounds then test each
+    against the chord of its neighbours.  Local rounds alone would stall on
+    a long straight run under the majorant, as evenly spaced p-values make,
+    dropping one vertex a round.  A pass that would drop less than
+    ``_MIN_DROP_SHARE`` of the vertices it tests drops none and ends its
+    loop, so the work is O(m).  Both endpoints are kept.
+    """
+    with np.errstate(under="ignore"):
+        while xs.size > _COARSE_MIN:
+            sub = np.append(np.arange(0, xs.size - 1, _COARSE_STRIDE), xs.size - 1)
+            hx, hy = _hull_candidates(xs[sub], ys[sub])
+            hull = _stack_scan(hx, hy)
+            hx, hy = hx[hull], hy[hull]
+            # the vertices on each hull chord from its start up to the next
+            # one; the last vertex, the last chord's end, goes with it
+            counts = np.diff(np.append(np.searchsorted(xs, hx[:-1]), xs.size))
+            span = np.repeat(np.diff(hx), counts)
+            gap = (ys - np.repeat(hy[:-1], counts)) * span
+            gap -= np.repeat(np.diff(hy), counts) * (xs - np.repeat(hx[:-1], counts))
+            far = _far_under(gap, span)
+            if np.count_nonzero(far) < _MIN_DROP_SHARE * far.size:
+                break
+            # np.compress skips the branchy path of boolean indexing
+            xs, ys = np.compress(~far, xs), np.compress(~far, ys)
+        while xs.size > 2:
+            dx, dy = np.diff(xs), np.diff(ys)
+            gap = dy[:-1] * dx[1:]
+            gap -= dy[1:] * dx[:-1]
+            far = _far_under(gap, dx[:-1] + dx[1:])
+            if np.count_nonzero(far) < _MIN_DROP_SHARE * far.size:
+                break
+            keep = np.concatenate(([True], ~far, [True]))
+            xs, ys = np.compress(keep, xs), np.compress(keep, ys)
+    return xs, ys
+
+
+def _stack_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of the vertices that a float stack scan keeps on the least
+    concave majorant of ``(xs, ys)``: those with strictly decreasing chords."""
+    # Python floats do the same IEEE double arithmetic as numpy scalars, and
+    # faster per step, which matters when every vertex is a candidate
+    cx, cy = xs.tolist(), ys.tolist()
+    hull = [0]
+    for j in range(1, len(cx)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            s_prev = (cy[b] - cy[a]) / (cx[b] - cx[a])
+            s_new = (cy[j] - cy[b]) / (cx[j] - cx[b])
+            if s_prev <= s_new:
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    return np.array(hull)
 
 
 @dataclass(frozen=True)
@@ -81,17 +164,17 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     """Maximum likelihood nonincreasing density on [0, 1].
 
     Computed as the left derivative of the least concave majorant of the
-    empirical CDF (tied order statistics collapse to a single jump).
-    Pool-adjacent-violators over the ECDF spacings (Robertson, Wright &
-    Dykstra, 1988) gives the majorant; every vertex within
-    ``_HULL_CANDIDATE_TOL`` of it, and both endpoints, is a candidate, and a
-    float stack scan over the candidates alone picks the hull.  A vertex
-    further under the majorant is far from every hull chord, so dropping it
-    changes no comparison the scan makes: the breakpoints and heights are
-    those of the same scan over every vertex.  O(m log m) including the
-    sort, which is ``stats.order``.  Raises :class:`FitError` when a height
-    or the log-likelihood is not finite, as when two p-values lie a
-    subnormal spacing apart.
+    empirical CDF (tied order statistics collapse to a single jump).  A
+    numpy chord filter drops every vertex more than ``_HULL_CANDIDATE_TOL``
+    under a chord between two vertices, and so at least that far under the
+    majorant; a float stack scan over the vertices left, both endpoints
+    among them, picks the hull.  A vertex that far under the majorant is
+    far from every hull chord, so dropping it changes no comparison the scan
+    makes: the breakpoints and heights are those of the same scan over every
+    vertex.  O(m log m) including the sort, which is ``stats.order``; the
+    filter is O(m).  Raises :class:`FitError` when a height or the
+    log-likelihood is not finite, as when two p-values lie a subnormal
+    spacing apart.
     """
     if stats.scale is not Scale.P_VALUE:
         raise ValueError("grenander_fit expects p-scale statistics")
@@ -106,36 +189,10 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     xs = np.concatenate([[0.0], p[last]])
     ys = np.concatenate([[0.0], (last + 1) / m])
 
-    dx = np.diff(xs)
-    # subnormal spacings overflow the slopes to inf, and with them the
-    # majorant, so a vertex without a finite majorant is always a candidate
-    with np.errstate(over="ignore", invalid="ignore"):
-        iso = scipy.optimize.isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False)
-        # majorant at each vertex, from the first vertex of its block: a
-        # running sum over the spacings would gather error that grows with m
-        start = np.repeat(iso.blocks[:-1], np.diff(iso.blocks))
-        majorant = ys[start] + iso.x * (xs[1:] - xs[start])
-    near = np.flatnonzero(~np.isfinite(majorant)
-                          | (majorant - ys[1:] <= _HULL_CANDIDATE_TOL)) + 1
-    cand = np.unique(np.concatenate([[0], near, [xs.size - 1]]))
-    # Python floats do the same IEEE double arithmetic as numpy scalars, and
-    # faster per step, which matters when every vertex is a candidate
-    cx, cy = xs[cand].tolist(), ys[cand].tolist()
-
-    # least concave majorant: keep vertices with strictly decreasing chords
-    hull = [0]
-    for j in range(1, len(cx)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            s_prev = (cy[b] - cy[a]) / (cx[b] - cx[a])
-            s_new = (cy[j] - cy[b]) / (cx[j] - cx[b])
-            if s_prev <= s_new:
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    hx = xs[cand[hull]]
-    hy = ys[cand[hull]]
+    cx, cy = _hull_candidates(xs, ys)
+    hull = _stack_scan(cx, cy)
+    hx = cx[hull]
+    hy = cy[hull]
     with np.errstate(over="ignore"):
         heights = np.diff(hy) / np.diff(hx)
 

@@ -294,7 +294,8 @@ def test_negated_ndtri_equals_scipy_stats_norm_isf_bitwise(qs):
     assert np.array_equal(_bits(-ndtri(q) + 0.0), _bits(norm.isf(q)))
 
 
-_SUBMODULES = ("scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize")
+_SUBMODULES = ("scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize",
+               "scipy.linalg")
 _LOADED = ("import sys, lfdrkit, lfdrkit.cli\n"
            "assert len(sys.argv) == 1 or lfdrkit.cli.main(sys.argv[1:]) == 0\n"
            f"print(*[m for m in {_SUBMODULES!r} if m in sys.modules])")
@@ -309,7 +310,10 @@ _LOADED = ("import sys, lfdrkit, lfdrkit.cli\n"
     pytest.param(["simulate", "--preset", "counterexample-discrete", "--perturb-discrete",
                   "--reps", "5", "--seed", "1"], _SUBMODULES, id="simulate-perturbed"),
     pytest.param(["analyze", "--input", "{tmp}/p.csv", "--scale", "p", "--density",
-                  "grenander", "--out", "{tmp}/res"], ("scipy.stats",), id="analyze-grenander"),
+                  "grenander", "--out", "{tmp}/res"], _SUBMODULES, id="analyze-grenander"),
+    pytest.param(["calibrate", "--preset", "theorem-5.1", "--scorer", "estimated-lfdr",
+                  "--reps", "2", "--seed", "1", "--out", "{tmp}/cal.csv"], _SUBMODULES,
+                 id="calibrate-estimated-lfdr"),
 ])
 def test_entry_point_leaves_scipy_submodules_out(tmp_path, argv, absent):
     (tmp_path / "p.csv").write_text("id,stat\na,0.01\nb,0.2\nc,0.7\n", encoding="utf-8")

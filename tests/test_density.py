@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import lfdrkit as lk
+from lfdrkit import density
 from lfdrkit.core import DegeneracyError, FitError
 from lfdrkit.simulate import replicate_rng
 from lfdrkit.verify import hull_density_oracle
@@ -175,8 +176,9 @@ def _assert_fit_matches_reference(p):
     try:
         want = _pava_grenander_fit(stats)
     except (DegeneracyError, FitError) as err:
-        with pytest.raises(type(err)):
+        with pytest.raises((DegeneracyError, FitError)) as raised:
             lk.grenander_fit(stats)
+        assert type(raised.value) is type(err)
         return
     got = lk.grenander_fit(stats)
     assert np.array_equal(_bits(got.breakpoints), _bits(want.breakpoints))
@@ -223,6 +225,27 @@ def test_grenander_equals_the_pava_reference_bitwise(p):
     pytest.param((np.arange(1, 2001) / 2000) ** 0.3, id="convex"),
 ])
 def test_grenander_equals_the_pava_reference_on_fixed_inputs(p):
+    _assert_fit_matches_reference(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grenander_inputs())
+def test_grenander_equals_the_pava_reference_with_coarse_passes_on_few_vertices(p):
+    # at these settings the filter's coarse passes, and their recursion, run
+    # on a handful of vertices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_COARSE_STRIDE", 3)
+        mp.setattr(density, "_COARSE_MIN", 4)
+        _assert_fit_matches_reference(p)
+
+
+def test_grenander_filter_leaves_the_two_ends_of_evenly_spaced_p_values():
+    # every vertex but the first lies on a line under the chord from (0, 0)
+    # to (1, 1): local rounds alone would drop one vertex a round
+    m = 50_000
+    p = np.linspace(0.001, 1.0, m)
+    cx, cy = density._hull_candidates(np.concatenate([[0.0], p]), np.arange(m + 1) / m)
+    assert cx.tolist() == [0.0, 1.0] and cy.tolist() == [0.0, 1.0]
     _assert_fit_matches_reference(p)
 
 
