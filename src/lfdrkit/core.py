@@ -108,7 +108,8 @@ class StatVector:
     scale : Scale
         Which sample space the values live on.
     ids : tuple of str, optional
-        Opaque labels, unique, one per statistic.
+        Opaque labels, unique, one per statistic, kept as given: no label is
+        converted to ``str``.
     """
 
     values: np.ndarray
@@ -122,7 +123,7 @@ class StatVector:
         check_values(arr, self.scale)
         object.__setattr__(self, "values", arr)
         if self.ids is not None:
-            ids = tuple(str(s) for s in self.ids)
+            ids = tuple(self.ids)
             if len(ids) != arr.size:
                 raise ValueError("ids must match values in length")
             if len(set(ids)) != len(ids):
