@@ -191,7 +191,7 @@ _UNIT = st.floats(0.0, 1.0, exclude_min=True)
 
 @st.composite
 def _grenander_inputs(draw):
-    shape = draw(st.sampled_from(["draws", "grid", "subnormal", "even", "power"]))
+    shape = draw(st.sampled_from(["draws", "grid", "subnormal", "even", "ulps", "power"]))
     n = draw(st.integers(1, 80))
     if shape == "draws":
         return draw(st.lists(_UNIT, min_size=1, max_size=80))
@@ -205,6 +205,12 @@ def _grenander_inputs(draw):
     if shape == "even":
         lo = draw(st.floats(1e-6, 1.0))
         return np.linspace(lo, draw(st.floats(lo, 1.0)), n)
+    if shape == "ulps":
+        # the ECDF's diagonal, i/n, with values one ulp off: rounding decides
+        # which vertices the scan keeps
+        p = np.arange(1, n + 1) / n
+        steps = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+        return np.minimum(np.nextafter(p, p + np.array(steps)), 1.0)
     # quantiles (i/n)**k: concave ECDFs for k > 1, convex for k < 1
     k = draw(st.floats(0.1, 10.0))
     return (np.arange(1, n + 1) / n) ** k
@@ -220,6 +226,10 @@ def test_grenander_equals_the_pava_reference_bitwise(p):
     pytest.param([5e-324, 1e-323, 0.5, 1.0], id="subnormal"),
     pytest.param([0.0, 0.5], id="zero"),
     pytest.param([0.1, 0.1, 0.2, 0.5, 0.5, 0.5, 1.0], id="ties"),
+    pytest.param([0.08333333333333331, 0.16666666666666666, 0.25, 0.3333333333333333,
+                  0.4166666666666667, 0.49999999999999994, 0.5833333333333334,
+                  0.6666666666666665, 0.75, 0.8333333333333334, 0.9166666666666666, 1.0],
+                 id="diagonal-ulps"),
     pytest.param(np.linspace(0.001, 1.0, 2000), id="even"),
     pytest.param((np.arange(1, 2001) / 2000) ** 3, id="concave"),
     pytest.param((np.arange(1, 2001) / 2000) ** 0.3, id="convex"),
@@ -239,14 +249,43 @@ def test_grenander_equals_the_pava_reference_with_coarse_passes_on_few_vertices(
         _assert_fit_matches_reference(p)
 
 
+def _ecdf_vertices(p):
+    p = np.sort(p)
+    last = np.append(np.flatnonzero(p[1:] != p[:-1]), p.size - 1)
+    return np.concatenate([[0.0], p[last]]), np.concatenate([[0.0], (last + 1) / p.size])
+
+
 def test_grenander_filter_leaves_the_two_ends_of_evenly_spaced_p_values():
     # every vertex but the first lies on a line under the chord from (0, 0)
     # to (1, 1): local rounds alone would drop one vertex a round
-    m = 50_000
-    p = np.linspace(0.001, 1.0, m)
-    cx, cy = density._hull_candidates(np.concatenate([[0.0], p]), np.arange(m + 1) / m)
+    p = np.linspace(0.001, 1.0, 50_000)
+    cx, cy = density._hull_candidates(*_ecdf_vertices(p))
     assert cx.tolist() == [0.0, 1.0] and cy.tolist() == [0.0, 1.0]
     _assert_fit_matches_reference(p)
+
+
+def test_grenander_filter_leaves_few_candidates_on_evenly_spaced_nulls():
+    # a tenth of the p-values Beta(0.05, 1), the rest on an even grid: local
+    # rounds alone leave about 14,800 of the 20,001 vertices
+    m = 20_000
+    rng = replicate_rng(29, 0)
+    p = np.linspace(1 / m, 1.0, m)
+    alt = rng.permutation(m)[:m // 10]
+    p[alt] = np.maximum(rng.beta(0.05, 1.0, alt.size), 1e-300)
+    cx, _ = density._hull_candidates(*_ecdf_vertices(p))
+    assert cx.size < 2 * len(lk.grenander_fit(_pstats(p)).breakpoints)
+    _assert_fit_matches_reference(p)
+
+
+def test_grenander_filter_drops_nothing_under_a_chord_shorter_than_its_floor():
+    # (1e-190, 0.1) lies 0.4 under the chord from (0, 0) to (2e-190, 1), but
+    # the cross products of so short a chord could underflow
+    xs, ys = np.array([0.0, 1e-190, 2e-190]), np.array([0.0, 0.1, 1.0])
+    assert 2e-190 < density._MIN_CHORD_SPAN
+    cx, _ = density._hull_candidates(xs, ys)
+    assert cx.tolist() == xs.tolist()
+    cx, _ = density._hull_candidates(xs * 1e100, ys)
+    assert cx.tolist() == [0.0, 2e-90]
 
 
 def test_grenander_equals_the_pava_reference_on_draws():
