@@ -13,9 +13,8 @@ import csv
 import json
 import math
 import sys
-from itertools import chain, islice
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +93,11 @@ def _reason_code(exc: Exception) -> str:
 # I/O helpers
 # ---------------------------------------------------------------------------
 
+# rows parsed or written at a time: a column of m cell strings, or one string
+# for the whole table, would raise peak memory
+_WRITE_ROWS = 1 << 16
+
+
 def _header_width(path: str, header: Sequence[str]) -> int:
     """The column count of an ``id,stat[,truth]`` header."""
     cols = [c.strip().lower() for c in header]
@@ -136,45 +140,63 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
     return ids, vals
 
 
+def _is_utf8(data: bytes) -> bool:
+    """Whether ``data`` is UTF-8; ASCII bytes are told without decoding them."""
+    if data.isascii():
+        return True
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def _read_columns(path: str, data: bytes, scale: Scale):
     """The parse of ``_read_rows`` a column at a time, or None where only the row
     loop can tell what ``csv.reader`` makes of the bytes or which error comes
     first: quotes, CR, blank, ragged or over-long lines, no data row, bytes
-    that are not UTF-8, or a stat, p-value or truth cell that it rejects."""
+    that are not UTF-8, or a stat, p-value or truth cell that it rejects.
+    After the checks on the whole buffer, lines are decoded and parsed
+    ``_WRITE_ROWS`` at a time, so no column of m cell strings is built."""
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     if data[-1:] != b"\n":
         ends = np.append(ends, buf.size)
     m = ends.size - 1
     if m < 1 or b'"' in data or b"\r" in data or \
-            np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+            np.diff(ends, prepend=-1).max() > csv.field_size_limit() or \
+            not _is_utf8(data):
         return None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    ncols = _header_width(path, text[:text.find("\n")].split(","))
+    ncols = _header_width(path, data[:ends[0]].decode("utf-8").split(","))
     # every data line holds exactly ncols - 1 commas
     commas = np.flatnonzero(buf == ord(","))
     if np.any(np.diff(np.searchsorted(commas, ends)) != ncols - 1):
         return None
-    cells = text.replace("\n", ",").split(",")[ncols:ncols * (m + 1)]
-    try:
-        vals = np.fromiter(map(float, cells[1::ncols]), float, count=m)
-    except ValueError:
-        return None
+    ids: List[str] = []
+    vals = np.empty(m)
+    for lo in range(0, m, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, m)
+        # lines lo + 1 .. hi, without the newline that ends the last of them
+        cells = data[ends[lo] + 1:ends[hi]].decode("utf-8").replace("\n", ",").split(",")
+        try:
+            vals[lo:hi] = np.fromiter(map(float, cells[1::ncols]), float, count=hi - lo)
+        except ValueError:
+            return None
+        if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
+            return None
+        ids.extend(cells[::ncols])
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
-    if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
-        return None
-    return cells[::ncols], vals
+    return ids, vals
 
 
 def read_stats_csv(path: str, scale: Scale) -> StatVector:
     """The ids and stats of ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
     with open(path, "rb") as fh:
         data = fh.read()
-    ids, vals = _read_columns(path, data, scale) or _read_rows(path, scale)
+    columns = _read_columns(path, data, scale)
+    del data  # the bytes are not needed once parsed, and the row loop reads the file anew
+    ids, vals = columns or _read_rows(path, scale)
     try:
         return StatVector(vals, scale, ids=tuple(ids))
     except ValueError as exc:
@@ -194,27 +216,56 @@ def write_json(path: Optional[str], payload: Dict) -> None:
     _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-# rows joined per write: one string for the whole table would raise peak memory
-_WRITE_ROWS = 1 << 16
+class _ChunkCells:
+    """A column of ``size`` cells that ``cells(rows)`` formats a slice of rows
+    at a time, so that the whole column never exists as strings."""
+
+    def __init__(self, size: int, cells: Callable[[slice], Sequence[str]]):
+        self.size = size
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rows: slice) -> Sequence[str]:
+        return self.cells(rows)
 
 
 def write_csv(path: Optional[str], columns: Dict[str, Sequence[str]]) -> None:
     """Write a table given as header name -> equal-length column of formatted
-    cells; a name of several comma-joined columns takes pre-joined cells."""
-    rows = map(",".join, zip(*columns.values(), strict=True))
-    chunks = iter(lambda: list(islice(rows, _WRITE_ROWS)), [])
-    _write_lines(path, chain([",".join(columns) + "\n"],
-                             ("\n".join(chunk) + "\n" for chunk in chunks)))
+    cells; a name of several comma-joined columns takes pre-joined cells.  A
+    column is a sequence of cells or a ``_ChunkCells``; the rows are formatted,
+    joined and written ``_WRITE_ROWS`` at a time."""
+    sizes = set(map(len, columns.values()))
+    if len(sizes) > 1:
+        raise ValueError(f"columns of unequal length {sorted(sizes)}")
+    m = max(sizes, default=0)
+
+    def chunks():
+        yield ",".join(columns) + "\n"
+        for lo in range(0, m, _WRITE_ROWS):
+            cells = [column[lo:lo + _WRITE_ROWS] for column in columns.values()]
+            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+
+    _write_lines(path, chunks())
 
 
-def _float_cells(values: np.ndarray) -> List[str]:
-    """``repr`` of each value, formatted once per distinct value.  Values are
-    told apart by their bits: ``np.unique`` on floats would merge -0.0 and 0.0."""
+def _float_cells(values: np.ndarray, order: np.ndarray) -> _ChunkCells:
+    """``repr`` of each value.  Repeats are found as runs of equal bits along
+    ``order``, a permutation of the rows, and each run is formatted once; along
+    a sort order every repeated value is one run.  Told apart by their bits,
+    -0.0 and 0.0 never share a cell.  Without repeats each chunk is formatted
+    as it is written."""
     values = np.asarray(values, dtype=float)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    if bits.size == values.size:  # no repeats: the gather would only cost
-        return list(map(repr, values.tolist()))
-    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index].tolist()
+    bits = values.view(np.int64)[order]
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = bits[1:] != bits[:-1]
+    if starts.all():  # no repeats: the gather would only cost
+        return _ChunkCells(values.size, lambda rows: list(map(repr, values[rows].tolist())))
+    run = np.empty(values.size, dtype=np.intp)
+    run[order] = np.cumsum(starts) - 1
+    cells = np.array(list(map(repr, values[order[starts]].tolist())), dtype=object)
+    return _ChunkCells(values.size, lambda rows: cells[run[rows]].tolist())
 
 
 # the cells of four 0/1 flag columns, indexed by a code whose bit k is column k
@@ -343,12 +394,12 @@ def cmd_analyze(args) -> int:
                                   lfdr_decisions]):
         flags[rejected] |= 1 << k
     table = {
-        "id": _text_cells(stats.ids),
-        "stat": _float_cells(stats.values),
-        "q_value": _float_cells(qvals),
-        "lfdr_score": _float_cells(scores),
+        "id": _ChunkCells(stats.m, lambda rows: _text_cells(stats.ids[rows])),
+        "stat": _float_cells(stats.values, stats.order),
+        "q_value": _float_cells(qvals, pstats.order),
+        "lfdr_score": _float_cells(scores, scored_stats.order),
         ",".join(f"rejected_{name}" for name in [*results, "lfdr"]):
-            _FLAG_CELLS[flags].tolist(),
+            _ChunkCells(stats.m, lambda rows: _FLAG_CELLS[flags[rows]].tolist()),
     }
     write_csv(args.out + ".csv" if args.out else None, table)
 
@@ -460,9 +511,10 @@ def cmd_calibrate(args) -> int:
     curve = calibration_experiment(generator, args.scorer, args.reps,
                                    args.bin_width, args.seed)
     edges = curve.bin_edges
+    bins = np.arange(edges.size - 1)  # the edges ascend, so this is their sort order
     write_csv(args.out, {
-        "bin_lo": _float_cells(edges[:-1]),
-        "bin_hi": _float_cells(edges[1:]),
+        "bin_lo": _float_cells(edges[:-1], bins),
+        "bin_hi": _float_cells(edges[1:], bins),
         "count": list(map(str, curve.bin_counts.tolist())),
         # a bin that no score reached has no null fraction
         "null_fraction": ["" if math.isnan(f) else repr(f)

@@ -96,6 +96,19 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
+def _all_distinct(items: Tuple) -> bool:
+    """Whether no two items are equal: equal items have equal hashes, so a
+    sorted array of hashes leaves an exact ``set`` check only to the items
+    whose hashes collide, rather than a ``set`` of them all."""
+    hashes = np.fromiter(map(hash, items), np.int64, count=len(items))
+    ranked = np.sort(hashes)
+    shared = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not shared.size:
+        return True
+    suspects = [items[i] for i in np.flatnonzero(np.isin(hashes, shared)).tolist()]
+    return len(set(suspects)) == len(suspects)
+
+
 @dataclass(frozen=True)
 class StatVector:
     """Observed test statistics, on either the p-value or z-value scale.
@@ -126,7 +139,7 @@ class StatVector:
             ids = tuple(self.ids)
             if len(ids) != arr.size:
                 raise ValueError("ids must match values in length")
-            if len(set(ids)) != len(ids):
+            if not _all_distinct(ids):
                 raise ValueError("ids must be unique")
             object.__setattr__(self, "ids", ids)
 

@@ -1,9 +1,10 @@
 """The CSV input and output of ``lfdrkit analyze``.
 
-``read_stats_csv`` parses a file a column at a time and hands anything it
-cannot vouch for to the ``csv.reader`` row loop, which is also the reference
-here.  The writer formats each distinct float once and writes rows in
-chunks; a row-at-a-time writer kept in this file is its reference.
+``read_stats_csv`` parses a file a column at a time, in chunks of rows, and
+hands anything it cannot vouch for to the ``csv.reader`` row loop, which is
+also the reference here.  The writer formats each run of equal floats once
+and formats and writes rows in chunks; a row-at-a-time writer kept in this
+file is its reference.
 """
 
 import csv
@@ -128,23 +129,101 @@ def test_column_reader_errors_match_the_row_loop(case, tmp_path):
     assert _outcome(path, scale) == _row_loop_outcome(path, scale)
 
 
+# more rows than two read chunks, so the last chunk is a third one
+CHUNKED_M = 2 * cli._WRITE_ROWS + 1000
+
+
+def _chunked_lines(id_prefix="h"):
+    values = np.random.default_rng(5).random(CHUNKED_M)
+    return [f"{id_prefix}{i},{v!r}" for i, v in enumerate(values.tolist())]
+
+
+def _chunked_file(prefix="h", row=None, line=None, end="\n"):
+    """The header and CHUNKED_M lines, with data line ``row`` (0-based)
+    replaced by ``line``."""
+    lines = _chunked_lines(id_prefix=prefix)
+    if row is not None:
+        lines[row] = line
+    return "id,stat\n" + "\n".join(lines) + end
+
+
+# name: (file text, whether the column reader vouches for it)
+CHUNKED_CASES = {
+    "clean": (lambda: _chunked_file(), True),
+    "clean-non-ascii-ids": (lambda: _chunked_file(prefix="é"), True),
+    "no-final-newline": (lambda: _chunked_file(end=""), True),
+    # the ids parse, and StatVector refuses them
+    "id-repeated-across-chunks": (lambda: _chunked_file(row=2 * cli._WRITE_ROWS + 5,
+                                                        line="h3,0.5"), True),
+    "bad-stat-in-last-chunk": (lambda: _chunked_file(row=CHUNKED_M - 3, line="h_bad,oops"),
+                               False),
+    "bad-pvalue-in-last-chunk": (lambda: _chunked_file(row=CHUNKED_M - 3, line="h_bad,1.5"),
+                                 False),
+    "ragged-line-in-middle-chunk": (lambda: _chunked_file(row=cli._WRITE_ROWS + 7,
+                                                          line="h_ragged"), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_column_reader_over_several_chunks_matches_the_row_loop(case, tmp_path):
+    text, vouched = CHUNKED_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text(), encoding="utf-8", newline="")
+    columns = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE)
+    assert (columns is not None) == vouched
+    outcome = _outcome(path, Scale.P_VALUE)
+    assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
+    if case == "id-repeated-across-chunks":
+        assert outcome[1:] == ("bad-input", f"{path}: ids must be unique")
+    elif vouched:
+        assert len(outcome[1]) == CHUNKED_M
+
+
+def test_column_reader_leaves_bytes_that_are_not_utf8_past_the_first_chunk_to_the_row_loop(
+        tmp_path):
+    data = _chunked_file().encode("utf-8")
+    # an invalid byte in an id of the second chunk
+    cut = data.index(f"\nh{cli._WRITE_ROWS + 2},".encode()) + 1
+    data = data[:cut] + b"\xff" + data[cut:]
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    assert cli._read_columns(str(path), data, Scale.P_VALUE) is None
+    outcome = _outcome(path, Scale.P_VALUE)
+    assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
+    assert outcome[0] is UnicodeDecodeError
+
+
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                   1e16, 1e-05, 0.1, float("inf"), float("nan")])
+
+
+def _sorted_cells(values):
+    """All cells of ``_float_cells`` along the values' stable sort order."""
+    column = cli._float_cells(values, np.argsort(values, kind="stable"))
+    return column[0:len(column)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats() | SPECIAL_FLOATS, max_size=40))
 def test_float_cells_equal_repr(xs):
     values = np.array(xs, dtype=float)
-    assert cli._float_cells(values) == list(map(repr, values.tolist()))
+    assert _sorted_cells(values) == list(map(repr, values.tolist()))
 
 
 def test_float_cells_with_many_repeats_keep_signed_zeros_apart():
     base = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, 1 / 3])
     values = np.random.default_rng(3).permutation(np.repeat(base, 500))
-    cells = cli._float_cells(values)
+    cells = _sorted_cells(values)
     assert cells == list(map(repr, values.tolist()))
     assert cells.count("-0.0") == cells.count("0.0") == 500
+
+
+def test_float_cells_of_repeats_not_adjacent_in_the_order_equal_repr():
+    # equal values apart from each other along the order are several runs
+    values = np.tile([0.5, -0.0, 1e-05, 0.0, 0.5, 1 / 3], 200)
+    column = cli._float_cells(values, np.arange(values.size))
+    assert column[0:values.size] == list(map(repr, values.tolist()))
+    assert column[7:20] == list(map(repr, values[7:20].tolist()))
 
 
 def test_analyze_quotes_ids_that_need_it(tmp_path):
@@ -210,8 +289,35 @@ def test_analyze_table_over_several_write_chunks(tmp_path, monkeypatch):
     assert stem.with_suffix(".csv").read_text(encoding="utf-8") == want
 
 
-@pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+def _list_column(n):
+    return ["1"] * n
+
+
+def _float_column(n):  # no repeats: formatted per chunk
+    return cli._float_cells(np.arange(n, dtype=float), np.arange(n))
+
+
+def _repeats_column(n):  # repeats: gathered per chunk from the distinct cells
+    return cli._float_cells(np.zeros(n), np.arange(n))
+
+
+def _flag_column(n):
+    return cli._ChunkCells(n, lambda rows: cli._FLAG_CELLS[np.zeros(n, np.intp)[rows]].tolist())
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3),
+                                     (cli._WRITE_ROWS + 1, cli._WRITE_ROWS + 2)])
 def test_write_csv_refuses_columns_of_unequal_length(lengths, tmp_path):
-    columns = {name: ["1"] * n for name, n in zip("ab", lengths)}
+    path = tmp_path / "t.csv"
+    for kinds in [(_list_column, _list_column), (_list_column, _float_column),
+                  (_float_column, _repeats_column), (_repeats_column, _flag_column)]:
+        columns = {name: kind(n) for name, kind, n in zip("ab", kinds, lengths)}
+        with pytest.raises(ValueError):
+            cli.write_csv(str(path), columns)
+        assert not path.exists()
+
+
+def test_write_csv_refuses_a_chunked_column_shorter_than_its_length(tmp_path):
+    columns = {"a": _list_column(3), "b": cli._ChunkCells(3, lambda rows: ["1", "2"])}
     with pytest.raises(ValueError):
         cli.write_csv(str(tmp_path / "t.csv"), columns)

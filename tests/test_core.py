@@ -28,6 +28,35 @@ def test_statvector_validation():
     lk.StatVector([-3.0, 11.0], lk.Scale.Z_VALUE)
 
 
+def test_statvector_ids_with_equal_hashes_are_told_apart():
+    # -1 and -2 share a CPython hash, so only the exact check can tell them apart
+    assert hash(-1) == hash(-2)
+    sv = lk.StatVector([0.1, 0.2], lk.Scale.P_VALUE, ids=(-1, -2))
+    assert sv.ids == (-1, -2)
+    for ids in [(-1, -1), ("h1", "h2", "h1"), (-2, "x", -1, -2)]:
+        with pytest.raises(ValueError, match="ids must be unique"):
+            lk.StatVector(np.full(len(ids), 0.5), lk.Scale.P_VALUE, ids=ids)
+
+
+# ints whose hashes collide: CPython reduces an int's hash modulo 2**61 - 1
+COLLIDING = st.sampled_from([-1, -2, 0, 2**61 - 1, 2**62 - 2, 1, 2**61, -(2**61 - 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COLLIDING | st.integers(-3, 3) | st.text(max_size=2) | st.floats(),
+                min_size=1, max_size=30))
+def test_statvector_id_check_agrees_with_a_set(ids):
+    ids = tuple(ids)
+    try:
+        lk.StatVector(np.full(len(ids), 0.5), lk.Scale.P_VALUE, ids=ids)
+    except ValueError as exc:
+        assert str(exc) == "ids must be unique"
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (len(set(ids)) == len(ids))
+
+
 def test_statvector_endpoints_allowed():
     sv = lk.StatVector([0.0, 1.0, 0.5], lk.Scale.P_VALUE)
     assert sv.values.min() == 0.0 and sv.values.max() == 1.0
