@@ -164,6 +164,42 @@ def test_density_normalizes(model):
     assert abs(model.total_mass() - 1.0) <= 1e-8
 
 
+# total_mass() of each family, as float.hex: the exact value of the
+# closed form, step sum, quadrature or weighted sum that each family had
+_MASS_PINS = [
+    (lk.Uniform01(), "0x1.0000000000000p+0"),
+    (lk.GaussianLocation(-40.0), "0x1.0000000000000p+0"),
+    (lk.GaussianLocation(37.5), "0x1.0000000000000p+0"),
+    (lk.BetaDensity(0.05, 1.0), "0x1.0000000000000p+0"),
+    (lk.BetaDensity(30.0, 0.3), "0x1.0000000000000p+0"),
+    (lk.BetaDensity(1e-3, 50.0), "0x1.0000000000000p+0"),
+    (lk.PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.5, 1.5, 1.0)), "0x1.0000000000000p+0"),
+    (lk.MonotoneDensityFit((0.0, 0.1, 0.3, 0.7), (4.0, 1.3, 0.35), loglik=0.0),
+     "0x1.999999999999ap-1"),
+    (lk.ExpFamilyPoly((-math.log(2.0),), -1.0, 1.0), "0x1.0000000000000p+0"),
+    (lk.ExpFamilyPoly((0.1, 0.3, -0.5), -3.0, 4.0), "0x1.72b1b57fa94a5p+1"),
+    (lk.MixtureDensity((lk.GaussianLocation(-1.0), lk.GaussianLocation(2.0),
+                        lk.GaussianLocation(0.5)), (0.7, 0.2, 0.1)), "0x1.fffffffffffffp-1"),
+    (lk.MixtureDensity((lk.Uniform01(), lk.BetaDensity(0.5, 1.0)), (0.8, 0.2)),
+     "0x1.0000000000000p+0"),
+    (lk.MixtureDensity((lk.Uniform01(), lk.PiecewiseConstant((0.0, 0.2, 0.5, 1.0),
+                                                              (0.5, 1.5, 1.0))), (0.35, 0.65)),
+     "0x1.0851eb851eb84p+0"),
+]
+
+
+@pytest.mark.parametrize("model, mass", _MASS_PINS, ids=lambda x: type(x).__name__)
+def test_total_mass_is_pinned(model, mass):
+    assert model.total_mass().hex() == mass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 50.0), st.floats(1e-3, 50.0), st.floats(-40.0, 40.0))
+def test_closed_form_families_have_unit_mass_exactly(a, b, mean):
+    for model in (lk.BetaDensity(a, b), lk.GaussianLocation(mean)):
+        assert model.total_mass() == 1.0
+
+
 def test_mixture_of_spec_is_valid_density():
     mixture = _two_groups(0.8, lk.Uniform01(), lk.BetaDensity(0.05, 1.0))
     assert abs(mixture.total_mass() - 1.0) <= 1e-8

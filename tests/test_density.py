@@ -302,6 +302,36 @@ def test_grenander_equals_the_pava_reference_on_draws():
 # lindsey_fit
 # ---------------------------------------------------------------------------
 
+# lindsey_fit on _two_groups_z(2000, 0): the hex of each coefficient, the
+# Newton steps and whether they converged
+_LINDSEY_PINS = {
+    "default": ({}, ("-0x1.36d818f3f648fp+0", "-0x1.bba1bfa9c8d4cp-5", "-0x1.5495c58c15453p-2",
+                     "0x1.78c25b2f0de58p-4", "-0x1.3945704c77dfcp-9", "-0x1.8b123b48e40f5p-9",
+                     "0x1.9c679499641d5p-12", "-0x1.92473094c56aap-15"), 12, True),
+    "one-step": ({"max_iter": 1},
+                 ("-0x1.091c59578a0b3p+1", "0x1.5be60e9023e6cp-8", "-0x1.1e4eb6572f590p-4",
+                  "0x1.af4dc6182cea6p-8", "0x1.9add7060e32fcp-8", "-0x1.e260630b26d8bp-11",
+                  "-0x1.817623ed7a6b1p-13", "0x1.063001d06b2d9p-15"), 1, False),
+    "degree-2": ({"degree": 2},
+                 ("-0x1.539868f050573p+0", "0x1.f16b2a4fcdc48p-3", "-0x1.fd52d71114c75p-3"),
+                 9, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINDSEY_PINS))
+def test_lindsey_fit_is_pinned(case):
+    kwargs, coefficients, iterations, converged = _LINDSEY_PINS[case]
+    fit = lk.lindsey_fit(_zstats(_two_groups_z(2000, 0)), **kwargs)
+    assert tuple(c.hex() for c in fit.coefficients) == coefficients
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+
+
+def test_lindsey_fit_of_narrow_data_is_pinned_as_a_fit_error():
+    z = np.random.default_rng(0).normal(0.0, 0.01, 3000)
+    with pytest.raises(FitError, match="^exp-polynomial fit has mass inf over the bin range$"):
+        lk.lindsey_fit(_zstats(z))
+
+
 def test_lindsey_recovers_standard_normal():
     rng = replicate_rng(3, 0)
     z = rng.normal(0.0, 1.0, 50_000)
