@@ -116,39 +116,41 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            ncols = _header_width(path, header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != ncols:
+                    raise CliError("bad-row", f"{path}:{lineno}: expected {ncols} fields")
+                try:
+                    stat = float(row[1])
+                except ValueError:
+                    raise CliError("bad-row", f"{path}:{lineno}: non-numeric stat {row[1]!r}")
+                if scale is Scale.P_VALUE and not 0.0 <= stat <= 1.0:
+                    raise CliError("bad-pvalue",
+                                   f"id {row[0]!r}: p-value {stat} outside [0, 1]")
+                if ncols == 3 and row[2] not in ("0", "1"):
+                    raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
+                ids.append(row[0])
+                vals.append(stat)
         except StopIteration:
             raise CliError("bad-input", f"{path}: empty file")
-        ncols = _header_width(path, header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != ncols:
-                raise CliError("bad-row", f"{path}:{lineno}: expected {ncols} fields")
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise CliError("bad-row", f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError:
+            # the text decoder counts its offset from its own chunk, so the
+            # whole file is decoded again to find the line of the first bad byte
+            data = Path(path).read_bytes()
             try:
-                stat = float(row[1])
-            except ValueError:
-                raise CliError("bad-row", f"{path}:{lineno}: non-numeric stat {row[1]!r}")
-            if scale is Scale.P_VALUE and not 0.0 <= stat <= 1.0:
-                raise CliError("bad-pvalue",
-                               f"id {row[0]!r}: p-value {stat} outside [0, 1]")
-            if ncols == 3 and row[2] not in ("0", "1"):
-                raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
-            ids.append(row[0])
-            vals.append(stat)
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise CliError("bad-input", f"{path}:{line}: not UTF-8 ({exc.reason}, "
+                                            f"byte {data[exc.start]:#04x})") from None
+            raise
     if not vals:
         raise CliError("bad-input", f"{path}: no statistics")
     return ids, vals
-
-
-def _is_utf8(data: bytes) -> bool:
-    """Whether ``data`` is UTF-8; ASCII bytes are told without decoding them."""
-    if data.isascii():
-        return True
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def _read_columns(path: str, data: bytes, scale: Scale):
@@ -164,27 +166,28 @@ def _read_columns(path: str, data: bytes, scale: Scale):
         ends = np.append(ends, buf.size)
     m = ends.size - 1
     if m < 1 or b'"' in data or b"\r" in data or \
-            np.diff(ends, prepend=-1).max() > csv.field_size_limit() or \
-            not _is_utf8(data):
-        return None
-    ncols = _header_width(path, data[:ends[0]].decode("utf-8").split(","))
-    # every data line holds exactly ncols - 1 commas
-    commas = np.flatnonzero(buf == ord(","))
-    if np.any(np.diff(np.searchsorted(commas, ends)) != ncols - 1):
+            np.diff(ends, prepend=-1).max() > csv.field_size_limit():
         return None
     ids: List[str] = []
     vals = np.empty(m)
-    for lo in range(0, m, _WRITE_ROWS):
-        hi = min(lo + _WRITE_ROWS, m)
-        # lines lo + 1 .. hi, without the newline that ends the last of them
-        cells = data[ends[lo] + 1:ends[hi]].decode("utf-8").replace("\n", ",").split(",")
-        try:
+    # a UnicodeDecodeError is a ValueError, and so is a stat that float() refuses;
+    # a bad header is left to the row loop, which may meet a bad byte first
+    try:
+        ncols = _header_width(path, data[:ends[0]].decode("utf-8").split(","))
+        # every data line holds exactly ncols - 1 commas
+        commas = np.flatnonzero(buf == ord(","))
+        if np.any(np.diff(np.searchsorted(commas, ends)) != ncols - 1):
+            return None
+        for lo in range(0, m, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, m)
+            # lines lo + 1 .. hi, without the newline that ends the last of them
+            cells = data[ends[lo] + 1:ends[hi]].decode("utf-8").replace("\n", ",").split(",")
             vals[lo:hi] = np.fromiter(map(float, cells[1::ncols]), float, count=hi - lo)
-        except ValueError:
-            return None
-        if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
-            return None
-        ids.extend(cells[::ncols])
+            if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
+                return None
+            ids.extend(cells[::ncols])
+    except (ValueError, CliError):
+        return None
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
     return ids, vals

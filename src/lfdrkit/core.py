@@ -226,10 +226,9 @@ class Density:
         raise NotImplementedError
 
     def total_mass(self) -> float:
-        """Integral (or sum) of the density over its support."""
+        """Integral (or sum) of the density over its support: the range of the cdf."""
         lo, hi = self.support
-        val, _ = scipy.integrate.quad(lambda x: self.pdf(x), lo, hi, limit=200)
-        return val
+        return self.cdf(hi) - self.cdf(lo)
 
 
 @dataclass(frozen=True)
@@ -241,9 +240,6 @@ class Uniform01(Density):
 
     def _cdf(self, arr):
         return np.clip(arr, 0.0, 1.0)
-
-    def total_mass(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -260,9 +256,6 @@ class GaussianLocation(Density):
 
     def _cdf(self, arr):
         return scipy.special.ndtr(arr - self.mean)
-
-    def total_mass(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -286,14 +279,27 @@ class BetaDensity(Density):
     def _cdf(self, arr):
         return scipy.special.betainc(self.a, self.b, np.clip(arr, 0.0, 1.0))
 
-    def total_mass(self):
-        return 1.0
-
 
 class _StepMass:
     """``_cdf`` and ``total_mass`` of a density that is ``heights[j]`` between
     ``breakpoints[j]`` and ``breakpoints[j+1]``; the value at a breakpoint
-    itself carries no mass, so either continuity convention shares them."""
+    itself carries no mass, so either continuity convention shares them.
+    The mass is the ``np.sum`` of the steps, which can round apart from the
+    cdf's cumulative sum, and which the Grenander unit-mass check reads."""
+
+    def _set_steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Check the steps, store them as float tuples and return them as arrays."""
+        edges = np.asarray(self.breakpoints, dtype=float)
+        hts = np.asarray(self.heights, dtype=float)
+        if len(edges) != len(hts) + 1 or len(hts) < 1:
+            raise ValueError("need len(breakpoints) == len(heights) + 1 >= 2")
+        if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not (np.isfinite(hts).all() and hts.min() >= 0):
+            raise ValueError("heights must be finite and nonnegative")
+        object.__setattr__(self, "breakpoints", tuple(edges.tolist()))
+        object.__setattr__(self, "heights", tuple(hts.tolist()))
+        return edges, hts
 
     def _cdf(self, arr):
         edges = np.asarray(self.breakpoints)
@@ -320,17 +326,8 @@ class PiecewiseConstant(_StepMass, Density):
     heights: Tuple[float, ...]
 
     def __post_init__(self):
-        edges = tuple(float(x) for x in self.breakpoints)
-        hts = tuple(float(h) for h in self.heights)
-        if len(edges) != len(hts) + 1 or len(hts) < 1:
-            raise ValueError("need len(breakpoints) == len(heights) + 1 >= 2")
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not all(math.isfinite(h) and h >= 0 for h in hts):
-            raise ValueError(f"heights must be finite and nonnegative, got {hts!r}")
-        object.__setattr__(self, "breakpoints", edges)
-        object.__setattr__(self, "heights", hts)
-        object.__setattr__(self, "support", (edges[0], edges[-1]))
+        self._set_steps()
+        object.__setattr__(self, "support", (self.breakpoints[0], self.breakpoints[-1]))
 
     def _pdf(self, arr):
         edges = np.asarray(self.breakpoints)
@@ -347,6 +344,8 @@ class ExpFamilyPoly(Density):
     hi: float
 
     def __post_init__(self):
+        check_finite("lo", self.lo)
+        check_finite("hi", self.hi)
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
         coefs = tuple(float(c) for c in self.coefficients)
@@ -402,9 +401,6 @@ class MixtureDensity(Density):
         for w, c in zip(self.weights, self.components):
             out = out + w * c._cdf(arr)
         return out
-
-    def total_mass(self):
-        return float(sum(w * c.total_mass() for w, c in zip(self.weights, self.components)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy
 
 from .core import (
     Density,
@@ -141,16 +140,9 @@ class MonotoneDensityFit(_StepMass, Density):
     support = (0.0, 1.0)
 
     def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
-        hts = tuple(float(h) for h in self.heights)
-        if len(bp) != len(hts) + 1 or len(hts) < 1 or bp[0] != 0.0:
-            raise ValueError("breakpoints must start at 0 and bound each height")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(hts)) and min(hts) >= 0 and np.all(np.diff(hts) <= 0)):
-            raise ValueError("heights must be finite, nonnegative and nonincreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "heights", hts)
+        bp, hts = self._set_steps()
+        if not (bp[0] == 0.0 and bp[-1] <= 1.0 and (np.diff(hts) <= 0).all()):
+            raise ValueError("need breakpoints from 0 to at most 1 and nonincreasing heights")
 
     def _pdf(self, arr):
         bp = np.asarray(self.breakpoints)
@@ -202,12 +194,16 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     if not (np.all(np.isfinite(heights)) and math.isfinite(ll)):
         raise FitError(f"monotone fit has log-likelihood {ll!r}: p-values a subnormal "
                        f"spacing apart make a height overflow to {float(heights.max())!r}")
-    return MonotoneDensityFit(tuple(hx), tuple(heights), loglik=ll)
+    return MonotoneDensityFit(hx, heights, loglik=ll)
 
 
 # ---------------------------------------------------------------------------
 # Lindsey: exp(polynomial) density via binned Poisson regression
 # ---------------------------------------------------------------------------
+
+# the Newton steps have converged once no gradient component exceeds this
+_GRAD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ExpFamilyFit:
@@ -225,14 +221,14 @@ def _poisson_loglik(y, eta):
 
 
 def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
-                max_iter: int = 200, grad_tol: float = 1e-8) -> ExpFamilyFit:
+                max_iter: int = 200) -> ExpFamilyFit:
     """Fit exp(sum_j beta_j z^j) by Poisson regression on histogram counts.
 
     Bins span [min z - 0.5, max z + 0.5] with equal widths.  The GLM is
     solved by damped Newton with step halving; the returned coefficients are
     shifted so the density integrates to 1 over the bin range.  ``iterations``
     counts Newton steps, and converged is False when ``max_iter`` of them left
-    the gradient above ``grad_tol``.  Raises
+    the gradient above ``_GRAD_TOL``.  Raises
     :class:`FitError` when that integral is not finite and positive, or when
     the fitted density's mean log-likelihood on the data is not finite.
     """
@@ -265,12 +261,12 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
         y = counts.astype(float)
         eta = V @ gamma + offset
         ll = _poisson_loglik(y, eta)
-        converged = False
-        for iterations in range(max_iter):
+        iterations = 0
+        while True:
             mu = np.exp(eta)
             grad = V.T @ (y - mu)
-            if np.max(np.abs(grad)) <= grad_tol:
-                converged = True
+            converged = bool(np.max(np.abs(grad)) <= _GRAD_TOL)
+            if converged or iterations >= max_iter:
                 break
             hess = V.T @ (mu[:, None] * V)
             try:
@@ -289,17 +285,14 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
             gamma = gamma + t * step
             eta = V @ gamma + offset
             ll = _poisson_loglik(y, eta)
-        else:
-            iterations = max_iter
-            mu = np.exp(eta)
-            converged = bool(np.max(np.abs(V.T @ (y - mu))) <= grad_tol)
+            iterations += 1
 
         poly_u = np.polynomial.Polynomial(gamma)
         beta = poly_u(np.polynomial.Polynomial([-c / s, 1.0 / s])).coef
         beta = np.concatenate([beta, np.zeros(degree + 1 - beta.size)])
 
-        norm, _ = scipy.integrate.quad(
-            lambda x: np.exp(np.polynomial.polynomial.polyval(x, beta)), lo, hi, limit=200)
+        # a coefficient that is not finite has no density, and fails the gate
+        norm = ExpFamilyPoly(beta, lo, hi).total_mass() if np.isfinite(beta).all() else math.nan
         if not (math.isfinite(norm) and norm > 0.0):
             raise FitError(f"exp-polynomial fit has mass {norm!r} over the bin range")
         beta[0] -= math.log(norm)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -131,6 +132,28 @@ def test_analyze_bad_row_names_line(tmp_path, capsys):
     assert code == 2
     assert err.startswith("ERROR bad-row")
     assert ":3:" in err  # 1-based line number, header is line 1
+
+
+def test_analyze_over_long_field_is_one_bad_row_line(tmp_path, capsys):
+    # the csv module refuses a field over its limit with csv.Error
+    limit = csv.field_size_limit()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,stat\nh1,0.2\n" + b"x" * (limit + 1) + b",0.5\n")
+    code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert err == f"ERROR bad-row: {path}:3: field larger than field limit ({limit})\n"
+
+
+def test_analyze_input_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path,
+                                                                            capsys):
+    # the bad bytes lie past the text decoder's first chunks of the file
+    rows = "".join(f"h{i},0.5\n" for i in range(2, 3000)).encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,stat\n" + rows + b"h\xe9x,0.5\nh\xff,0.5\n")
+    code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert err == (f"ERROR bad-input: {path}:3000: not UTF-8 "
+                   "(invalid continuation byte, byte 0xe9)\n")
 
 
 def test_analyze_out_of_range_pvalue_names_id(tmp_path, capsys):

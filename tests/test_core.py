@@ -288,13 +288,21 @@ def test_gaussian_scalar_pdf_cdf_equal_the_array_elements(xs, mu):
     (lambda: lk.PiecewiseConstant((0.0, 0.5, 1.0), (1.0, math.nan)), "heights"),
     (lambda: lk.ExpFamilyPoly((0.0, math.nan), -1.0, 1.0), "coefficients"),
     (lambda: lk.MonotoneDensityFit((0.0, 0.5, 1.0), (math.nan, 1.0), loglik=0.0), "heights"),
+    (lambda: lk.MonotoneDensityFit((0.0, math.nan, 0.5), (3.0, 1.0), loglik=0.0),
+     "breakpoints"),
+    (lambda: lk.MonotoneDensityFit((0.0, 0.5, math.inf), (1.0, 0.0), loglik=0.0),
+     "breakpoints"),
+    (lambda: lk.PiecewiseConstant((-math.inf, 0.5, 1.0), (0.0, 1.0)), "breakpoints"),
+    (lambda: lk.ExpFamilyPoly((0.0,), -math.inf, 1.0), "lo"),
+    (lambda: lk.ExpFamilyPoly((0.0,), -1.0, math.inf), "hi"),
     (lambda: lk.MixtureDensity((lk.Uniform01(), lk.Uniform01()), (math.nan, math.nan)),
      "weights"),
     (lambda: lk.TwoGroupsBeta(m=10, pi0=0.5, a=math.nan, b=1.0), "a"),
     (lambda: lk.GaussianMeans(m=10, m1=2, mu=math.nan), "mu"),
     (lambda: lk.GaussianMeans(m=10, m1=2, mu=math.inf), "mu"),
 ], ids=["gaussian-nan", "beta-a-nan", "beta-b-inf", "piecewise-nan", "expfamily-nan",
-        "monotone-nan", "mixture-nan", "two-groups-beta-nan", "gaussian-means-nan",
+        "monotone-nan", "monotone-breakpoint-nan", "monotone-breakpoint-inf",
+        "piecewise-breakpoint-inf", "expfamily-lo-inf", "expfamily-hi-inf", "mixture-nan", "two-groups-beta-nan", "gaussian-means-nan",
         "gaussian-means-inf"])
 def test_nonfinite_parameters_are_refused_at_construction(build, field):
     # a check written as ``a <= 0`` lets NaN through to every evaluation

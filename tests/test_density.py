@@ -404,6 +404,14 @@ def test_lindsey_rejects_a_fit_that_does_not_normalize():
         lk.lindsey_fit(_zstats(z))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the patched steps
+def test_lindsey_coefficients_that_are_not_finite_fail_the_mass_gate(monkeypatch):
+    # a Newton step of inf moves the coefficients to inf and NaN
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.inf))
+    with pytest.raises(FitError, match="^exp-polynomial fit has mass nan over the bin range$"):
+        lk.lindsey_fit(_zstats(_two_groups_z(2000, 0)))
+
+
 # ---------------------------------------------------------------------------
 # npmle_mixture_fit
 # ---------------------------------------------------------------------------
