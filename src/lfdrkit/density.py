@@ -243,6 +243,10 @@ def lindsey_fit(stats: StatVector, degree: int = 7, bins: int = 120,
 
     lo, hi = float(z.min()) - 0.5, float(z.max()) + 0.5
     edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(edges[1:] > edges[:-1]):
+        # far from 0 the float spacing exceeds the bin width, and bins collapse
+        raise FitError(f"{bins} bins of width {(hi - lo) / bins!r} over the data range "
+                       f"[{float(z.min())!r}, {float(z.max())!r}] round to width 0")
     counts, _ = np.histogram(z, bins=edges)
     if np.count_nonzero(counts) <= 1:
         raise FitError("degenerate histogram: all mass in one bin")

@@ -11,18 +11,26 @@ and repeating its draws.  One function draws every row, so the replay, the
 calibration pool and ``generate`` keep that order.  Rejection rules run
 along the rows with the per-instance rules' arithmetic.  Each criterion
 counts replicates per distinct outcome, such as (V, R), so runs over
-adjacent replicate ranges merge exactly by adding counts.
+adjacent replicate ranges merge exactly by adding counts.  A run cuts its
+blocks into one range of whole blocks per usable core and runs each range
+after the first in a forked child, so the report does not depend on how many
+processes ran it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, Iterator, List, NoReturn, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -423,10 +431,95 @@ def _report(start, n_reps, config, criteria, counts) -> MonteCarloReport:
     return MonteCarloReport(start, n_reps, estimates, config, criteria, counts)
 
 
-# values and rows per block: bound the harness's memory whatever m is; the
-# row cap also bounds the saved stream states of a grid design (about 1 KB each)
+# values and rows per block: bound the harness's memory per process whatever
+# m is; the row cap also bounds the saved stream states of a grid design (about
+# 1 KB each).  A run splits between processes only at block boundaries, so a
+# run of one block stays in one process.
 _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
+
+
+def _cores() -> int:
+    """The processes a run may use: its usable cores, or 1 where this platform
+    cannot fork or another thread runs (a forked child keeps only the calling
+    thread, so a lock another thread held would stay held)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_blocks(first: int, n: int, rows: int) -> List[range]:
+    """``first .. first + n - 1`` in one range of whole ``rows``-blocks per
+    process, never more ranges than blocks."""
+    blocks = -(-n // rows)
+    k = min(_cores(), blocks)
+    cuts = [first + min(n, rows * (blocks * i // k)) for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_child(work: Callable[[range], object], part: range, r: int, w: int) -> NoReturn:
+    """In a forked child: pickle ``(True, work(part))``, or ``(False, error)``,
+    to the pipe (r, w), then leave without running the parent's exit handlers
+    or flushing the stdout buffers it copied."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            data = pickle.dumps((True, work(part)))
+        except BaseException as exc:  # handed to the parent, which raises it
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:  # an error that does not survive pickling
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_result(data: bytes, status: int, part: range):
+    """What a child sent for ``part``: its result, or its error raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the process running replicates [{part.start}, {part.stop}) "
+                                f"ended by {how} without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _in_processes(work: Callable[[range], object], parts: Sequence[range]) -> list:
+    """``[work(part) for part in parts]``: the first part in this process,
+    every other in a forked child.  A failure raises the error of the earliest
+    part that failed, as the loop would, and no child outlives the call."""
+    children = []  # (pid, read end of its pipe, part), in part order
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, part, r, w)
+            os.close(w)
+            children.append((pid, open(r, "rb"), part))
+        results = [work(parts[0])]
+        while children:
+            pid, pipe, part = children[0]
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            results.append(_child_result(data, status, part))
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -560,7 +653,10 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
 
     ``start`` offsets the replicate indices so a run can be split into
     sub-runs over adjacent ranges whose merge (:func:`merge_reports`)
-    reproduces the unsplit run exactly.  The boundary criterion breaks ties
+    reproduces the unsplit run exactly.  Each run does so itself: it runs one
+    range of whole blocks per usable core, each after the first in a forked
+    child, and adds their counts in range order, so the report does not
+    depend on the number of processes.  The boundary criterion breaks ties
     at the threshold uniformly at random from the replicate's own stream.
     """
     if n_reps < 1:
@@ -577,10 +673,18 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
     nulls = spec.null_flags
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
     work = _Workspace.for_block(rows, nulls.size, procedure)
-    counts = {c.name: Counter() for c in criteria}
-    for first in range(start, start + n_reps, rows):
-        _tally_block(spec, nulls, procedure, criteria, seed,
-                     range(first, min(first + rows, start + n_reps)), work, counts)
+
+    def tally(part: range) -> Dict[str, Counter]:
+        counts = {c.name: Counter() for c in criteria}
+        for first in range(part.start, part.stop, rows):
+            _tally_block(spec, nulls, procedure, criteria, seed,
+                         range(first, min(first + rows, part.stop)), work, counts)
+        return counts
+
+    counts, *later = _in_processes(tally, _split_blocks(start, n_reps, rows))
+    for part_counts in later:
+        for name, c in part_counts.items():
+            counts[name].update(c)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
     return _report(start, n_reps, config, criteria, counts)
@@ -638,7 +742,9 @@ def _score_block(scorer: str, values: np.ndarray, scale: Scale, oracle) -> np.nd
 
 def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
                            bin_width: float, seed: int) -> CalibrationCurve:
-    """Pool scores across replicates and report the null fraction per bin."""
+    """Pool scores across replicates and report the null fraction per bin.
+    Like :func:`mc_error_rates`, a run splits its blocks over the usable
+    cores and adds their bin counts, which do not depend on the split."""
     if not 0.0 < bin_width < 1.0:
         raise ValueError("bin_width must lie in (0, 1)")
     if reps < 1:
@@ -653,15 +759,19 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     nulls = spec.null_flags
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, reps))
     values = np.empty((rows, nulls.size))
-    # bin counts of the alternatives, then of the nulls
-    tally = np.zeros(2 * nbins, dtype=np.int64)
-    for first in range(0, reps, rows):
-        block = values[:min(rows, reps - first)]
-        _draw_rows(spec, _replicate_streams(seed, range(first, first + len(block))), block)
-        scores = _score_block(scorer, block, spec.scale, oracle)
-        idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
-        tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
 
+    def bin_counts(part: range) -> np.ndarray:
+        # bin counts of the alternatives, then of the nulls
+        tally = np.zeros(2 * nbins, dtype=np.int64)
+        for first in range(part.start, part.stop, rows):
+            block = values[:min(rows, part.stop - first)]
+            _draw_rows(spec, _replicate_streams(seed, range(first, first + len(block))), block)
+            scores = _score_block(scorer, block, spec.scale, oracle)
+            idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
+            tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
+        return tally
+
+    tally = sum(_in_processes(bin_counts, _split_blocks(0, reps, rows)))
     null_counts = tally[nbins:]
     counts = tally[:nbins] + null_counts
     with np.errstate(invalid="ignore"):

@@ -200,6 +200,18 @@ def test_analyze_lindsey_fit_that_does_not_normalize_is_a_fit_error(tmp_path, ca
     assert err.startswith("ERROR fit") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_analyze_lindsey_on_data_far_from_0_is_a_fit_error(tmp_path, capsys):
+    # at 1e15 the float spacing exceeds the bin width, so bins collapse
+    z = np.random.default_rng(1).normal(1e15, 1.0, 500)
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\n" + "".join(f"g{i},{v!r}\n" for i, v in enumerate(z.tolist())),
+                    encoding="utf-8")
+    code, _, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                            "--density", "lindsey:7:120"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR fit: 120 bins of width ") and err.endswith(" round to width 0\n")
+
+
 def test_analyze_huge_z_leaves_stderr_empty(tmp_path):
     # 2e154 squares to inf in the Gaussian kernel, whose density there is 0;
     # numpy's overflow warning must not reach the user

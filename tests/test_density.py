@@ -404,6 +404,16 @@ def test_lindsey_rejects_a_fit_that_does_not_normalize():
         lk.lindsey_fit(_zstats(z))
 
 
+@pytest.mark.parametrize("loc", [1e15, 3e15, 1e16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lindsey_on_data_far_from_0_names_the_bin_width(loc, seed):
+    # the float spacing at loc exceeds the bin width, so linspace's edges collapse
+    z = np.random.default_rng(seed).normal(loc, 1.0, 500)
+    with pytest.raises(FitError, match=r"^120 bins of width 0\.0\d+ over the data range "
+                                       r"\[\S+, \S+\] round to width 0$"):
+        lk.lindsey_fit(_zstats(z))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the patched steps
 def test_lindsey_coefficients_that_are_not_finite_fail_the_mass_gate(monkeypatch):
     # a Newton step of inf moves the coefficients to inf and NaN

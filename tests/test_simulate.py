@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -11,7 +14,7 @@ from scipy import stats as sps
 
 import lfdrkit as lk
 from lfdrkit import simulate
-from lfdrkit.core import AssumptionError
+from lfdrkit.core import AssumptionError, FitError
 from lfdrkit.simulate import (
     PRESETS,
     Bfdr,
@@ -323,7 +326,9 @@ class QuarterRounded:
 
 
 def _count_replays(mp):
-    """Calls to the harness's replay helper, counted in a list."""
+    """Calls to the harness's replay helper, counted in a list.  The run stays
+    in this process, since a forked child's calls would not reach the list."""
+    mp.setattr(simulate, "_cores", lambda: 1)
     calls = []
 
     def counted(*args):
@@ -380,6 +385,154 @@ def test_continuous_and_grid_runs_make_no_replays():
         spec, alpha = PRESETS["counterexample-discrete"]
         mc_error_rates(spec, ProcedureConfig("support-line", alpha), 2000, bfdr, seed=1)
         assert replays == []
+
+
+# ---------------------------------------------------------------------------
+# runs split over processes
+# ---------------------------------------------------------------------------
+
+def _with_cores(cores, run, block_rows=3):
+    """``run()`` with the harness on ``cores`` processes and blocks of
+    ``block_rows`` rows, so small runs span several blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_cores", lambda: cores)
+        mp.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        return run()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_split_blocks_cuts_whole_blocks_one_range_per_core(cores, monkeypatch):
+    monkeypatch.setattr(simulate, "_cores", lambda: cores)
+    # 14 replicates from 5 in blocks of 3: 5 blocks, the last of 2 rows
+    parts = simulate._split_blocks(5, 14, 3)
+    assert len(parts) == min(cores, 5)
+    assert [i for part in parts for i in part] == list(range(5, 19))
+    assert all(part.start % 3 == 5 % 3 for part in parts)
+
+
+def test_a_run_with_another_thread_running_stays_in_one_process():
+    assert simulate._cores() == len(os.sched_getaffinity(0))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert simulate._cores() == 1
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+_ALL_CRITERIA = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.0, 0.3)]
+
+
+@pytest.mark.parametrize("spec, kind, alpha, perturb", [
+    *((spec, "support-line", alpha, False) for spec, alpha in PRESETS.values()),
+    (DiscreteUniformNulls(m=7, L=3, alt_positions=(1, 2, 2)), "support-line", 0.5, True),
+    # unperturbed grid with bFDR: the tie-pick reads saved stream states
+    (DiscreteUniformNulls(m=20, L=4, alt_positions=(1, 1, 2)), "bh", 0.5, False),
+    # ties on a spec the harness does not know as a grid: the tie-pick replays
+    (QuarterRounded(m=9, m1=3), "storey-bh", 0.5, False),
+], ids=[*PRESETS, "grid-perturbed", "grid-saved-states", "quarter-rounded"])
+def test_report_bytes_do_not_depend_on_the_process_count(spec, kind, alpha, perturb):
+    proc = ProcedureConfig(kind, alpha, perturb=perturb)
+    # 14 replicates from 5 in blocks of 3: the last block is short
+    reports = [_with_cores(cores, lambda: mc_error_rates(spec, proc, 14, _ALL_CRITERIA,
+                                                         seed=29, start=5))
+               for cores in (1, 2, 3)]
+    one = reports[0]
+    for report in reports[1:]:
+        assert json.dumps(report.to_jsonable()) == json.dumps(one.to_jsonable())
+        assert report.counts == one.counts
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("scorer", simulate.SCORERS)
+def test_calibration_bins_do_not_depend_on_the_process_count(scorer):
+    spec = GaussianMeans(m=40, m1=6, mu=2.0)
+    curves = [_with_cores(cores, lambda: calibration_experiment(spec, scorer, 11, 0.05, seed=3),
+                          block_rows=2)
+              for cores in (1, 2, 3)]
+    for curve in curves[1:]:
+        assert np.array_equal(curve.bin_counts, curves[0].bin_counts)
+        assert curve.bin_null_fraction.tobytes() == curves[0].bin_null_fraction.tobytes()
+    _assert_no_child_left()
+
+
+class _TwoArgumentError(Exception):
+    """An error that pickles but does not unpickle: its constructor takes two."""
+
+    def __init__(self, what, index):
+        super().__init__(f"{what} at replicate {index}")
+
+
+def _failing_draw(monkeypatch, fail):
+    """Make TwoGroupsBeta's draw call ``fail(index)`` before replicate
+    ``index``'s draw; the index is the second word of the Philox key."""
+    draw = TwoGroupsBeta.draw
+
+    def patched(self, rng, row):
+        fail(int(rng.bit_generator.state["state"]["key"][1]))
+        draw(self, rng, row)
+
+    monkeypatch.setattr(TwoGroupsBeta, "draw", patched)
+
+
+def _raise_at(indices, error=FitError):
+    def fail(index):
+        if index in indices:
+            raise error(f"no draw for replicate {index}")
+    return fail
+
+
+def _beta_run():
+    # 14 replicates in blocks of 3; on 3 processes the ranges are [0, 3),
+    # [3, 9) in the first child and [9, 14) in the second
+    spec, alpha = PRESETS["theorem-5.1"]
+    return mc_error_rates(spec, ProcedureConfig("support-line", alpha), 14, [Fdr()], seed=4)
+
+
+@pytest.mark.parametrize("bad", [{10}, {4, 10}, {1, 4, 10}],
+                         ids=["last-child", "both-children", "this-process-and-children"])
+def test_a_failing_range_raises_the_error_of_the_one_process_run(bad, monkeypatch):
+    _failing_draw(monkeypatch, _raise_at(bad))
+    errors = []
+    for cores in (1, 3):
+        with pytest.raises(FitError) as info:
+            _with_cores(cores, _beta_run)
+        errors.append((type(info.value), str(info.value)))
+        _assert_no_child_left()
+    assert errors[0] == errors[1] == (FitError, f"no draw for replicate {min(bad)}")
+
+
+def test_a_child_error_that_does_not_unpickle_arrives_as_its_text(monkeypatch):
+    def fail(index):
+        if index == 10:
+            raise _TwoArgumentError("no draw", index)
+
+    _failing_draw(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"^_TwoArgumentError: no draw at replicate 10$"):
+        _with_cores(3, _beta_run)
+    _assert_no_child_left()
+
+
+def test_a_killed_child_names_its_range_and_signal(monkeypatch):
+    parent = os.getpid()
+
+    def fail(index):
+        if index == 4 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_draw(monkeypatch, fail)
+    with pytest.raises(ChildProcessError,
+                       match=r"^the process running replicates \[3, 9\) ended by signal 9 "):
+        _with_cores(3, _beta_run)
+    _assert_no_child_left()
 
 
 def test_merge_requires_matching_config():
