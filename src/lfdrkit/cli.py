@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import mmap
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -27,10 +28,13 @@ from .core import (
     EstimationError,
     FitError,
     GaussianLocation,
+    IdBuffer,
     LossSpec,
     Scale,
     StatVector,
     Uniform01,
+    _hashes,
+    check_values,
     to_pvalues,
 )
 from .density import grenander_fit, lindsey_fit, npmle_mixture_fit
@@ -93,9 +97,9 @@ def _reason_code(exc: Exception) -> str:
 # I/O helpers
 # ---------------------------------------------------------------------------
 
-# rows parsed or written at a time: a column of m cell strings, or one string
-# for the whole table, would raise peak memory
-_WRITE_ROWS = 1 << 16
+# rows formatted and written at a time: a column of m cell strings, or one
+# string for the whole table, would raise peak memory
+_WRITE_ROWS = 1 << 14
 
 
 def _header_width(path: str, header: Sequence[str]) -> int:
@@ -153,39 +157,102 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
     return ids, vals
 
 
-def _read_columns(path: str, data: bytes, scale: Scale):
-    """The parse of ``_read_rows`` a column at a time, or None where only the row
-    loop can tell what ``csv.reader`` makes of the bytes or which error comes
-    first: quotes, CR, blank, ragged or over-long lines, no data row, bytes
-    that are not UTF-8, or a stat, p-value or truth cell that it rejects.
-    After the checks on the whole buffer, lines are decoded and parsed
-    ``_WRITE_ROWS`` at a time, so no column of m cell strings is built."""
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if data[-1:] != b"\n":
-        ends = np.append(ends, buf.size)
-    m = ends.size - 1
-    if m < 1 or b'"' in data or b"\r" in data or \
-            np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+class _IdPacker:
+    """The parts of an ``IdBuffer`` of m ids of at most ``max_bytes`` UTF-8
+    bytes in all, added a list of ``str`` at a time: their bytes, where each
+    ends, in the narrowest integer type that holds ``max_bytes``, and their
+    hashes."""
+
+    def __init__(self, m: int, max_bytes: int):
+        self.parts: List[bytes] = []
+        self.ends = np.zeros(m + 1, dtype=np.min_scalar_type(max_bytes))
+        self.hashes = np.empty(m, dtype=np.int64)
+        self.size = 0
+
+    def add(self, ids: List[str]) -> None:
+        text = "".join(ids)
+        raw = text.encode("utf-8")
+        # ASCII text has a byte per character
+        lengths = map(len, ids) if len(raw) == len(text) else \
+            (len(i.encode("utf-8")) for i in ids)
+        lo, hi = self.size, self.size + len(ids)
+        np.cumsum(np.fromiter(lengths, self.ends.dtype, count=len(ids)),
+                  out=self.ends[lo + 1:hi + 1])
+        self.ends[lo + 1:hi + 1] += self.ends[lo]
+        self.hashes[lo:hi] = _hashes(ids)
+        self.parts.append(raw)
+        self.size = hi
+
+    def ids(self) -> IdBuffer:
+        """The buffer of the ids added; the parts and hashes are let go as it is built."""
+        data, self.parts = b"".join(self.parts), []
+        hashes, self.hashes = self.hashes, None
+        return IdBuffer(data, self.ends, hashes)
+
+
+# bytes of the input scanned at a time; a window holds whole lines, so a line
+# longer than this is left to the row loop
+_SCAN_BYTES = 1 << 20
+
+
+def _line_windows(buf: np.ndarray, lo: int):
+    """``(lo, ends)`` for each window of whole lines from byte ``lo`` on, at
+    most ``_SCAN_BYTES`` long: ``ends`` holds where each line ends, counted
+    from ``lo``, at its newline or at the end of a last line without one.
+    ``ends`` is None for a line too long for a window."""
+    while lo < buf.size:
+        hi = min(lo + _SCAN_BYTES, buf.size)
+        ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
+        if hi < buf.size:
+            if not ends.size:
+                yield lo, None
+                return
+        elif not ends.size or ends[-1] < hi - lo - 1:
+            ends = np.append(ends, hi - lo)
+        yield lo, ends
+        lo += int(ends[-1]) + 1
+
+
+def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np.ndarray]]:
+    """The parse of ``_read_rows`` a window of lines at a time, or None where
+    only the row loop can tell what ``csv.reader`` makes of the bytes or
+    which error comes first: quotes, CR, blank, ragged or over-long lines,
+    no data row, bytes that are not UTF-8, or a stat, p-value or truth cell
+    that it rejects.  ``data`` is ``bytes`` or a read-only map of the file;
+    it is scanned in windows of ``_SCAN_BYTES``, so no copy or mask of its
+    whole size is made, and the ids are packed a window at a time, so no
+    column of m cell strings is built."""
+    head = data.find(b"\n")
+    if head < 0 or data.find(b'"') >= 0 or data.find(b"\r") >= 0 or \
+            head + 1 > csv.field_size_limit():
         return None
-    ids: List[str] = []
+    buf = np.frombuffer(data, np.uint8)
+    m = sum(int(np.count_nonzero(buf[lo:lo + _SCAN_BYTES] == ord("\n")))
+            for lo in range(head + 1, buf.size, _SCAN_BYTES))
+    m += data[-1:] != b"\n"
+    if m < 1:
+        return None
     vals = np.empty(m)
+    ids = _IdPacker(m, buf.size)
     # a UnicodeDecodeError is a ValueError, and so is a stat that float() refuses;
     # a bad header is left to the row loop, which may meet a bad byte first
     try:
-        ncols = _header_width(path, data[:ends[0]].decode("utf-8").split(","))
-        # every data line holds exactly ncols - 1 commas
-        commas = np.flatnonzero(buf == ord(","))
-        if np.any(np.diff(np.searchsorted(commas, ends)) != ncols - 1):
-            return None
-        for lo in range(0, m, _WRITE_ROWS):
-            hi = min(lo + _WRITE_ROWS, m)
-            # lines lo + 1 .. hi, without the newline that ends the last of them
-            cells = data[ends[lo] + 1:ends[hi]].decode("utf-8").replace("\n", ",").split(",")
-            vals[lo:hi] = np.fromiter(map(float, cells[1::ncols]), float, count=hi - lo)
+        ncols = _header_width(path, data[:head].decode("utf-8").split(","))
+        for lo, ends in _line_windows(buf, head + 1):
+            if ends is None or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+                return None
+            # every line holds exactly ncols - 1 commas
+            commas = np.flatnonzero(buf[lo:lo + ends[-1]] == ord(","))
+            if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != ncols - 1):
+                return None
+            # the window's lines, without the newline that ends the last of them
+            cells = data[lo:lo + ends[-1]].decode("utf-8").replace("\n", ",").split(",")
+            row = ids.size
+            vals[row:row + ends.size] = np.fromiter(map(float, cells[1::ncols]), float,
+                                                    count=ends.size)
             if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
                 return None
-            ids.extend(cells[::ncols])
+            ids.add(cells[::ncols])
     except (ValueError, CliError):
         return None
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
@@ -196,12 +263,25 @@ def _read_columns(path: str, data: bytes, scale: Scale):
 def read_stats_csv(path: str, scale: Scale) -> StatVector:
     """The ids and stats of ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    columns = _read_columns(path, data, scale)
-    del data  # the bytes are not needed once parsed, and the row loop reads the file anew
-    ids, vals = columns or _read_rows(path, scale)
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # a pipe, or an empty file
+            data = fh.read()
+        columns = _read_columns(path, data, scale)
+    # the row loop reads the file anew; dropping the map unmaps the file
+    del data
+    if columns is None:
+        ids, vals = _read_rows(path, scale)
+        # a character takes at most 4 bytes of UTF-8
+        packer = _IdPacker(len(ids), 4 * sum(map(len, ids)))
+        packer.add(ids)
+    else:
+        packer, vals = columns
     try:
-        return StatVector(vals, scale, ids=tuple(ids))
+        # StatVector checks the values before the ids, and so does this
+        vals = np.asarray(vals, dtype=float)
+        check_values(vals, scale)
+        return StatVector(vals, scale, ids=packer.ids())
     except ValueError as exc:
         raise CliError("bad-input", f"{path}: {exc}")
 
@@ -253,22 +333,44 @@ def write_csv(path: Optional[str], columns: Dict[str, Sequence[str]]) -> None:
     _write_lines(path, chunks())
 
 
+# the longest repr of a double, "-" + 17 digits + "." + "e-308", and a space
+# after it, so that cells laid end to end split apart on spaces
+_FLOAT_CELL_BYTES = 25
+
+
 def _float_cells(values: np.ndarray, order: np.ndarray) -> _ChunkCells:
     """``repr`` of each value.  Repeats are found as runs of equal bits along
     ``order``, a permutation of the rows, and each run is formatted once; along
     a sort order every repeated value is one run.  Told apart by their bits,
-    -0.0 and 0.0 never share a cell.  Without repeats each chunk is formatted
-    as it is written."""
+    -0.0 and 0.0 never share a cell.  The runs' cells are kept as one array
+    of space-padded ASCII, indexed by a run number per row in the narrowest
+    integer type, and a chunk of rows gathers its cells and splits them into
+    ``str`` at once.  Without repeats each chunk is formatted as it is
+    written."""
     values = np.asarray(values, dtype=float)
-    bits = values.view(np.int64)[order]
+    bits = values.view(np.int64)
+    # a run starts where the bits change along the order, gathered a chunk at a time
     starts = np.ones(values.size, dtype=bool)
-    starts[1:] = bits[1:] != bits[:-1]
+    for lo in range(1, values.size, _WRITE_ROWS):
+        chunk = bits[order[lo - 1:lo + _WRITE_ROWS]]
+        starts[lo:lo + _WRITE_ROWS] = chunk[1:] != chunk[:-1]
     if starts.all():  # no repeats: the gather would only cost
         return _ChunkCells(values.size, lambda rows: list(map(repr, values[rows].tolist())))
-    run = np.empty(values.size, dtype=np.intp)
-    run[order] = np.cumsum(starts) - 1
-    cells = np.array(list(map(repr, values[order[starts]].tolist())), dtype=object)
-    return _ChunkCells(values.size, lambda rows: cells[run[rows]].tolist())
+    run = np.empty(values.size, dtype=np.min_scalar_type(values.size))
+    ranks = np.cumsum(starts, dtype=run.dtype)
+    ranks -= 1
+    run[order] = ranks
+    del ranks
+    firsts = order[starts]
+    del starts
+    cells = np.empty(firsts.size, dtype=f"S{_FLOAT_CELL_BYTES}")
+    for lo in range(0, firsts.size, _WRITE_ROWS):
+        block = cells[lo:lo + _WRITE_ROWS]
+        block[:] = list(map(repr, values[firsts[lo:lo + _WRITE_ROWS]].tolist()))
+        padding = block.view(np.uint8)
+        padding[padding == 0] = ord(" ")
+    return _ChunkCells(values.size,
+                       lambda rows: cells[run[rows]].tobytes().decode("ascii").split())
 
 
 # the cells of four 0/1 flag columns, indexed by a code whose bit k is column k
@@ -382,7 +484,6 @@ def cmd_analyze(args) -> int:
     pi0_value = _pi0_value(args.pi0, pstats)
     null, avg, scored_stats = _fitted_density(args.density, stats, pstats)
     scores = score_hypotheses(LfdrCurve(pi0_value, null, avg), scored_stats)
-    qvals = q_values(pstats)
 
     alpha = args.alpha
     results = {
@@ -392,15 +493,19 @@ def cmd_analyze(args) -> int:
     }
     lfdr_decisions = lfdr_threshold_rule(scores, loss)
 
-    flags = np.zeros(stats.m, dtype=np.intp)
+    flags = np.zeros(stats.m, dtype=np.uint8)
     for k, rejected in enumerate([*(res.rejected for res in results.values()),
                                   lfdr_decisions]):
         flags[rejected] |= 1 << k
+    # the scores and q-values are kept only as cells, and each array is let go
+    # before the next is made
+    score_cells = _float_cells(scores, scored_stats.order)
+    del scores
     table = {
         "id": _ChunkCells(stats.m, lambda rows: _text_cells(stats.ids[rows])),
         "stat": _float_cells(stats.values, stats.order),
-        "q_value": _float_cells(qvals, pstats.order),
-        "lfdr_score": _float_cells(scores, scored_stats.order),
+        "q_value": _float_cells(q_values(pstats), pstats.order),
+        "lfdr_score": score_cells,
         ",".join(f"rejected_{name}" for name in [*results, "lfdr"]):
             _ChunkCells(stats.m, lambda rows: _FLAG_CELLS[flags[rows]].tolist()),
     }

@@ -7,10 +7,11 @@ construction, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 import scipy
@@ -96,17 +97,62 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def _all_distinct(items: Tuple) -> bool:
+def _hashes(items) -> np.ndarray:
+    """``hash`` of each item, as int64."""
+    return np.fromiter(map(hash, items), np.int64, count=len(items))
+
+
+def _all_distinct(items: Sequence, hashes: Optional[np.ndarray] = None) -> bool:
     """Whether no two items are equal: equal items have equal hashes, so a
     sorted array of hashes leaves an exact ``set`` check only to the items
-    whose hashes collide, rather than a ``set`` of them all."""
-    hashes = np.fromiter(map(hash, items), np.int64, count=len(items))
+    whose hashes collide, rather than a ``set`` of them all.  ``hashes`` is
+    ``_hashes(items)``, when the caller took it already."""
+    if hashes is None:
+        hashes = _hashes(items)
     ranked = np.sort(hashes)
     shared = ranked[1:][ranked[1:] == ranked[:-1]]
     if not shared.size:
         return True
     suspects = [items[i] for i in np.flatnonzero(np.isin(hashes, shared)).tolist()]
     return len(set(suspects)) == len(suspects)
+
+
+class IdBuffer(Sequence):
+    """Unique text ids held as one UTF-8 buffer: ``data[ends[i]:ends[i + 1]]``
+    is id i.  That costs the text and an offset an id, where a ``str`` object
+    costs about 50 bytes over its text.  ``ids[i]`` decodes one id and
+    ``ids[lo:hi]`` a list of them, so a reader of the column holds one slice
+    of ``str`` at a time.  ``hashes`` is ``hash`` of each id as ``str``,
+    taken while the caller held them; the ids are checked unique from it
+    when the buffer is built, by the rule ``StatVector`` applies to a tuple.
+    """
+
+    def __init__(self, data: bytes, ends: np.ndarray, hashes: np.ndarray):
+        self._data = data
+        self._ends = ends
+        if not _all_distinct(self, hashes):
+            raise ValueError("ids must be unique")
+
+    def __len__(self) -> int:
+        return self._ends.size - 1
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[str, List[str]]:
+        rows = range(len(self))[key]
+        ends = self._ends
+        if isinstance(rows, int):
+            return self._data[ends[rows]:ends[rows + 1]].decode("utf-8")
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        lo, hi = rows.start, rows.stop
+        if hi <= lo:
+            return []
+        raw = self._data[ends[lo]:ends[hi]]
+        if b"," in raw:  # a comma cannot then mark where one id ends
+            return [self._data[a:b].decode("utf-8")
+                    for a, b in zip(ends[lo:hi].tolist(), ends[lo + 1:hi + 1].tolist())]
+        cuts = ends[lo + 1:hi].astype(np.intp) - int(ends[lo])
+        marked = np.insert(np.frombuffer(raw, np.uint8), cuts, ord(","))
+        return marked.tobytes().decode("utf-8").split(",")
 
 
 @dataclass(frozen=True)
@@ -120,14 +166,15 @@ class StatVector:
         lie in [0, 1]; exact 0 and 1 are allowed.
     scale : Scale
         Which sample space the values live on.
-    ids : tuple of str, optional
+    ids : IdBuffer or iterable of str, optional
         Opaque labels, unique, one per statistic, kept as given: no label is
-        converted to ``str``.
+        converted to ``str``.  An ``IdBuffer`` is kept as it is, and checked
+        unique when it was built; any other iterable is made a tuple.
     """
 
     values: np.ndarray
     scale: Scale
-    ids: Optional[Tuple[str, ...]] = None
+    ids: Optional[Union[IdBuffer, Tuple[str, ...]]] = None
 
     def __post_init__(self):
         arr = _frozen_array(self.values, float)
@@ -136,10 +183,11 @@ class StatVector:
         check_values(arr, self.scale)
         object.__setattr__(self, "values", arr)
         if self.ids is not None:
-            ids = tuple(self.ids)
+            ids = self.ids if isinstance(self.ids, IdBuffer) else tuple(self.ids)
             if len(ids) != arr.size:
                 raise ValueError("ids must match values in length")
-            if not _all_distinct(ids):
+            # an IdBuffer checked its ids when it was built
+            if not (isinstance(ids, IdBuffer) or _all_distinct(ids)):
                 raise ValueError("ids must be unique")
             object.__setattr__(self, "ids", ids)
 

@@ -50,6 +50,8 @@ _MIN_DROP_SHARE = 0.125
 # the hull of every _COARSE_STRIDE-th one
 _COARSE_STRIDE = 32
 _COARSE_MIN = 1024
+# vertices a coarse pass tests at a time
+_HULL_BLOCK = 1 << 16
 
 
 def _far_under(gap, span):
@@ -57,6 +59,26 @@ def _far_under(gap, span):
     is ``gap`` lies more than ``_HULL_CANDIDATE_TOL`` under that chord."""
     far = span >= _MIN_CHORD_SPAN
     far &= gap < -_HULL_CANDIDATE_TOL * span
+    return far
+
+
+def _far_under_hull(xs: np.ndarray, ys: np.ndarray, hx: np.ndarray,
+                    hy: np.ndarray) -> np.ndarray:
+    """``_far_under`` of each vertex ``(xs, ys)`` for the chord of the hull
+    ``(hx, hy)`` that spans it, ``_HULL_BLOCK`` vertices at a time, so that
+    no temporary is as long as ``xs``.  A chord spans the vertices from its
+    start up to the next chord's; the last vertex, the last chord's end, goes
+    with the last chord."""
+    starts = np.searchsorted(xs, hx[:-1])
+    dhx, dhy = np.diff(hx), np.diff(hy)
+    far = np.empty(xs.size, dtype=bool)
+    for lo in range(0, xs.size, _HULL_BLOCK):
+        hi = min(lo + _HULL_BLOCK, xs.size)
+        chord = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
+        span = dhx[chord]
+        gap = (ys[lo:hi] - hy[chord]) * span
+        gap -= dhy[chord] * (xs[lo:hi] - hx[chord])
+        far[lo:hi] = _far_under(gap, span)
     return far
 
 
@@ -82,13 +104,7 @@ def _hull_candidates(xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.nda
             hx, hy = _hull_candidates(xs[sub], ys[sub])
             hull = _stack_scan(hx, hy)
             hx, hy = hx[hull], hy[hull]
-            # the vertices on each hull chord from its start up to the next
-            # one; the last vertex, the last chord's end, goes with it
-            counts = np.diff(np.append(np.searchsorted(xs, hx[:-1]), xs.size))
-            span = np.repeat(np.diff(hx), counts)
-            gap = (ys - np.repeat(hy[:-1], counts)) * span
-            gap -= np.repeat(np.diff(hy), counts) * (xs - np.repeat(hx[:-1], counts))
-            far = _far_under(gap, span)
+            far = _far_under_hull(xs, ys, hx, hy)
             if np.count_nonzero(far) < _MIN_DROP_SHARE * far.size:
                 break
             # np.compress skips the branchy path of boolean indexing
@@ -176,12 +192,23 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
         raise DegeneracyError(
             "monotone MLE undefined with an observation at exactly 0; "
             "perturb grid p-values first")
-    # ECDF vertices: the last order statistic of each tie run
-    last = np.append(np.flatnonzero(p[1:] != p[:-1]), m - 1)
-    xs = np.concatenate([[0.0], p[last]])
-    ys = np.concatenate([[0.0], (last + 1) / m])
+    # ECDF vertices: the last order statistic of each tie run, after (0, 0).
+    # Each is written once into its own array, and the sorted sample is let
+    # go while the hull is found, so that few m-long arrays live at once
+    is_last = np.empty(m, dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=is_last[:-1])
+    is_last[-1] = True
+    xs = np.zeros(np.count_nonzero(is_last) + 1)
+    np.compress(is_last, p, out=xs[1:])
+    del p
+    ys = np.zeros(xs.size)
+    ys[1:] = np.flatnonzero(is_last)
+    del is_last
+    ys[1:] += 1.0
+    ys[1:] /= m
 
     cx, cy = _hull_candidates(xs, ys)
+    del xs, ys
     hull = _stack_scan(cx, cy)
     hx = cx[hull]
     hy = cy[hull]
@@ -189,8 +216,8 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
         heights = np.diff(hy) / np.diff(hx)
 
     # every sample point sits on (hx[j], hx[j+1]] for some piece j
-    idx = np.searchsorted(hx[1:], p, side="left")
-    ll = float(np.mean(np.log(heights[idx])))
+    logs = heights[np.searchsorted(hx[1:], stats.values[stats.order], side="left")]
+    ll = float(np.mean(np.log(logs, out=logs)))
     if not (np.all(np.isfinite(heights)) and math.isfinite(ll)):
         raise FitError(f"monotone fit has log-likelihood {ll!r}: p-values a subnormal "
                        f"spacing apart make a height overflow to {float(heights.max())!r}")

@@ -1,13 +1,18 @@
 """The CSV input and output of ``lfdrkit analyze``.
 
-``read_stats_csv`` parses a file a column at a time, in chunks of rows, and
-hands anything it cannot vouch for to the ``csv.reader`` row loop, which is
-also the reference here.  The writer formats each run of equal floats once
+``read_stats_csv`` maps the file and parses it a column at a time, over
+windows of whole lines, and hands anything it cannot vouch for to the
+``csv.reader`` row loop, which is also the reference here.  Both keep the ids
+in one ``IdBuffer``.  The writer formats each run of equal floats once
 and formats and writes rows in chunks; a row-at-a-time writer kept in this
 file is its reference.
 """
 
 import csv
+import os
+import subprocess
+import sys
+import threading
 from unittest.mock import patch
 
 import numpy as np
@@ -16,7 +21,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lfdrkit import cli
-from lfdrkit.core import Scale
+from lfdrkit.core import DomainError, Scale, StatVector
+from lfdrkit.lfdr import LfdrCurve
 
 # id text the csv module reads back unchanged without quotes
 PLAIN_TEXT = st.text(st.characters(blacklist_characters=',"\r\n',
@@ -87,12 +93,13 @@ def malformed_files(draw):
 
 
 def _outcome(path, scale):
-    """What ``read_stats_csv`` gives: values bitwise and ids, or its error."""
+    """What ``read_stats_csv`` gives: values bitwise and the id cells that
+    the writer is handed, or its error."""
     try:
         stats = cli.read_stats_csv(str(path), scale)
     except (cli.CliError, ValueError) as exc:
         return type(exc), getattr(exc, "code", None), str(exc)
-    return stats.values.view(np.int64).tolist(), stats.ids
+    return stats.values.view(np.int64).tolist(), stats.ids[0:stats.m]
 
 
 def _row_loop_outcome(path, scale):
@@ -109,6 +116,19 @@ def test_column_reader_takes_clean_files_and_matches_the_row_loop(case, tmp_path
     path.write_text(text, encoding="utf-8", newline="")
     assert cli._read_columns(str(path), path.read_bytes(), scale) is not None
     assert _outcome(path, scale) == _row_loop_outcome(path, scale)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=clean_files() | malformed_files().map(lambda c: (c[0].decode("utf-8", "replace"),
+                                                            c[1])))
+def test_column_reader_over_windows_of_a_few_lines_matches_the_row_loop(case, tmp_path):
+    text, scale = case
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    # most lines are shorter than a window, and a window holds a few of them
+    with patch.object(cli, "_SCAN_BYTES", 40):
+        assert _outcome(path, scale) == _row_loop_outcome(path, scale)
 
 
 @settings(max_examples=250, deadline=None,
@@ -131,8 +151,15 @@ def test_column_reader_errors_match_the_row_loop(case, tmp_path):
     assert _outcome(path, scale) == _row_loop_outcome(path, scale)
 
 
-# more rows than two read chunks, so the last chunk is a third one
+# more rows than two write chunks, so the last chunk is a third one; the
+# reader is given windows of SMALL_WINDOW bytes, about 650 lines
 CHUNKED_M = 2 * cli._WRITE_ROWS + 1000
+SMALL_WINDOW = 1 << 14
+
+
+@pytest.fixture
+def small_windows(monkeypatch):
+    monkeypatch.setattr(cli, "_SCAN_BYTES", SMALL_WINDOW)
 
 
 def _chunked_lines(id_prefix="h"):
@@ -163,11 +190,14 @@ CHUNKED_CASES = {
                                  False),
     "ragged-line-in-middle-chunk": (lambda: _chunked_file(row=cli._WRITE_ROWS + 7,
                                                           line="h_ragged"), False),
+    # a window holds whole lines, so a longer line is left to the row loop
+    "line-longer-than-a-window": (lambda: _chunked_file(
+        row=cli._WRITE_ROWS + 9, line="h" * SMALL_WINDOW + ",0.5"), False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
-def test_column_reader_over_several_chunks_matches_the_row_loop(case, tmp_path):
+def test_column_reader_over_several_chunks_matches_the_row_loop(case, tmp_path, small_windows):
     text, vouched = CHUNKED_CASES[case]
     path = tmp_path / "in.csv"
     path.write_text(text(), encoding="utf-8", newline="")
@@ -182,7 +212,7 @@ def test_column_reader_over_several_chunks_matches_the_row_loop(case, tmp_path):
 
 
 def test_column_reader_leaves_bytes_that_are_not_utf8_past_the_first_chunk_to_the_row_loop(
-        tmp_path):
+        tmp_path, small_windows):
     data = _chunked_file().encode("utf-8")
     # an invalid byte in an id of the second chunk
     cut = data.index(f"\nh{cli._WRITE_ROWS + 2},".encode()) + 1
@@ -196,6 +226,93 @@ def test_column_reader_leaves_bytes_that_are_not_utf8_past_the_first_chunk_to_th
     line = cli._WRITE_ROWS + 4
     assert outcome == (cli.CliError, "bad-input",
                        f"{path}:{line}: not UTF-8 (invalid start byte, byte 0xff)")
+
+
+def _analyze_outcome(path, capsys):
+    """The exit code, the table and summary bytes or None, and stderr of
+    ``analyze`` on ``path``, with the path itself written as PATH."""
+    stem = path.parent / "out"
+    for suffix in (".csv", ".json"):
+        stem.with_suffix(suffix).unlink(missing_ok=True)
+    rc = cli.main(["analyze", "--input", str(path), "--out", str(stem)])
+    files = [stem.with_suffix(suffix) for suffix in (".csv", ".json")]
+    written = [f.read_bytes() for f in files] if all(f.exists() for f in files) else None
+    return rc, written, capsys.readouterr().err.replace(str(path), "PATH")
+
+
+def test_analyze_of_an_empty_file_names_it(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"")
+    assert _analyze_outcome(path, capsys) == (2, None, "ERROR bad-input: PATH: empty file\n")
+
+
+def _serve_once(path, data):
+    """A thread that writes ``data`` to the FIFO at ``path`` for one reader."""
+    def serve():
+        with open(path, "wb") as fh:
+            fh.write(data)
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data, error", [
+    (b"id,stat\nh1,0.25\nh2,0.5\nh3,0.75\n", ""),
+    (b"id,stat\nh1,0.25\nh2,0.5\nh1,0.75\n", "ERROR bad-input: PATH: ids must be unique\n"),
+], ids=["clean", "repeated-id"])
+def test_analyze_reads_a_pipe_as_it_reads_a_file(data, error, tmp_path, capsys):
+    # a pipe cannot be mapped, so its bytes are read; both inputs are read once
+    fifo = tmp_path / "fifo" / "in.csv"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    thread = _serve_once(fifo, data)
+    from_pipe = _analyze_outcome(fifo, capsys)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    assert from_pipe == _analyze_outcome(path, capsys)
+    assert from_pipe[0] == (2 if error else 0) and from_pipe[2] == error
+
+
+def _all_hashes_collide(ids):
+    return np.zeros(len(ids), dtype=np.int64)
+
+
+@pytest.mark.parametrize("reader", ["columns", "rows"])
+def test_reader_tells_ids_apart_when_every_hash_collides(reader, tmp_path, capsys):
+    # the reader's hashes leave the exact check to every id, as StatVector's do
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\n" + "".join(f"h{i},0.5\n" for i in range(50)), encoding="utf-8")
+    # the row loop, or the column reader over several windows
+    reader_patch = patch.object(cli, "_read_columns", return_value=None) if reader == "rows" \
+        else patch.object(cli, "_SCAN_BYTES", 64)
+    with patch.object(cli, "_hashes", _all_hashes_collide), reader_patch:
+        vouched = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE) is not None
+        assert vouched == (reader == "columns")
+        assert cli.read_stats_csv(str(path), Scale.P_VALUE).ids[0:50] == \
+            [f"h{i}" for i in range(50)]
+        path.write_text(path.read_text(encoding="utf-8") + "h7,0.5\n", encoding="utf-8")
+        assert _analyze_outcome(path, capsys) == \
+            (2, None, "ERROR bad-input: PATH: ids must be unique\n")
+
+
+def test_reader_checks_the_values_before_the_ids(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\nh1,nan\nh1,0.5\n", encoding="utf-8")
+    assert _outcome(path, Scale.Z_VALUE) == \
+        (cli.CliError, "bad-input", f"{path}: values must be finite")
+
+
+def test_score_hypotheses_names_a_read_id(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\nok,0.1\ntail,0.95\n", encoding="utf-8")
+    stats = cli.read_stats_csv(str(path), Scale.P_VALUE)
+    fit = cli.grenander_fit(StatVector([0.2, 0.5], Scale.P_VALUE))
+    curve = LfdrCurve(1.0, cli.Uniform01(), fit)
+    with pytest.raises(DomainError, match=r"^statistic tail \(index 1\): "):
+        cli.score_hypotheses(curve, stats)
 
 
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -216,7 +333,10 @@ def test_float_cells_equal_repr(xs):
 
 
 def test_float_cells_with_many_repeats_keep_signed_zeros_apart():
-    base = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, 1 / 3])
+    # the last two have reprs of 24 characters, the longest a double has
+    base = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, 1 / 3, -2.2250738585072014e-308,
+                     -1.2345678901234567e-100])
+    assert max(len(repr(v)) for v in base.tolist()) == cli._FLOAT_CELL_BYTES - 1
     values = np.random.default_rng(3).permutation(np.repeat(base, 500))
     cells = _sorted_cells(values)
     assert cells == list(map(repr, values.tolist()))
@@ -232,7 +352,9 @@ def test_float_cells_of_repeats_not_adjacent_in_the_order_equal_repr():
 
 
 def test_analyze_quotes_ids_that_need_it(tmp_path):
-    ids = ["a,1", 'say "hi"', "two\nlines", "cr\rid", "plain", ""]
+    # the row loop reads these, and the id buffer holds them as they are,
+    # NUL included (the csv module reads and writes it since Python 3.11)
+    ids = ["a,1", 'say "hi"', "two\nlines", "cr\rid", "plain", "", "nul\x00id", "é,\n\"\x00"]
     path = tmp_path / "in.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -244,6 +366,7 @@ def test_analyze_quotes_ids_that_need_it(tmp_path):
         rows = list(csv.reader(fh))
     assert all(len(row) == 8 for row in rows)
     assert [row[0] for row in rows[1:]] == ids
+    assert b"\nnul\x00id," in stem.with_suffix(".csv").read_bytes()
 
 
 def _reference_table(ids, stats, qvals, scores, flag_columns) -> str:
@@ -326,3 +449,44 @@ def test_write_csv_refuses_a_chunked_column_shorter_than_its_length(tmp_path):
     columns = {"a": _list_column(3), "b": cli._ChunkCells(3, lambda rows: ["1", "2"])}
     with pytest.raises(ValueError):
         cli.write_csv(str(tmp_path / "t.csv"), columns)
+
+
+# run in a fresh interpreter: the resident set after import, analyze, then the
+# high-water mark; VmHWM, not ru_maxrss, because on Linux a child's ru_maxrss
+# starts from its parent's peak, and the test runner's can exceed the child's
+_PEAK_PROBE = """
+import sys
+from lfdrkit import cli
+
+def status_mb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":")) / 1024
+
+base = status_mb("VmRSS")
+code = cli.main(["analyze", "--input", sys.argv[1], "--out", sys.argv[2]])
+print(code, status_mb("VmHWM") - base)
+"""
+# analyze of GUARD_M p-values may raise the resident set this many MB above
+# its size after import: it rose 24.5 MB on Linux with Python 3.11 and
+# numpy 2.4, against 58.6 MB when the ids were 2 * 10**5 str objects and the
+# input one buffer with masks of its size
+GUARD_M = 200_000
+GUARD_MB = 35.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_analyze_peak_memory_over_the_import_is_bounded(tmp_path):
+    rng = np.random.default_rng(26)
+    p = 1.0 - rng.random(GUARD_M)
+    alt = rng.permutation(GUARD_M)[:GUARD_M // 10]
+    p[alt] = np.maximum(rng.beta(0.05, 1.0, alt.size), np.finfo(float).tiny)
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist())),
+                    encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=dict(os.environ), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    code, grown = proc.stdout.split()
+    assert code == "0"
+    assert float(grown) < GUARD_MB

@@ -12,7 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import beta, norm
 
 import lfdrkit as lk
-from lfdrkit.core import DomainError, to_pvalues
+from lfdrkit.core import DomainError, IdBuffer, _hashes, to_pvalues
 
 
 def test_statvector_validation():
@@ -55,6 +55,42 @@ def test_statvector_id_check_agrees_with_a_set(ids):
     else:
         accepted = True
     assert accepted == (len(set(ids)) == len(ids))
+
+
+def _id_buffer(ids):
+    raw = [i.encode("utf-8") for i in ids]
+    ends = np.cumsum([0, *map(len, raw)], dtype=np.int64)
+    return IdBuffer(b"".join(raw), ends, _hashes(ids))
+
+
+# ids with the characters that could mark where an id ends, and non-ASCII text
+ID_TEXT = st.text(st.sampled_from(["a", "é", ",", "\n", '"', "\x00", " ", "\r"]), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ID_TEXT, max_size=12), st.integers(-14, 14), st.integers(-14, 14),
+       st.sampled_from([None, 1, 2, -1]))
+def test_id_buffer_reads_back_its_ids(ids, lo, hi, step):
+    if len(set(ids)) < len(ids):
+        with pytest.raises(ValueError, match="ids must be unique"):
+            _id_buffer(ids)
+        return
+    buf = _id_buffer(ids)
+    assert len(buf) == len(ids)
+    assert list(buf) == ids
+    assert buf[lo:hi:step] == ids[lo:hi:step]
+    for i in range(-len(ids), len(ids)):
+        assert buf[i] == ids[i]
+    with pytest.raises(IndexError):
+        buf[len(ids)]
+
+
+def test_id_buffer_is_kept_by_statvector_as_it_is():
+    buf = _id_buffer(["a", "b,c"])
+    sv = lk.StatVector([0.1, 0.2], lk.Scale.P_VALUE, ids=buf)
+    assert sv.ids is buf
+    with pytest.raises(ValueError, match="ids must match values in length"):
+        lk.StatVector([0.1], lk.Scale.P_VALUE, ids=buf)
 
 
 def test_statvector_endpoints_allowed():
