@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import mmap
 import sys
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .core import (
     StatVector,
     Uniform01,
     _hashes,
+    _in_processes,
+    _split_blocks,
     check_values,
     to_pvalues,
 )
@@ -98,7 +103,8 @@ def _reason_code(exc: Exception) -> str:
 # ---------------------------------------------------------------------------
 
 # rows formatted and written at a time: a column of m cell strings, or one
-# string for the whole table, would raise peak memory
+# string for the whole table, would raise peak memory.  A table of one chunk
+# is formatted in one process.
 _WRITE_ROWS = 1 << 14
 
 
@@ -111,12 +117,14 @@ def _header_width(path: str, header: Sequence[str]) -> int:
     return len(cols)
 
 
-def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
-    """The ``csv.reader`` parse, row by row: the reference for ``_read_columns``
-    and the path for any input that one cannot vouch for."""
+def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[float]]:
+    """The ``csv.reader`` parse of ``data``, the bytes read from ``path``, row
+    by row: the reference for ``_read_columns`` and the path for any input
+    that one cannot vouch for.  The bytes are parsed, not the path opened
+    again, which a pipe would answer with nothing."""
     ids: List[str] = []
     vals: List[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,12 +151,11 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
             raise CliError("bad-row", f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError:
             # the text decoder counts its offset from its own chunk, so the
-            # whole file is decoded again to find the line of the first bad byte
-            data = Path(path).read_bytes()
+            # whole input is decoded again to find the line of the first bad byte
             try:
-                data.decode("utf-8")
+                str(data, "utf-8")
             except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
+                line = data[:exc.start].count(b"\n") + 1
                 raise CliError("bad-input", f"{path}:{line}: not UTF-8 ({exc.reason}, "
                                             f"byte {data[exc.start]:#04x})") from None
             raise
@@ -157,37 +164,49 @@ def _read_rows(path: str, scale: Scale) -> Tuple[List[str], List[float]]:
     return ids, vals
 
 
+def _shared(n: int, dtype) -> np.ndarray:
+    """n zeros in an anonymous map, which the processes forked after it share."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype, count=n)
+
+
 class _IdPacker:
     """The parts of an ``IdBuffer`` of m ids of at most ``max_bytes`` UTF-8
-    bytes in all, added a list of ``str`` at a time: their bytes, where each
-    ends, in the narrowest integer type that holds ``max_bytes``, and their
-    hashes."""
+    bytes in all, in maps that the processes forked after it share: their
+    bytes, where each ends, in the narrowest integer type that holds
+    ``max_bytes``, and their hashes.  The ids come in runs, each added a list
+    of ``str`` at a time from its first row and byte on, in any order; ``runs``
+    gives the first row and byte of each, in row order."""
 
-    def __init__(self, m: int, max_bytes: int):
-        self.parts: List[bytes] = []
-        self.ends = np.zeros(m + 1, dtype=np.min_scalar_type(max_bytes))
-        self.hashes = np.empty(m, dtype=np.int64)
-        self.size = 0
+    def __init__(self, m: int, max_bytes: int, runs: Sequence[Tuple[int, int]] = ((0, 0),)):
+        self.data = mmap.mmap(-1, max(1, max_bytes))
+        self.ends = _shared(m + 1, np.min_scalar_type(max_bytes))
+        self.hashes = _shared(m, np.int64)
+        self.runs = runs
 
-    def add(self, ids: List[str]) -> None:
+    def add(self, row: int, at: int, ids: List[str]) -> int:
+        """Put ``ids`` as rows ``row, row + 1, ...`` and their bytes from byte
+        ``at`` on; their byte count."""
         text = "".join(ids)
         raw = text.encode("utf-8")
         # ASCII text has a byte per character
         lengths = map(len, ids) if len(raw) == len(text) else \
             (len(i.encode("utf-8")) for i in ids)
-        lo, hi = self.size, self.size + len(ids)
-        np.cumsum(np.fromiter(lengths, self.ends.dtype, count=len(ids)),
-                  out=self.ends[lo + 1:hi + 1])
-        self.ends[lo + 1:hi + 1] += self.ends[lo]
-        self.hashes[lo:hi] = _hashes(ids)
-        self.parts.append(raw)
-        self.size = hi
+        self.ends[row + 1:row + 1 + len(ids)] = np.fromiter(lengths, self.ends.dtype,
+                                                           count=len(ids))
+        self.hashes[row:row + len(ids)] = _hashes(ids)
+        self.data[at:at + len(raw)] = raw
+        return len(raw)
 
     def ids(self) -> IdBuffer:
-        """The buffer of the ids added; the parts and hashes are let go as it is built."""
-        data, self.parts = b"".join(self.parts), []
-        hashes, self.hashes = self.hashes, None
-        return IdBuffer(data, self.ends, hashes)
+        """The buffer of the ids added: the lengths add up to ends, and each
+        run's bytes move down to follow the run before."""
+        ends = self.ends
+        np.cumsum(ends, out=ends)
+        stops = [row for row, _ in self.runs[2:]] + [ends.size - 1]
+        for (row, at), stop in zip(self.runs[1:], stops):
+            self.data.move(int(ends[row]), at, int(ends[stop] - ends[row]))
+        return IdBuffer(self.data[:int(ends[-1])], ends, self.hashes)
 
 
 # bytes of the input scanned at a time; a window holds whole lines, so a line
@@ -195,22 +214,22 @@ class _IdPacker:
 _SCAN_BYTES = 1 << 20
 
 
-def _line_windows(buf: np.ndarray, lo: int):
-    """``(lo, ends)`` for each window of whole lines from byte ``lo`` on, at
-    most ``_SCAN_BYTES`` long: ``ends`` holds where each line ends, counted
-    from ``lo``, at its newline or at the end of a last line without one.
-    ``ends`` is None for a line too long for a window."""
-    while lo < buf.size:
-        hi = min(lo + _SCAN_BYTES, buf.size)
-        ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
-        if hi < buf.size:
-            if not ends.size:
-                yield lo, None
-                return
-        elif not ends.size or ends[-1] < hi - lo - 1:
-            ends = np.append(ends, hi - lo)
-        yield lo, ends
-        lo += int(ends[-1]) + 1
+def _line_windows(data, lo: int) -> Optional[List[int]]:
+    """Where each window of whole lines from byte ``lo`` on starts, then the
+    end of ``data``: a window is at most ``_SCAN_BYTES`` long and ends after
+    a newline or at the end of ``data``.  None where a line is too long for a
+    window."""
+    cuts = [lo]
+    while lo < len(data):
+        if lo + _SCAN_BYTES < len(data):
+            last = data.rfind(b"\n", lo, lo + _SCAN_BYTES)
+            if last < 0:
+                return None
+            lo = last + 1
+        else:
+            lo = len(data)
+        cuts.append(lo)
+    return cuts
 
 
 def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np.ndarray]]:
@@ -221,39 +240,66 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
     that it rejects.  ``data`` is ``bytes`` or a read-only map of the file;
     it is scanned in windows of ``_SCAN_BYTES``, so no copy or mask of its
     whole size is made, and the ids are packed a window at a time, so no
-    column of m cell strings is built."""
+    column of m cell strings is built.  The windows are shared out in runs
+    between the usable cores, and each process puts its rows' values, ids
+    and hashes in maps sized from the line count."""
     head = data.find(b"\n")
     if head < 0 or data.find(b'"') >= 0 or data.find(b"\r") >= 0 or \
             head + 1 > csv.field_size_limit():
         return None
-    buf = np.frombuffer(data, np.uint8)
-    m = sum(int(np.count_nonzero(buf[lo:lo + _SCAN_BYTES] == ord("\n")))
-            for lo in range(head + 1, buf.size, _SCAN_BYTES))
-    m += data[-1:] != b"\n"
-    if m < 1:
+    cuts = _line_windows(data, head + 1)
+    if cuts is None:
         return None
-    vals = np.empty(m)
-    ids = _IdPacker(m, buf.size)
+    buf = np.frombuffer(data, np.uint8)
+    # the first row of each window, then m; a last line without its newline is a row too
+    firsts = np.cumsum([0, *(np.count_nonzero(buf[a:b] == ord("\n"))
+                             for a, b in zip(cuts, cuts[1:]))])
+    firsts[-1] += data[-1:] != b"\n"
+    m = int(firsts[-1])
     # a UnicodeDecodeError is a ValueError, and so is a stat that float() refuses;
     # a bad header is left to the row loop, which may meet a bad byte first
     try:
         ncols = _header_width(path, data[:head].decode("utf-8").split(","))
-        for lo, ends in _line_windows(buf, head + 1):
-            if ends is None or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
-                return None
-            # every line holds exactly ncols - 1 commas
-            commas = np.flatnonzero(buf[lo:lo + ends[-1]] == ord(","))
-            if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != ncols - 1):
-                return None
-            # the window's lines, without the newline that ends the last of them
-            cells = data[lo:lo + ends[-1]].decode("utf-8").replace("\n", ",").split(",")
-            row = ids.size
-            vals[row:row + ends.size] = np.fromiter(map(float, cells[1::ncols]), float,
-                                                    count=ends.size)
-            if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
-                return None
-            ids.add(cells[::ncols])
     except (ValueError, CliError):
+        return None
+    if m < 1:
+        return None
+    # runs of whole windows, named by their rows; a process puts its ids'
+    # bytes from the offset of its first line, which is past every earlier id
+    windows = _split_blocks(0, len(cuts) - 1, 1)
+    parts = {range(int(firsts[w.start]), int(firsts[w.stop])): w for w in windows}
+    vals = _shared(m, float)
+    ids = _IdPacker(m, buf.size, [(rows.start, cuts[w.start] - cuts[0])
+                                  for rows, w in parts.items()])
+
+    def parse(rows: range) -> List[bool]:
+        """Whether the windows of ``rows`` parse, their cells put in ``vals`` and ``ids``."""
+        at = cuts[parts[rows].start] - cuts[0]
+        try:
+            for w in parts[rows]:
+                lo, hi, row = cuts[w], cuts[w + 1], int(firsts[w])
+                n = int(firsts[w + 1]) - row
+                ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
+                if ends.size < n:
+                    ends = np.append(ends, hi - lo)
+                if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+                    return [False]
+                # every line holds exactly ncols - 1 commas
+                commas = np.flatnonzero(buf[lo:lo + ends[-1]] == ord(","))
+                if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != ncols - 1):
+                    return [False]
+                # the window's lines, without the newline that ends the last of them
+                cells = data[lo:lo + ends[-1]].decode("utf-8").replace("\n", ",").split(",")
+                vals[row:row + n] = np.fromiter(map(float, cells[1::ncols]), float, count=n)
+                if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
+                    return [False]
+                at += ids.add(row, at, cells[::ncols])
+        except ValueError:
+            return [False]
+        return [True]
+
+    # list() takes every part's answer, so no child outlives the read
+    if not all(list(_in_processes(parse, list(parts), "rows"))):
         return None
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
@@ -267,16 +313,16 @@ def read_stats_csv(path: str, scale: Scale) -> StatVector:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError):  # a pipe, or an empty file
             data = fh.read()
-        columns = _read_columns(path, data, scale)
-    # the row loop reads the file anew; dropping the map unmaps the file
-    del data
+    columns = _read_columns(path, data, scale)
     if columns is None:
-        ids, vals = _read_rows(path, scale)
+        ids, vals = _read_rows(path, data, scale)
         # a character takes at most 4 bytes of UTF-8
         packer = _IdPacker(len(ids), 4 * sum(map(len, ids)))
-        packer.add(ids)
+        packer.add(0, 0, ids)
     else:
         packer, vals = columns
+    # dropping the map unmaps the file
+    del data
     try:
         # StatVector checks the values before the ids, and so does this
         vals = np.asarray(vals, dtype=float)
@@ -286,17 +332,18 @@ def read_stats_csv(path: str, scale: Scale) -> StatVector:
         raise CliError("bad-input", f"{path}: {exc}")
 
 
-def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
-    """Stream lines to stdout when ``path`` is None or ``-``, else to the file."""
+def _write_chunks(path: Optional[str], chunks: Iterable[bytes]) -> None:
+    """Stream UTF-8 chunks to the file, or as text to stdout when ``path`` is
+    None or ``-``: a replaced ``sys.stdout`` may be a text stream alone."""
     if path is None or path == "-":
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def write_json(path: Optional[str], payload: Dict) -> None:
-    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _write_chunks(path, [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")])
 
 
 class _ChunkCells:
@@ -317,20 +364,21 @@ class _ChunkCells:
 def write_csv(path: Optional[str], columns: Dict[str, Sequence[str]]) -> None:
     """Write a table given as header name -> equal-length column of formatted
     cells; a name of several comma-joined columns takes pre-joined cells.  A
-    column is a sequence of cells or a ``_ChunkCells``; the rows are formatted,
-    joined and written ``_WRITE_ROWS`` at a time."""
+    column is a sequence of cells or a ``_ChunkCells``; the rows are formatted
+    and joined ``_WRITE_ROWS`` at a time, the chunks shared out in runs
+    between the usable cores, and written in row order as they come."""
     sizes = set(map(len, columns.values()))
     if len(sizes) > 1:
         raise ValueError(f"columns of unequal length {sorted(sizes)}")
     m = max(sizes, default=0)
 
-    def chunks():
-        yield ",".join(columns) + "\n"
-        for lo in range(0, m, _WRITE_ROWS):
+    def chunks(rows: range) -> Iterator[bytes]:
+        for lo in range(rows.start, rows.stop, _WRITE_ROWS):
             cells = [column[lo:lo + _WRITE_ROWS] for column in columns.values()]
-            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+            yield ("\n".join(map(",".join, zip(*cells, strict=True))) + "\n").encode("utf-8")
 
-    _write_lines(path, chunks())
+    with closing(_in_processes(chunks, _split_blocks(0, m, _WRITE_ROWS), "rows")) as table:
+        _write_chunks(path, itertools.chain([(",".join(columns) + "\n").encode("utf-8")], table))
 
 
 # the longest repr of a double, "-" + 17 digits + "." + "e-308", and a space
@@ -364,11 +412,19 @@ def _float_cells(values: np.ndarray, order: np.ndarray) -> _ChunkCells:
     firsts = order[starts]
     del starts
     cells = np.empty(firsts.size, dtype=f"S{_FLOAT_CELL_BYTES}")
-    for lo in range(0, firsts.size, _WRITE_ROWS):
-        block = cells[lo:lo + _WRITE_ROWS]
-        block[:] = list(map(repr, values[firsts[lo:lo + _WRITE_ROWS]].tolist()))
-        padding = block.view(np.uint8)
-        padding[padding == 0] = ord(" ")
+
+    def formatted(runs: range) -> Iterator[Tuple[int, np.ndarray]]:
+        for lo in range(runs.start, runs.stop, _WRITE_ROWS):
+            block = np.array(list(map(repr, values[firsts[lo:lo + _WRITE_ROWS]].tolist())),
+                             dtype=cells.dtype)
+            padding = block.view(np.uint8)
+            padding[padding == 0] = ord(" ")
+            yield lo, block
+
+    # the runs are formatted in chunks shared out between the usable cores
+    for lo, block in _in_processes(formatted, _split_blocks(0, firsts.size, _WRITE_ROWS),
+                                   "distinct values"):
+        cells[lo:lo + block.size] = block
     return _ChunkCells(values.size,
                        lambda rows: cells[run[rows]].tobytes().decode("ascii").split())
 

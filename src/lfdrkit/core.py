@@ -1,4 +1,5 @@
-"""Shared data model: statistic vectors, ground truth, and density families.
+"""Shared data model: statistic vectors, ground truth, and density families,
+and the one helper that runs the parts of a job in forked processes.
 
 Every other module consumes these types.  All of them are immutable after
 construction, so instances can be shared freely across threads.
@@ -7,11 +8,15 @@ construction, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 import numpy as np
 import scipy
@@ -468,3 +473,105 @@ class LossSpec:
     @property
     def threshold(self) -> float:
         return 1.0 / (1.0 + self.lambda_)
+
+
+# ---------------------------------------------------------------------------
+# Parts of a job in forked processes
+# ---------------------------------------------------------------------------
+
+def _cores() -> int:
+    """The processes a job may use: its usable cores, or 1 where this platform
+    cannot fork or another thread runs (a forked child keeps only the calling
+    thread, so a lock another thread held would stay held)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_blocks(first: int, n: int, rows: int) -> List[range]:
+    """``first .. first + n - 1`` in one range of whole ``rows``-blocks per
+    process, never more ranges than blocks, and one empty range for n = 0."""
+    blocks = -(-n // rows)
+    k = max(1, min(_cores(), blocks))
+    cuts = [first + min(n, rows * (blocks * i // k)) for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_child(work: Callable[[range], Iterable], part: range, r: int, w: int) -> NoReturn:
+    """In a forked child: pickle ``(True, item)`` for each item of
+    ``work(part)``, or ``(False, error)``, to the pipe (r, w), then leave
+    without running the parent's exit handlers or flushing the stdout buffers
+    it copied.  Every item is made before the first is sent, so the child
+    does not wait on a parent that is still busy with its own part."""
+    code = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            try:
+                frames = [(True, item) for item in work(part)]
+            except BaseException as exc:  # handed to the parent, which raises it
+                frames = [(False, exc)]
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # an error that does not survive pickling
+                    frames = [(False, RuntimeError(f"{type(exc).__name__}: {exc}"))]
+            for frame in frames:
+                pickle.dump(frame, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pipe) -> Iterator:
+    """The items a child pickled to ``pipe``, one at a time; an error it sent is raised."""
+    while True:
+        try:
+            ok, item = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the end, or a child cut off
+            return
+        if not ok:
+            raise item
+        yield item
+
+
+def _check_exit(status: int, part: range, what: str) -> None:
+    """Raise for a child that ended other than by sending all of ``part``."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the process running {what} [{part.start}, {part.stop}) "
+                                f"ended by {how} without a result")
+
+
+def _in_processes(work: Callable[[range], Iterable], parts: Sequence[range],
+                  what: str) -> Iterator:
+    """The items of ``work(part)`` for each part in turn: the first part's made
+    here as they are taken, every other part's made in a forked child and read
+    from it one item at a time, so this process holds one of them at a time.
+    A failure raises the error of the earliest part that failed, as the loop
+    would; a child that dies is named by its range of ``what``.  No child
+    outlives the iteration: once it ends or the iterator is closed, every
+    child is reaped, and killed first if need be."""
+    children = []  # (pid, read end of its pipe, part), in part order
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, part, r, w)
+            os.close(w)
+            children.append((pid, open(r, "rb"), part))
+        yield from work(parts[0])
+        while children:
+            pid, pipe, part = children[0]
+            yield from _received(pipe)
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            _check_exit(status, part, what)
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import pickle
-import signal
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, ClassVar, Dict, Iterator, List, NoReturn, Optional, Sequence,
-                    Tuple, Union)
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +40,8 @@ from .core import (
     StatVector,
     Uniform01,
     _frozen_array,
+    _in_processes,
+    _split_blocks,
     check_finite,
     check_values,
     to_pvalues,
@@ -439,89 +436,6 @@ _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 
-def _cores() -> int:
-    """The processes a run may use: its usable cores, or 1 where this platform
-    cannot fork or another thread runs (a forked child keeps only the calling
-    thread, so a lock another thread held would stay held)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _split_blocks(first: int, n: int, rows: int) -> List[range]:
-    """``first .. first + n - 1`` in one range of whole ``rows``-blocks per
-    process, never more ranges than blocks."""
-    blocks = -(-n // rows)
-    k = min(_cores(), blocks)
-    cuts = [first + min(n, rows * (blocks * i // k)) for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _run_child(work: Callable[[range], object], part: range, r: int, w: int) -> NoReturn:
-    """In a forked child: pickle ``(True, work(part))``, or ``(False, error)``,
-    to the pipe (r, w), then leave without running the parent's exit handlers
-    or flushing the stdout buffers it copied."""
-    code = 1
-    try:
-        os.close(r)
-        try:
-            data = pickle.dumps((True, work(part)))
-        except BaseException as exc:  # handed to the parent, which raises it
-            try:
-                data = pickle.dumps((False, exc))
-                pickle.loads(data)
-            except Exception:  # an error that does not survive pickling
-                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(w, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _child_result(data: bytes, status: int, part: range):
-    """What a child sent for ``part``: its result, or its error raised here."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not data:
-        how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit code {code}"
-        raise ChildProcessError(f"the process running replicates [{part.start}, {part.stop}) "
-                                f"ended by {how} without a result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def _in_processes(work: Callable[[range], object], parts: Sequence[range]) -> list:
-    """``[work(part) for part in parts]``: the first part in this process,
-    every other in a forked child.  A failure raises the error of the earliest
-    part that failed, as the loop would, and no child outlives the call."""
-    children = []  # (pid, read end of its pipe, part), in part order
-    try:
-        for part in parts[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(work, part, r, w)
-            os.close(w)
-            children.append((pid, open(r, "rb"), part))
-        results = [work(parts[0])]
-        while children:
-            pid, pipe, part = children[0]
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            pipe.close()
-            results.append(_child_result(data, status, part))
-        return results
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 @dataclass(frozen=True)
 class _Workspace:
     """Buffers for one block of rows, allocated once per run.  Each block
@@ -674,14 +588,14 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
     work = _Workspace.for_block(rows, nulls.size, procedure)
 
-    def tally(part: range) -> Dict[str, Counter]:
+    def tally(part: range) -> List[Dict[str, Counter]]:
         counts = {c.name: Counter() for c in criteria}
         for first in range(part.start, part.stop, rows):
             _tally_block(spec, nulls, procedure, criteria, seed,
                          range(first, min(first + rows, part.stop)), work, counts)
-        return counts
+        return [counts]
 
-    counts, *later = _in_processes(tally, _split_blocks(start, n_reps, rows))
+    counts, *later = _in_processes(tally, _split_blocks(start, n_reps, rows), "replicates")
     for part_counts in later:
         for name, c in part_counts.items():
             counts[name].update(c)
@@ -760,7 +674,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, reps))
     values = np.empty((rows, nulls.size))
 
-    def bin_counts(part: range) -> np.ndarray:
+    def bin_counts(part: range) -> List[np.ndarray]:
         # bin counts of the alternatives, then of the nulls
         tally = np.zeros(2 * nbins, dtype=np.int64)
         for first in range(part.start, part.stop, rows):
@@ -769,9 +683,9 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
             scores = _score_block(scorer, block, spec.scale, oracle)
             idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
             tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
-        return tally
+        return [tally]
 
-    tally = sum(_in_processes(bin_counts, _split_blocks(0, reps, rows)))
+    tally = sum(_in_processes(bin_counts, _split_blocks(0, reps, rows), "replicates"))
     null_counts = tally[nbins:]
     counts = tally[:nbins] + null_counts
     with np.errstate(invalid="ignore"):

@@ -8,8 +8,12 @@ and formats and writes rows in chunks; a row-at-a-time writer kept in this
 file is its reference.
 """
 
+import contextlib
 import csv
+import io
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -20,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lfdrkit import cli
-from lfdrkit.core import DomainError, Scale, StatVector
+from lfdrkit import cli, core
+from lfdrkit.core import DomainError, FitError, Scale, StatVector
 from lfdrkit.lfdr import LfdrCurve
 
 # id text the csv module reads back unchanged without quotes
@@ -276,6 +280,41 @@ def test_analyze_reads_a_pipe_as_it_reads_a_file(data, error, tmp_path, capsys):
     assert from_pipe[0] == (2 if error else 0) and from_pipe[2] == error
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+@pytest.mark.parametrize("data, error", [
+    (b"id,stat\nh1,oops\n", "ERROR bad-row: PATH:2: non-numeric stat 'oops'\n"),
+    (b"id,stat\nh1,0.5\nh\xff2,0.5\n",
+     "ERROR bad-input: PATH:3: not UTF-8 (invalid start byte, byte 0xff)\n"),
+], ids=["bad-stat", "bad-byte"])
+def test_analyze_reports_malformed_input_from_a_pipe_as_from_a_file(data, error, tmp_path,
+                                                                    capsys):
+    # the row loop parses the bytes already read: the pipe, drained, would read empty
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        rc = cli.main(["analyze", "--input", f"/dev/fd/{r}", "--out", str(tmp_path / "out")])
+    finally:
+        os.close(r)
+    assert (rc, capsys.readouterr().err) == (2, error.replace("PATH", f"/dev/fd/{r}"))
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    assert _analyze_outcome(path, capsys) == (2, None, error)
+
+
+def test_analyze_writes_the_table_and_summary_to_a_text_only_stdout(tmp_path):
+    # a caller may have replaced sys.stdout with a stream that takes str alone
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\nh1,0.25\nh2,0.5\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "--input", str(path)]) == 0
+    stem = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(path), "--out", str(stem)]) == 0
+    assert out.getvalue() == "".join(stem.with_suffix(suffix).read_text(encoding="utf-8")
+                                     for suffix in (".csv", ".json"))
+
+
 def _all_hashes_collide(ids):
     return np.zeros(len(ids), dtype=np.int64)
 
@@ -451,6 +490,191 @@ def test_write_csv_refuses_a_chunked_column_shorter_than_its_length(tmp_path):
         cli.write_csv(str(tmp_path / "t.csv"), columns)
 
 
+# ---------------------------------------------------------------------------
+# analyze on several processes
+# ---------------------------------------------------------------------------
+
+# rows of the inputs below; with windows of SPLIT_WINDOW bytes and write chunks
+# of SPLIT_CHUNK rows, both the read and the write split between 3 processes
+SPLIT_M = 300
+SPLIT_WINDOW = 256
+SPLIT_CHUNK = 16
+
+
+def _split_file(ids=None, stats=None, truth=False):
+    """An input of SPLIT_M rows: ids h0, h1, ... and p-values with 10% Beta
+    alternatives, unless given."""
+    rng = np.random.default_rng(31)
+    if stats is None:
+        stats = 1.0 - rng.random(SPLIT_M)
+        stats[::10] = np.maximum(rng.beta(0.1, 1.0, SPLIT_M // 10), np.finfo(float).tiny)
+    ids = [f"h{i}" for i in range(SPLIT_M)] if ids is None else ids
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "stat"] + (["truth"] if truth else []))
+    writer.writerows([i, repr(v)] + ([str(k % 3 // 2)] if truth else [])
+                     for k, (i, v) in enumerate(zip(ids, stats.tolist())))
+    return out.getvalue()
+
+
+def _z_stats():
+    z = np.random.default_rng(32).normal(0.0, 1.0, SPLIT_M)
+    z[:30] += 3.0
+    return z
+
+
+# name: (file text, analyze flags, or None for no --out, whether the column
+# reader takes the file)
+SPLIT_CASES = {
+    "plain": (lambda: _split_file(), [], True),
+    "quoted-ids": (lambda: _split_file(ids=[f'q,{i}' if i % 7 else f'say "{i}"'
+                                            for i in range(SPLIT_M)]), [], False),
+    "non-ascii-ids": (lambda: _split_file(ids=[f"é{i}日" for i in range(SPLIT_M)]), [], True),
+    "nul-ids": (lambda: _split_file(ids=[f"n\x00{i}" for i in range(SPLIT_M)]), [], True),
+    "repeated-stats": (lambda: _split_file(stats=np.maximum(np.round(
+        np.random.default_rng(33).random(SPLIT_M), 2), 0.01)), [], True),
+    "truth": (lambda: _split_file(truth=True), [], True),
+    "z-npmle": (lambda: _split_file(stats=_z_stats()),
+                ["--scale", "z", "--density", "npmle:50:1e-6"], True),
+    "z-lindsey": (lambda: _split_file(stats=_z_stats()),
+                  ["--scale", "z", "--density", "lindsey:5:60"], True),
+    "stdout": (lambda: _split_file(), None, True),
+}
+
+
+def _split_analyze(cores, path, flags, capsys):
+    """``analyze`` of ``path`` on ``cores`` processes, with windows and write
+    chunks small enough to split, and with ``flags``, or without them or
+    --out where None: the exit code, the table and summary bytes, stdout,
+    stderr, and the part count of each split."""
+    stem = path.parent / "out"
+    for suffix in (".csv", ".json"):
+        stem.with_suffix(suffix).unlink(missing_ok=True)
+    parts = []
+
+    def counted(work, split, what, _run=cli._in_processes):
+        parts.append(len(split))
+        return _run(work, split, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_cores", lambda: cores)
+        mp.setattr(cli, "_SCAN_BYTES", SPLIT_WINDOW)
+        mp.setattr(cli, "_WRITE_ROWS", SPLIT_CHUNK)
+        mp.setattr(cli, "_in_processes", counted)
+        rc = cli.main(["analyze", "--input", str(path),
+                       *(["--out", str(stem), *flags] if flags is not None else [])])
+    out, err = capsys.readouterr()
+    written = [stem.with_suffix(suffix).read_bytes() for suffix in (".csv", ".json")
+               if stem.with_suffix(suffix).exists()]
+    return (rc, written, out, err.replace(str(path), "PATH")), parts
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_analyze_bytes_do_not_depend_on_the_process_count(case, tmp_path, capsys):
+    text, flags, vouched = SPLIT_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text(), encoding="utf-8", newline="")
+    outcomes = []
+    for cores in (1, 2, 3):
+        outcome, parts = _split_analyze(cores, path, flags, capsys)
+        outcomes.append(outcome)
+        # the read, unless the row loop takes the file, and the write split
+        # between all the processes, and the formatting of repeated values
+        # between at most all
+        assert parts[-1] == max(parts) == cores and (parts[0] == cores or not vouched)
+    rc, written, out, _ = outcomes[0]
+    # the table's header and rows, then the summary
+    assert rc == 0 and (out.split("\n{")[0].count("\n") == SPLIT_M if flags is None
+                        else len(written) == 2)
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    _assert_no_child_left()
+
+
+def _failing(name, bad, fail):
+    """``cli.<name>``, a function of a list of ids, calling ``fail(id)`` first
+    for the first id of ``bad`` in the list."""
+    original = getattr(cli, name)
+
+    def patched(ids):
+        for i in ids:
+            if i in bad:
+                fail(i)
+        return original(ids)
+
+    return patched
+
+
+# the reader hashes the ids of a window, and the writer quotes those of a chunk
+STAGES = {"read": "_hashes", "write": "_text_cells"}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_analyze_on_several_processes_raises_the_error_of_the_earliest_failing_rows(
+        stage, tmp_path, capsys):
+    def fail(i):
+        raise FitError(f"refused {i}")
+
+    path = tmp_path / "in.csv"
+    path.write_text(_split_file(), encoding="utf-8")
+    # on 3 processes h130 is in the first child's rows and h250 in the second's
+    with patch.object(cli, STAGES[stage], _failing(STAGES[stage], {"h130", "h250"}, fail)):
+        outcomes = [_split_analyze(cores, path, [], capsys)[0][::3] for cores in (1, 2, 3)]
+    assert outcomes == [(2, "ERROR fit: refused h130\n")] * 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_analyze_names_the_rows_of_a_killed_child(stage, tmp_path, capsys):
+    parent = os.getpid()
+
+    def kill(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    path = tmp_path / "in.csv"
+    path.write_text(_split_file(), encoding="utf-8")
+    with patch.object(cli, STAGES[stage], _failing(STAGES[stage], {"h250"}, kill)):
+        (rc, _, _, err), _ = _split_analyze(3, path, [], capsys)
+    killed = re.fullmatch(r"ERROR io: the process running rows \[(\d+), 300\) ended by "
+                          r"signal 9 \(.*\) without a result\n", err)
+    assert rc == 2 and killed, err
+    # the write's last run is of whole 16-row chunks from row 192 on
+    assert int(killed[1]) == 192 if stage == "write" else int(killed[1]) <= 250
+    _assert_no_child_left()
+
+
+def test_analyze_of_one_window_and_one_chunk_never_forks(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(_split_file(), encoding="utf-8")
+    assert path.stat().st_size < cli._SCAN_BYTES and SPLIT_M <= cli._WRITE_ROWS
+    with patch.object(core, "_cores", lambda: 3), \
+            patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert _analyze_outcome(path, capsys)[::2] == (0, "")
+    _assert_no_child_left()
+
+
+def test_a_fork_that_fails_leaves_no_child(tmp_path, capsys):
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(11, "no process for you")
+        return fork()
+
+    path = tmp_path / "in.csv"
+    path.write_text(_split_file(), encoding="utf-8")
+    with patch.object(os, "fork", second_fails):
+        (rc, _, _, err), _ = _split_analyze(3, path, [], capsys)
+    assert (rc, err) == (2, "ERROR io: [Errno 11] no process for you\n")
+    _assert_no_child_left()
+
+
 # run in a fresh interpreter: the resident set after import, analyze, then the
 # high-water mark; VmHWM, not ru_maxrss, because on Linux a child's ru_maxrss
 # starts from its parent's peak, and the test runner's can exceed the child's
@@ -474,9 +698,7 @@ GUARD_M = 200_000
 GUARD_MB = 35.0
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak resident set from /proc")
-def test_analyze_peak_memory_over_the_import_is_bounded(tmp_path):
+def _guard_input(tmp_path):
     rng = np.random.default_rng(26)
     p = 1.0 - rng.random(GUARD_M)
     alt = rng.permutation(GUARD_M)[:GUARD_M // 10]
@@ -484,9 +706,41 @@ def test_analyze_peak_memory_over_the_import_is_bounded(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("id,stat\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist())),
                     encoding="utf-8")
+    return path
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_analyze_peak_memory_over_the_import_is_bounded(tmp_path):
+    path = _guard_input(tmp_path)
     proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(path), str(tmp_path / "out")],
                           capture_output=True, text=True, env=dict(os.environ), timeout=600)
     assert proc.returncode == 0, proc.stderr
     code, grown = proc.stdout.split()
     assert code == "0"
     assert float(grown) < GUARD_MB
+
+
+# the same on 2 processes, then the highest peak of the children over the
+# resident set after import: a child's ru_maxrss counts the pages it shares
+# with this process when it is forked, then its own
+_CHILDREN_PEAK_PROBE = _PEAK_PROBE.replace(
+    "from lfdrkit import cli\n", "import resource\nfrom lfdrkit import cli, core\n"
+    "core._cores = lambda: 2\n").replace(
+    'status_mb("VmHWM") - base',
+    "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024 - base")
+CHILDREN_GUARD_MB = 25.0
+
+
+@pytest.mark.skipif(not (os.path.exists("/proc/self/status") and hasattr(os, "fork")),
+                    reason="reads the resident set from /proc and forks")
+def test_analyze_children_peak_memory_over_the_import_is_bounded(tmp_path):
+    path = _guard_input(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _CHILDREN_PEAK_PROBE, str(path),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=dict(os.environ), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    code, grown = proc.stdout.split()
+    assert code == "0"
+    # a child whose peak was below the import's resident set would not show
+    assert 0.0 < float(grown) < CHILDREN_GUARD_MB

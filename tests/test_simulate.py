@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import lfdrkit as lk
-from lfdrkit import simulate
+from lfdrkit import core, simulate
 from lfdrkit.core import AssumptionError, FitError
 from lfdrkit.simulate import (
     PRESETS,
@@ -328,7 +328,7 @@ class QuarterRounded:
 def _count_replays(mp):
     """Calls to the harness's replay helper, counted in a list.  The run stays
     in this process, since a forked child's calls would not reach the list."""
-    mp.setattr(simulate, "_cores", lambda: 1)
+    mp.setattr(core, "_cores", lambda: 1)
     calls = []
 
     def counted(*args):
@@ -395,7 +395,7 @@ def _with_cores(cores, run, block_rows=3):
     """``run()`` with the harness on ``cores`` processes and blocks of
     ``block_rows`` rows, so small runs span several blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_cores", lambda: cores)
+        mp.setattr(core, "_cores", lambda: cores)
         mp.setattr(simulate, "_BLOCK_ROWS", block_rows)
         return run()
 
@@ -407,21 +407,22 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 7])
 def test_split_blocks_cuts_whole_blocks_one_range_per_core(cores, monkeypatch):
-    monkeypatch.setattr(simulate, "_cores", lambda: cores)
+    monkeypatch.setattr(core, "_cores", lambda: cores)
     # 14 replicates from 5 in blocks of 3: 5 blocks, the last of 2 rows
-    parts = simulate._split_blocks(5, 14, 3)
+    parts = core._split_blocks(5, 14, 3)
     assert len(parts) == min(cores, 5)
     assert [i for part in parts for i in part] == list(range(5, 19))
     assert all(part.start % 3 == 5 % 3 for part in parts)
+    assert core._split_blocks(5, 0, 3) == [range(5, 5)]
 
 
 def test_a_run_with_another_thread_running_stays_in_one_process():
-    assert simulate._cores() == len(os.sched_getaffinity(0))
+    assert core._cores() == len(os.sched_getaffinity(0))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert simulate._cores() == 1
+        assert core._cores() == 1
     finally:
         release.set()
         thread.join(timeout=60)
