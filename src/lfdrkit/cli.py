@@ -164,49 +164,41 @@ def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[float]]:
     return ids, vals
 
 
-def _shared(n: int, dtype) -> np.ndarray:
-    """n zeros in an anonymous map, which the processes forked after it share."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype, count=n)
+def _packed(ids: List[str]) -> Tuple[bytes, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``ids`` end to end, the byte length of each, in the
+    narrowest integer type that holds them all, and the hash of each."""
+    text = "".join(ids)
+    raw = text.encode("utf-8")
+    # ASCII text has a byte per character
+    lengths = map(len, ids) if len(raw) == len(text) else \
+        (len(i.encode("utf-8")) for i in ids)
+    return raw, np.fromiter(lengths, np.min_scalar_type(len(raw)), count=len(ids)), \
+        _hashes(ids)
 
 
 class _IdPacker:
     """The parts of an ``IdBuffer`` of m ids of at most ``max_bytes`` UTF-8
-    bytes in all, in maps that the processes forked after it share: their
-    bytes, where each ends, in the narrowest integer type that holds
-    ``max_bytes``, and their hashes.  The ids come in runs, each added a list
-    of ``str`` at a time from its first row and byte on, in any order; ``runs``
-    gives the first row and byte of each, in row order."""
+    bytes in all, appended in row order a ``_packed`` list of ids at a time:
+    their bytes, in an anonymous map whose pages are touched only as they
+    are written, where each ends, in the narrowest integer type that holds
+    ``max_bytes``, and their hashes."""
 
-    def __init__(self, m: int, max_bytes: int, runs: Sequence[Tuple[int, int]] = ((0, 0),)):
+    def __init__(self, m: int, max_bytes: int):
         self.data = mmap.mmap(-1, max(1, max_bytes))
-        self.ends = _shared(m + 1, np.min_scalar_type(max_bytes))
-        self.hashes = _shared(m, np.int64)
-        self.runs = runs
+        self.ends = np.zeros(m + 1, np.min_scalar_type(max_bytes))
+        self.hashes = np.empty(m, np.int64)
+        self.added = 0
 
-    def add(self, row: int, at: int, ids: List[str]) -> int:
-        """Put ``ids`` as rows ``row, row + 1, ...`` and their bytes from byte
-        ``at`` on; their byte count."""
-        text = "".join(ids)
-        raw = text.encode("utf-8")
-        # ASCII text has a byte per character
-        lengths = map(len, ids) if len(raw) == len(text) else \
-            (len(i.encode("utf-8")) for i in ids)
-        self.ends[row + 1:row + 1 + len(ids)] = np.fromiter(lengths, self.ends.dtype,
-                                                           count=len(ids))
-        self.hashes[row:row + len(ids)] = _hashes(ids)
-        self.data[at:at + len(raw)] = raw
-        return len(raw)
+    def add(self, raw: bytes, lengths: np.ndarray, hashes: np.ndarray) -> None:
+        row, self.added = self.added, self.added + lengths.size
+        self.ends[row + 1:self.added + 1] = lengths
+        self.hashes[row:self.added] = hashes
+        self.data.write(raw)
 
     def ids(self) -> IdBuffer:
-        """The buffer of the ids added: the lengths add up to ends, and each
-        run's bytes move down to follow the run before."""
-        ends = self.ends
-        np.cumsum(ends, out=ends)
-        stops = [row for row, _ in self.runs[2:]] + [ends.size - 1]
-        for (row, at), stop in zip(self.runs[1:], stops):
-            self.data.move(int(ends[row]), at, int(ends[stop] - ends[row]))
-        return IdBuffer(self.data[:int(ends[-1])], ends, self.hashes)
+        """The buffer of the ids added: the lengths add up to ends."""
+        np.cumsum(self.ends, out=self.ends)
+        return IdBuffer(self.data[:self.data.tell()], self.ends, self.hashes)
 
 
 # bytes of the input scanned at a time; a window holds whole lines, so a line
@@ -241,8 +233,8 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
     it is scanned in windows of ``_SCAN_BYTES``, so no copy or mask of its
     whole size is made, and the ids are packed a window at a time, so no
     column of m cell strings is built.  The windows are shared out in runs
-    between the usable cores, and each process puts its rows' values, ids
-    and hashes in maps sized from the line count."""
+    between the usable cores, and their values and packed ids are appended
+    in row order, up to the first window that does not parse."""
     head = data.find(b"\n")
     if head < 0 or data.find(b'"') >= 0 or data.find(b"\r") >= 0 or \
             head + 1 > csv.field_size_limit():
@@ -264,43 +256,49 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
         return None
     if m < 1:
         return None
-    # runs of whole windows, named by their rows; a process puts its ids'
-    # bytes from the offset of its first line, which is past every earlier id
-    windows = _split_blocks(0, len(cuts) - 1, 1)
-    parts = {range(int(firsts[w.start]), int(firsts[w.stop])): w for w in windows}
-    vals = _shared(m, float)
-    ids = _IdPacker(m, buf.size, [(rows.start, cuts[w.start] - cuts[0])
-                                  for rows, w in parts.items()])
 
-    def parse(rows: range) -> List[bool]:
-        """Whether the windows of ``rows`` parse, their cells put in ``vals`` and ``ids``."""
-        at = cuts[parts[rows].start] - cuts[0]
+    def window(w: int) -> Optional[Tuple[np.ndarray, bytes, np.ndarray, np.ndarray]]:
+        """The values and ``_packed`` ids of window w, or None where it does not parse."""
+        lo, hi, n = cuts[w], cuts[w + 1], int(firsts[w + 1] - firsts[w])
+        ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
+        if ends.size < n:
+            ends = np.append(ends, hi - lo)
+        if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+            return None
+        # every line holds exactly ncols - 1 commas
+        commas = np.flatnonzero(buf[lo:lo + ends[-1]] == ord(","))
+        if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != ncols - 1):
+            return None
         try:
-            for w in parts[rows]:
-                lo, hi, row = cuts[w], cuts[w + 1], int(firsts[w])
-                n = int(firsts[w + 1]) - row
-                ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
-                if ends.size < n:
-                    ends = np.append(ends, hi - lo)
-                if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
-                    return [False]
-                # every line holds exactly ncols - 1 commas
-                commas = np.flatnonzero(buf[lo:lo + ends[-1]] == ord(","))
-                if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != ncols - 1):
-                    return [False]
-                # the window's lines, without the newline that ends the last of them
-                cells = data[lo:lo + ends[-1]].decode("utf-8").replace("\n", ",").split(",")
-                vals[row:row + n] = np.fromiter(map(float, cells[1::ncols]), float, count=n)
-                if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
-                    return [False]
-                at += ids.add(row, at, cells[::ncols])
+            # the window's lines, without the newline that ends the last of them
+            cells = data[lo:lo + ends[-1]].decode("utf-8").replace("\n", ",").split(",")
+            values = np.fromiter(map(float, cells[1::ncols]), float, count=n)
         except ValueError:
-            return [False]
-        return [True]
+            return None
+        if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
+            return None
+        return (values, *_packed(cells[::ncols]))
 
-    # list() takes every part's answer, so no child outlives the read
-    if not all(list(_in_processes(parse, list(parts), "rows"))):
-        return None
+    # runs of whole windows, named by their rows
+    parts = {range(int(firsts[w.start]), int(firsts[w.stop])): w
+             for w in _split_blocks(0, len(cuts) - 1, 1)}
+
+    def parse(rows: range) -> Iterator:
+        """The windows of ``rows`` in turn, up to the first that does not parse."""
+        for parsed in map(window, parts[rows]):
+            yield parsed
+            if parsed is None:
+                return
+
+    vals, ids = np.empty(m), _IdPacker(m, buf.size)
+    # closing the windows at a decline reaps every child
+    with closing(_in_processes(parse, list(parts), "rows")) as windows:
+        for parsed in windows:
+            if parsed is None:
+                return None
+            values, *packed = parsed
+            vals[ids.added:ids.added + values.size] = values
+            ids.add(*packed)
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
     return ids, vals
@@ -316,9 +314,9 @@ def read_stats_csv(path: str, scale: Scale) -> StatVector:
     columns = _read_columns(path, data, scale)
     if columns is None:
         ids, vals = _read_rows(path, data, scale)
-        # a character takes at most 4 bytes of UTF-8
-        packer = _IdPacker(len(ids), 4 * sum(map(len, ids)))
-        packer.add(0, 0, ids)
+        raw, lengths, hashes = _packed(ids)
+        packer = _IdPacker(len(ids), len(raw))
+        packer.add(raw, lengths, hashes)
     else:
         packer, vals = columns
     # dropping the map unmaps the file

@@ -134,7 +134,8 @@ class IdBuffer(Sequence):
 
     def __init__(self, data: bytes, ends: np.ndarray, hashes: np.ndarray):
         self._data = data
-        self._ends = ends
+        self._ends = ends.view()
+        self._ends.setflags(write=False)
         if not _all_distinct(self, hashes):
             raise ValueError("ids must be unique")
 

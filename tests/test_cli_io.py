@@ -205,14 +205,17 @@ def test_column_reader_over_several_chunks_matches_the_row_loop(case, tmp_path, 
     text, vouched = CHUNKED_CASES[case]
     path = tmp_path / "in.csv"
     path.write_text(text(), encoding="utf-8", newline="")
-    columns = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE)
-    assert (columns is not None) == vouched
-    outcome = _outcome(path, Scale.P_VALUE)
-    assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
-    if case == "id-repeated-across-chunks":
-        assert outcome[1:] == ("bad-input", f"{path}: ids must be unique")
-    elif vouched:
-        assert len(outcome[1]) == CHUNKED_M
+    for cores in (1, 2, 3):
+        with patch.object(core, "_cores", lambda: cores):
+            columns = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE)
+            assert (columns is not None) == vouched
+            outcome = _outcome(path, Scale.P_VALUE)
+        assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
+        if case == "id-repeated-across-chunks":
+            assert outcome[1:] == ("bad-input", f"{path}: ids must be unique")
+        elif vouched:
+            assert len(outcome[1]) == CHUNKED_M
+    _assert_no_child_left()
 
 
 def test_column_reader_leaves_bytes_that_are_not_utf8_past_the_first_chunk_to_the_row_loop(
@@ -223,13 +226,16 @@ def test_column_reader_leaves_bytes_that_are_not_utf8_past_the_first_chunk_to_th
     data = data[:cut] + b"\xff" + data[cut:]
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    assert cli._read_columns(str(path), data, Scale.P_VALUE) is None
-    outcome = _outcome(path, Scale.P_VALUE)
-    assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
     # the header is line 1, so the id h{k} begins line k + 2
     line = cli._WRITE_ROWS + 4
-    assert outcome == (cli.CliError, "bad-input",
-                       f"{path}:{line}: not UTF-8 (invalid start byte, byte 0xff)")
+    for cores in (1, 2, 3):
+        with patch.object(core, "_cores", lambda: cores):
+            assert cli._read_columns(str(path), data, Scale.P_VALUE) is None
+            outcome = _outcome(path, Scale.P_VALUE)
+        assert outcome == _row_loop_outcome(path, Scale.P_VALUE)
+        assert outcome == (cli.CliError, "bad-input",
+                           f"{path}:{line}: not UTF-8 (invalid start byte, byte 0xff)")
+    _assert_no_child_left()
 
 
 def _analyze_outcome(path, capsys):
@@ -645,6 +651,30 @@ def test_analyze_names_the_rows_of_a_killed_child(stage, tmp_path, capsys):
     assert rc == 2 and killed, err
     # the write's last run is of whole 16-row chunks from row 192 on
     assert int(killed[1]) == 192 if stage == "write" else int(killed[1]) <= 250
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["raise", "kill"])
+def test_analyze_declines_a_bad_stat_in_the_calling_process_rows_before_a_child_fails(
+        how, tmp_path, capsys):
+    parent = os.getpid()
+
+    def fail(i):
+        if how == "raise":
+            raise FitError(f"refused {i}")
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    # line 12 is in the first window, which the calling process parses; on 2
+    # and 3 processes h250 is in the last child's rows
+    lines = _split_file().split("\n")
+    lines[11] = "h10,oops"
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with patch.object(cli, "_hashes", _failing("_hashes", {"h250"}, fail)):
+        outcomes = [_split_analyze(cores, path, [], capsys)[0][::3] for cores in (1, 2, 3)]
+    # the row loop's error, which it meets before it hashes an id
+    assert outcomes == [(2, "ERROR bad-row: PATH:12: non-numeric stat 'oops'\n")] * 3
     _assert_no_child_left()
 
 

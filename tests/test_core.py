@@ -85,6 +85,13 @@ def test_id_buffer_reads_back_its_ids(ids, lo, hi, step):
         buf[len(ids)]
 
 
+def test_id_buffer_ends_are_read_only():
+    buf = _id_buffer(["a", "b"])
+    with pytest.raises(ValueError):
+        buf._ends[1] = 0
+    assert buf[0:2] == ["a", "b"]
+
+
 def test_id_buffer_is_kept_by_statvector_as_it_is():
     buf = _id_buffer(["a", "b,c"])
     sv = lk.StatVector([0.1, 0.2], lk.Scale.P_VALUE, ids=buf)
