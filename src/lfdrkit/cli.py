@@ -449,16 +449,20 @@ def _text_cells(texts: Sequence[str]) -> Sequence[str]:
 def _pi0_value(text: str, pstats: StatVector) -> float:
     """The pi0 that ``--pi0`` storey:LAMBDA | fixed:VALUE | window:C:LAMBDA gives."""
     form, *fields = text.split(":")
-    if form == "fixed" and len(fields) == 1:
-        value = float(fields[0])
-        if not 0.0 <= value <= 1.0:
+    unparsed = CliError("bad-arg", f"cannot parse --pi0 {text!r}")
+    try:
+        values = [float(field) for field in fields]
+    except ValueError:
+        raise unparsed from None
+    if form == "fixed" and len(values) == 1:
+        if not 0.0 <= values[0] <= 1.0:
             raise CliError("bad-arg", "fixed pi0 must lie in [0, 1]")
-        return value
-    if form == "storey" and len(fields) == 1:
-        return storey_pi0(pstats, float(fields[0])).value
-    if form == "window" and len(fields) == 2:
-        return selection_window_pi0(pstats, *map(float, fields)).value
-    raise CliError("bad-arg", f"cannot parse --pi0 {text!r}")
+        return values[0]
+    if form == "storey" and len(values) == 1:
+        return storey_pi0(pstats, values[0]).value
+    if form == "window" and len(values) == 2:
+        return selection_window_pi0(pstats, *values).value
+    raise unparsed
 
 
 def _fitted_density(text: str, stats: StatVector, pstats: StatVector):
@@ -467,12 +471,15 @@ def _fitted_density(text: str, stats: StatVector, pstats: StatVector):
     form, *fields = text.split(":")
     if form == "grenander" and not fields:
         return Uniform01(), grenander_fit(pstats), pstats
-    if form == "lindsey" and len(fields) == 2:
-        fit_args = {"degree": int(fields[0]), "bins": int(fields[1])}
-    elif form == "npmle" and len(fields) == 2:
-        fit_args = {"grid_size": int(fields[0]), "tol": float(fields[1])}
-    else:
-        raise CliError("bad-arg", f"cannot parse --density {text!r}")
+    try:
+        if form == "lindsey" and len(fields) == 2:
+            fit_args = {"degree": int(fields[0]), "bins": int(fields[1])}
+        elif form == "npmle" and len(fields) == 2:
+            fit_args = {"grid_size": int(fields[0]), "tol": float(fields[1])}
+        else:
+            raise ValueError(form)
+    except ValueError:
+        raise CliError("bad-arg", f"cannot parse --density {text!r}") from None
     if stats.scale is not Scale.Z_VALUE:
         raise CliError("bad-arg", f"{form} density requires --scale z")
     fit = (lindsey_fit if form == "lindsey" else npmle_mixture_fit)(stats, **fit_args)
@@ -619,10 +626,12 @@ def _parse_criteria(text: str):
             crits.append(Power())
         elif item.startswith(("mfdr:", "pfdr:")):
             kind, *bounds = item.split(":")
-            if len(bounds) != 2:
-                raise CliError("bad-arg", f"criterion {item!r} needs the form {kind}:S:T")
-            interval = MfdrInterval if kind == "mfdr" else PfdrInterval
-            crits.append(interval(float(bounds[0]), float(bounds[1])))
+            unparsed = CliError("bad-arg", f"criterion {item!r} needs the form {kind}:S:T")
+            try:
+                s, t = map(float, bounds)
+            except ValueError:  # a bound that is not a number, or not two bounds
+                raise unparsed from None
+            crits.append((MfdrInterval if kind == "mfdr" else PfdrInterval)(s, t))
         else:
             raise CliError("bad-arg", f"unknown criterion {item!r}")
     return crits

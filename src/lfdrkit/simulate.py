@@ -4,17 +4,16 @@ Replicate r of a run with master seed s draws from a Philox stream keyed by
 (s, r), so results are independent of execution order.  The harness fills a
 block of rows, one replicate each, re-keying one generator per row and
 drawing in a fixed order: data, grid perturbation, then the boundary
-tie-pick.  The tie-pick draws from the state the row's other draws left:
-saved after each row on unperturbed grid designs, whose rows tie at most
-boundaries, and otherwise rebuilt when needed by re-keying the row's stream
-and repeating its draws.  One function draws every row, so the replay, the
-calibration pool and ``generate`` keep that order.  Rejection rules run
-along the rows with the per-instance rules' arithmetic.  Each criterion
-counts replicates per distinct outcome, such as (V, R), so runs over
-adjacent replicate ranges merge exactly by adding counts.  A run cuts its
-blocks into one range of whole blocks per usable core and runs each range
-after the first in a forked child, so the report does not depend on how many
-processes ran it.
+tie-pick.  The tie-pick draws from the state the row's other draws left,
+which the harness rebuilds for each row that ties by re-keying the row's
+stream and repeating its draws; it saves no state.  One function draws every
+row, so the replay, the calibration pool and ``generate`` keep that order.
+Rejection rules run along the rows with the per-instance rules' arithmetic.
+Each criterion counts replicates per distinct outcome, such as (V, R), so
+runs over adjacent replicate ranges merge exactly by adding counts.  A run
+cuts its blocks into one range of whole blocks per usable core and runs each
+range after the first in a forked child, so the report does not depend on
+how many processes ran it.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _replicate_streams(seed: int, indices: range) -> Iterator[np.random.Generator]:
-    """The streams of ``replicate_rng(seed, i)`` for each i in turn: one generator,
-    re-keyed in place before each (which resets Philox's counter and buffers)."""
+def _replicate_streams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The streams of ``replicate_rng(seed, i)`` for each i of the ascending
+    ``indices`` in turn: one generator, re-keyed in place before each (which
+    resets Philox's counter and buffers)."""
     if indices:
         _check_key(seed, indices[0])
         _check_key(seed, indices[-1])
@@ -240,18 +240,15 @@ PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
 }
 
 
-def _draw_rows(spec: GeneratorSpec, streams, values: np.ndarray, u: Optional[np.ndarray] = None,
-               states: Optional[list] = None) -> np.random.Generator:
+def _draw_rows(spec: GeneratorSpec, streams, values: np.ndarray,
+               u: Optional[np.ndarray] = None) -> np.random.Generator:
     """The one draw order: row i of ``values`` from the i-th stream, then the
-    row's perturbation uniforms into ``u[i]``, then that stream's state onto
-    ``states``.  Checks the drawn values and returns the last stream."""
+    row's perturbation uniforms into ``u[i]``.  Returns the last stream, whose
+    state a replayed row's tie-pick reads; the caller checks the values."""
     for i, rng in enumerate(streams):
         spec.draw(rng, values[i])
         if u is not None:
             rng.random(out=u[i])
-        if states is not None:
-            states.append(rng.bit_generator.state)
-    check_values(values, spec.scale)
     return rng
 
 
@@ -429,9 +426,9 @@ def _report(start, n_reps, config, criteria, counts) -> MonteCarloReport:
 
 
 # values and rows per block: bound the harness's memory per process whatever
-# m is; the row cap also bounds the saved stream states of a grid design (about
-# 1 KB each).  A run splits between processes only at block boundaries, so a
-# run of one block stays in one process.
+# m is.  A run splits between processes only at block boundaries, so a run of
+# one block stays in one process; the row cap keeps a long run of small rows
+# splittable (5,000 replicates of m = 6 make 5 blocks, not 1).
 _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
@@ -469,44 +466,28 @@ def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
     return step_up_thresholds(ps, cfg.alpha, (pi0 * m)[:, None])
 
 
-def _saves_states(spec: GeneratorSpec, procedure: ProcedureConfig, criteria) -> bool:
-    """Whether a run saves each row's stream state after its draws for the
-    bFDR tie-pick, instead of replaying the draws of a row that ties.
-
-    Only an unperturbed grid design puts nulls and alternatives on shared
-    values, so its rows tie at most boundaries; on every other design a tie
-    has probability zero.  Saving builds a nested dict of numpy arrays per
-    row, which was a quarter of a theorem-5.1 replicate (m = 100: 20 against
-    15 us on a 2-core host).  A replay draws the row again: on criterion 9's
-    unperturbed design (alternatives in cell 1, alpha = 0.6), where every
-    row ties, that is 4,500 grid cells a row, and replaying there made a
-    replicate 1.55x as slow as saving (171 against 110 us).
-    """
-    return (any(isinstance(c, Bfdr) for c in criteria)
-            and isinstance(spec, DiscreteUniformNulls) and not procedure.perturb)
-
-
-def _replayed_stream(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
-                     index: int) -> np.random.Generator:
-    """Replicate ``index``'s stream at the state its data and perturbation
-    draws left: Philox is counter-based, so re-keying to (seed, index) and
-    repeating the draws into a scratch row rebuilds that state bit for bit."""
+def _replayed_streams(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
+                      indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The streams of the ascending replicate ``indices`` in turn, each at the
+    state its data and perturbation draws left: Philox is counter-based, so
+    re-keying to (seed, index) and repeating the draws into a scratch row
+    rebuilds that state bit for bit.  The block's draw checked those values."""
     scratch = np.empty((1, spec.null_flags.size))
-    return _draw_rows(spec, _replicate_streams(seed, range(index, index + 1)), scratch,
-                      scratch if procedure.perturb else None)
+    for rng in _replicate_streams(seed, indices):
+        yield _draw_rows(spec, (rng,), scratch, scratch if procedure.perturb else None)
 
 
 def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
     """1 where the last rejection is a true null, per row.  A boundary tie of
-    nulls with non-nulls resolves uniformly at random from row i's stream,
-    ``after_draws(i)``, at the state its other draws left; other ties need
-    no draw."""
+    nulls with non-nulls resolves uniformly at random from the row's stream
+    at the state its other draws left: ``after_draws(tied_rows)`` yields
+    those streams of the ascending ``tied_rows``.  Other ties need no draw."""
     at = p == cut[:, None]
     ties = np.count_nonzero(at, axis=1)
     hits = np.count_nonzero(at & nulls, axis=1)
     out = (hits > 0).astype(np.int64)
-    for i in np.flatnonzero((hits > 0) & (hits < ties)):
-        rng = after_draws(i)
+    tied_rows = np.flatnonzero((hits > 0) & (hits < ties))
+    for i, rng in zip(tied_rows, after_draws(tied_rows)):
         tied = np.flatnonzero(at[i])
         out[i] = nulls[tied[rng.integers(tied.size)]]
     return out
@@ -520,14 +501,11 @@ def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureCon
     rows = len(indices)
     values = work.x[:rows]
     u = None if work.u is None else work.u[:rows]
-    states = [] if _saves_states(spec, procedure, criteria) else None
-    rng = _draw_rows(spec, _replicate_streams(seed, indices), values, u, states)
+    _draw_rows(spec, _replicate_streams(seed, indices), values, u)
+    check_values(values, spec.scale)
 
-    def after_draws(i: int) -> np.random.Generator:
-        if states is None:
-            return _replayed_stream(spec, procedure, seed, indices[i])
-        rng.bit_generator.state = states[i]
-        return rng
+    def after_draws(tied_rows: np.ndarray) -> Iterator[np.random.Generator]:
+        return _replayed_streams(spec, procedure, seed, [indices[i] for i in tied_rows])
 
     if u is not None:
         grid_perturbation(values, spec.L, u, out=values)
@@ -680,6 +658,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
         for first in range(part.start, part.stop, rows):
             block = values[:min(rows, part.stop - first)]
             _draw_rows(spec, _replicate_streams(seed, range(first, first + len(block))), block)
+            check_values(block, spec.scale)
             scores = _score_block(scorer, block, spec.scale, oracle)
             idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
             tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)

@@ -103,13 +103,12 @@ def test_analyze_config_file_with_flag_override(pfile, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--pi0", "storey", "cannot parse --pi0 'storey'"),
-    ("--pi0", "storey:abc", "could not convert string to float: 'abc'"),
     ("--pi0", "fixed:1.5", "fixed pi0 must lie in [0, 1]"),
     ("--pi0", "window:0.5", "cannot parse --pi0 'window:0.5'"),
     ("--pi0", "bogus:1", "cannot parse --pi0 'bogus:1'"),
     ("--density", "lindsey:7", "cannot parse --density 'lindsey:7'"),
     ("--density", "grenander:1", "cannot parse --density 'grenander:1'"),
-    ("--density", "npmle:abc:1e-8", "invalid literal for int() with base 10: 'abc'"),
+    ("--density", "npmle:abc:1e-8", "cannot parse --density 'npmle:abc:1e-8'"),
     # a well-formed fit of z-statistics, given p-values
     ("--density", "lindsey:7:120", "lindsey density requires --scale z"),
     ("--density", "npmle:300:nan", "npmle density requires --scale z"),
@@ -120,6 +119,23 @@ def test_analyze_pi0_and_density_errors_are_one_bad_arg_line(flag, value, messag
     path.write_text("id,stat\na,0.01\nb,0.2\nc,0.7\n", encoding="utf-8")
     code, out, err = run_cli(["analyze", "--input", str(path), flag, value,
                               "--out", str(tmp_path / "res")], capsys)
+    assert code == 2 and out == ""
+    assert err == f"ERROR bad-arg: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--pi0", "storey:abc"], "cannot parse --pi0 'storey:abc'"),
+    (["analyze", "--scale", "z", "--density", "lindsey:x:60"],
+     "cannot parse --density 'lindsey:x:60'"),
+    (["simulate", "--preset", "theorem-5.1", "--seed", "1", "--criteria", "mfdr:a:0.1"],
+     "criterion 'mfdr:a:0.1' needs the form mfdr:S:T"),
+], ids=["pi0", "density", "criteria"])
+def test_numeric_parse_errors_name_their_flag(args, message, tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("id,stat\na,0.01\nb,0.2\nc,0.7\n", encoding="utf-8")
+    given = ["--input", str(path)] if args[0] == "analyze" else []
+    code, out, err = run_cli([*args, *given, "--out", str(tmp_path / "res")], capsys)
     assert code == 2 and out == ""
     assert err == f"ERROR bad-arg: {message}\n"
     assert list(tmp_path.iterdir()) == [path]

@@ -288,6 +288,11 @@ def test_block_counts_match_the_per_replicate_loop(spec, kind, alpha, perturb, n
          7, 0)
 @example(DiscreteUniformNulls(m=7, L=3, alt_positions=(1, 2, 2)), "support-line", 0.5,
          True, 4, 5, 3, 3, 11, 5)
+# every row ties, as in criterion 9's nonzero-limit design: the alternatives
+# share cell 1, where the support line stops in nearly every row, so most rows
+# of each of the 4 blocks replay their draws
+@example(DiscreteUniformNulls(m=40, L=10, alt_positions=(1,) * 10), "support-line", 0.6,
+         False, 4, 4, 4, 3, 20240915, 0)
 def test_block_counts_match_the_per_replicate_loop_across_blocks(
         spec, kind, alpha, perturb, block_rows, rows_by_values, n_blocks, last, seed, start):
     # shrink the block so a run spans n_blocks blocks and the last is short
@@ -307,8 +312,8 @@ def test_block_counts_match_the_per_replicate_loop_across_blocks(
 @dataclass(frozen=True)
 class QuarterRounded:
     """Beta(0.3, 1) alternatives then uniform nulls, each rounded up to a
-    quarter: a spec the harness does not know as a grid, so it replays the
-    draws of a row that ties, and one whose rows tie at most boundaries."""
+    quarter: a spec that is not a grid design but whose rows tie at most
+    boundaries, where the tie-pick replays the row's draws."""
 
     m: int
     m1: int
@@ -325,19 +330,44 @@ class QuarterRounded:
         row /= 4.0
 
 
+@dataclass(frozen=True)
+class AboveOne:
+    """Uniform draws shifted above 1: p-values that no harness path may keep."""
+
+    m: int
+    scale = lk.Scale.P_VALUE
+
+    @property
+    def null_flags(self):
+        return np.ones(self.m, dtype=bool)
+
+    def draw(self, rng, row):
+        row[:] = rng.random(self.m) + 1.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: generate(spec, seed=1),
+    lambda spec: mc_error_rates(spec, ProcedureConfig("bh", 0.1), 5, [Fdr(), Bfdr()], seed=1),
+    lambda spec: calibration_experiment(spec, "p-value", 5, 0.1, seed=1),
+], ids=["generate", "mc-error-rates", "calibration"])
+def test_drawn_values_off_the_scale_are_refused(run):
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        run(AboveOne(m=3))
+
+
 def _count_replays(mp):
-    """Calls to the harness's replay helper, counted in a list.  The run stays
-    in this process, since a forked child's calls would not reach the list."""
+    """The replicate indices the harness replays, in a list.  The run stays in
+    this process, since a forked child's replays would not reach the list."""
     mp.setattr(core, "_cores", lambda: 1)
-    calls = []
+    replayed = []
 
-    def counted(*args):
-        calls.append(args)
-        return replay(*args)
+    def counted(spec, procedure, seed, indices):
+        replayed.extend(indices)
+        return replay(spec, procedure, seed, indices)
 
-    replay = simulate._replayed_stream
-    mp.setattr(simulate, "_replayed_stream", counted)
-    return calls
+    replay = simulate._replayed_streams
+    mp.setattr(simulate, "_replayed_streams", counted)
+    return replayed
 
 
 def _state_bytes(rng):
@@ -351,13 +381,19 @@ def _state_bytes(rng):
 ], ids=[*PRESETS, "grid-perturbed", "quarter-rounded"])
 def test_replayed_stream_reaches_the_state_the_row_draws_left(spec, perturb):
     proc = ProcedureConfig("support-line", 0.5, perturb=perturb)
-    for index in (0, 7, (1 << 64) - 1):
+    indices = (0, 7, (1 << 64) - 1)
+    left = []
+    for index in indices:
         rng = replicate_rng(5, index)
         generate(spec, rng=rng)
         if perturb:
             rng.random(spec.m)
-        assert _state_bytes(simulate._replayed_stream(spec, proc, 5, index)) == \
-            _state_bytes(rng)
+        left.append(_state_bytes(rng))
+        assert [_state_bytes(replayed) for replayed in
+                simulate._replayed_streams(spec, proc, 5, [index])] == left[-1:]
+    # one pass over them all pairs each index with its own re-keyed stream
+    assert [_state_bytes(replayed) for replayed in
+            simulate._replayed_streams(spec, proc, 5, indices)] == left
 
 
 @pytest.mark.parametrize("kind", ["support-line", "bh", "storey-bh"])
@@ -381,9 +417,10 @@ def test_continuous_and_grid_runs_make_no_replays():
         spec, alpha = PRESETS["theorem-5.1"]
         mc_error_rates(spec, ProcedureConfig("support-line", alpha), 2000, bfdr, seed=1)
         assert replays == []
-        # a grid design ties at most boundaries, so it saves its states instead
+        # a perturbed grid design draws continuous p-values, so it never ties
         spec, alpha = PRESETS["counterexample-discrete"]
-        mc_error_rates(spec, ProcedureConfig("support-line", alpha), 2000, bfdr, seed=1)
+        mc_error_rates(spec, ProcedureConfig("support-line", alpha, perturb=True), 2000, bfdr,
+                       seed=1)
         assert replays == []
 
 
@@ -435,9 +472,9 @@ _ALL_CRITERIA = [Fdr(), Bfdr(), Power(), MfdrInterval(0.0, 0.3), PfdrInterval(0.
 @pytest.mark.parametrize("spec, kind, alpha, perturb", [
     *((spec, "support-line", alpha, False) for spec, alpha in PRESETS.values()),
     (DiscreteUniformNulls(m=7, L=3, alt_positions=(1, 2, 2)), "support-line", 0.5, True),
-    # unperturbed grid with bFDR: the tie-pick reads saved stream states
+    # unperturbed grid with bFDR: rows tie at most boundaries, and replay
     (DiscreteUniformNulls(m=20, L=4, alt_positions=(1, 1, 2)), "bh", 0.5, False),
-    # ties on a spec the harness does not know as a grid: the tie-pick replays
+    # ties on a spec that is not a grid design, which replay the same way
     (QuarterRounded(m=9, m1=3), "storey-bh", 0.5, False),
 ], ids=[*PRESETS, "grid-perturbed", "grid-saved-states", "quarter-rounded"])
 def test_report_bytes_do_not_depend_on_the_process_count(spec, kind, alpha, perturb):
