@@ -341,7 +341,8 @@ def _write_chunks(path: Optional[str], chunks: Iterable[bytes]) -> None:
 
 
 def write_json(path: Optional[str], payload: Dict) -> None:
-    _write_chunks(path, [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")])
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # NaN is not JSON
+    _write_chunks(path, [(text + "\n").encode("utf-8")])
 
 
 class _ChunkCells:

@@ -1,19 +1,18 @@
 """Data generators and the seeded Monte Carlo harness.
 
-Replicate r of a run with master seed s draws from a Philox stream keyed by
-(s, r), so results are independent of execution order.  The harness fills a
-block of rows, one replicate each, re-keying one generator per row and
-drawing in a fixed order: data, grid perturbation, then the boundary
-tie-pick.  The tie-pick draws from the state the row's other draws left,
-which the harness rebuilds for each row that ties by re-keying the row's
-stream and repeating its draws; it saves no state.  One function draws every
-row, so the replay, the calibration pool and ``generate`` keep that order.
-Rejection rules run along the rows with the per-instance rules' arithmetic.
-Each criterion counts replicates per distinct outcome, such as (V, R), so
-runs over adjacent replicate ranges merge exactly by adding counts.  A run
-cuts its blocks into one range of whole blocks per usable core and runs each
-range after the first in a forked child, so the report does not depend on
-how many processes ran it.
+Replicate r of a run with integer master seed s draws from a Philox stream
+keyed by (s, r), so results are independent of execution order.  Error rates
+and calibration share one block loop: it fills a block of rows, one replicate
+each, re-keying one generator per row and drawing in a fixed order (data,
+grid perturbation, then the boundary tie-pick), and hands the block to a
+stage that scores and tallies it.  A row that ties at its boundary rebuilds
+the state its other draws left by re-keying and repeating them.  Rejection
+rules run along the rows with the per-instance rules' arithmetic.  Each
+criterion counts replicates per distinct outcome, such as (V, R), so runs
+over adjacent replicate ranges merge exactly by adding counts.  The loop runs
+one range of whole blocks per usable core, each after the first in a forked
+child, and adds the tallies in range order, so no result depends on how many
+processes ran it.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, partial, reduce
+from typing import Callable, ClassVar, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,8 +63,17 @@ from .procedures import (
 _KEY_LIMIT = 1 << 64
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int; ValueError naming the field unless it is integral, not bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) or \
+            (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def _check_key(seed: int, index: int) -> None:
-    if not (0 <= seed < _KEY_LIMIT and 0 <= index < _KEY_LIMIT):
+    if not (0 <= _integer("seed", seed) < _KEY_LIMIT
+            and 0 <= _integer("replicate index", index) < _KEY_LIMIT):
         raise ValueError(f"seed {seed} and replicate index {index} must lie in [0, 2**64)")
 
 
@@ -101,14 +109,6 @@ def _replicate_streams(seed: int, indices: Sequence[int]) -> Iterator[np.random.
 
 # Each spec has a fixed truth (``null_flags``), a ``scale`` and a ``draw``
 # that fills one replicate's row of statistics from its stream.
-
-def _integer(field: str, value) -> int:
-    """``value`` as an int; ValueError naming the field unless it is integral."""
-    if isinstance(value, (int, np.integer)) or \
-            (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
-
 
 def _alternatives_first(m: int, m1: int) -> np.ndarray:
     flags = np.ones(m, dtype=bool)
@@ -357,31 +357,31 @@ def _tally(num: np.ndarray, den: np.ndarray) -> Dict[Tuple[int, int], int]:
 
 
 def _mean_estimate(counts: Counter) -> Optional[Dict[str, float]]:
-    """Mean and standard error of the per-replicate ratios num / max(1, den)."""
+    """Mean and standard error of the per-replicate ratios num / max(1, den);
+    the error is None below 2 replicates."""
     n = sum(counts.values())
     if n == 0:
         return None
     total = sum(c * Fraction(v, max(1, r)) for (v, r), c in counts.items())
     sumsq = sum(c * Fraction(v, max(1, r)) ** 2 for (v, r), c in counts.items())
     mean = total / n
-    out = {"mean": float(mean), "n": n}
+    out = {"mean": float(mean), "n": n, "std_error": None}
     if n > 1:
         var = (sumsq - total * mean) / (n - 1)
         out["std_error"] = math.sqrt(max(0.0, float(var)) / n)
-    else:
-        out["std_error"] = math.nan
     return out
 
 
 def _ratio_estimate(counts: Counter) -> Optional[Dict[str, float]]:
-    """Ratio of mean numerator to mean denominator, with a delta-method error."""
+    """Ratio of mean numerator to mean denominator, with a delta-method error
+    (None below 2 replicates)."""
     n = sum(counts.values())
     sv = sum(c * v for (v, _), c in counts.items())
     sr = sum(c * r for (_, r), c in counts.items())
     if n == 0 or sr == 0:
         return None
     theta = Fraction(sv, sr)
-    out = {"mean": float(theta), "n": n}
+    out = {"mean": float(theta), "n": n, "std_error": None}
     if n > 1:
         svv = Fraction(sum(c * v * v for (v, _), c in counts.items())) - Fraction(sv * sv, n)
         srr = Fraction(sum(c * r * r for (_, r), c in counts.items())) - Fraction(sr * sr, n)
@@ -390,8 +390,6 @@ def _ratio_estimate(counts: Counter) -> Optional[Dict[str, float]]:
         rbar = Fraction(sr, n)
         var = float(quad) / (n * float(rbar) ** 2)
         out["std_error"] = math.sqrt(max(0.0, var))
-    else:
-        out["std_error"] = math.nan
     return out
 
 
@@ -433,22 +431,36 @@ _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Buffers for one block of rows, allocated once per run.  Each block
-    writes into their leading rows, so it allocates no block-sized array
-    for its draws, perturbed values, sort or support-line objective."""
+def _run_blocks(spec: GeneratorSpec, seed: int, start: int, n: int, perturb: bool,
+                make_stage: Callable[[int], Callable], add: Callable):
+    """The one seeded block loop: replicates ``start .. start + n - 1`` of
+    ``seed``, drawn a block of rows at a time into buffers allocated once per
+    run, checked, and handed to ``stage(indices, values, u)``, where ``stage =
+    make_stage(rows)`` is made once for blocks of at most ``rows`` rows and
+    ``u`` holds the perturbation uniforms (None unless ``perturb``).  The
+    blocks run in one range per usable core, each after the first in a forked
+    child, and their tallies are folded with ``add`` in replicate order."""
+    n = _integer("the replicate count", n)
+    if n < 1:
+        raise ValueError(f"the replicate count must be >= 1, got {n}")
+    _check_key(seed, start)  # before any child is forked; each block checks its own keys
+    m = spec.null_flags.size
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m, n))
+    x = np.empty((rows, m))
+    u = np.empty((rows, m)) if perturb else None
+    stage = make_stage(rows)
 
-    x: np.ndarray                    # the drawn rows, perturbed in place
-    u: Optional[np.ndarray]          # perturbation uniforms
-    sorted: np.ndarray               # each row's p-values, sorted
-    objective: Optional[np.ndarray]  # support-line objective, m + 1 per row
+    def run(part: range) -> list:
+        def block(first: int):
+            indices = range(first, min(first + rows, part.stop))
+            values = x[:len(indices)]
+            uniforms = None if u is None else u[:len(indices)]
+            _draw_rows(spec, _replicate_streams(seed, indices), values, uniforms)
+            check_values(values, spec.scale)
+            return stage(indices, values, uniforms)
+        return [reduce(add, map(block, range(part.start, part.stop, rows)))]
 
-    @classmethod
-    def for_block(cls, rows: int, m: int, procedure: ProcedureConfig) -> "_Workspace":
-        support_line = procedure.kind == "support-line"
-        return cls(np.empty((rows, m)), np.empty((rows, m)) if procedure.perturb else None,
-                   np.empty((rows, m)), np.empty((rows, m + 1)) if support_line else None)
+    return reduce(add, _in_processes(run, _split_blocks(start, n, rows), "replicates"))
 
 
 def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
@@ -493,49 +505,59 @@ def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
     return out
 
 
-def _tally_block(spec: GeneratorSpec, nulls: np.ndarray, procedure: ProcedureConfig,
-                 criteria, seed: int, indices: range, work: _Workspace,
-                 counts: Dict[str, Counter]) -> None:
-    """Draw replicates ``indices`` of ``seed`` into ``work`` and count their
-    outcomes."""
-    rows = len(indices)
-    values = work.x[:rows]
-    u = None if work.u is None else work.u[:rows]
-    _draw_rows(spec, _replicate_streams(seed, indices), values, u)
-    check_values(values, spec.scale)
+def _outcome_stage(spec: GeneratorSpec, procedure: ProcedureConfig, criteria, seed: int,
+                   rows: int) -> Callable:
+    """The block stage of :func:`mc_error_rates`: perturb, sort, threshold and
+    count each criterion's outcomes.  Its sort and support-line objective
+    buffers hold ``rows`` rows and are allocated once, here."""
+    nulls = spec.null_flags
+    m1 = nulls.size - np.count_nonzero(nulls)
+    sort_buffer = np.empty((rows, nulls.size))
+    objective = np.empty((rows, nulls.size + 1)) if procedure.kind == "support-line" else None
 
-    def after_draws(tied_rows: np.ndarray) -> Iterator[np.random.Generator]:
-        return _replayed_streams(spec, procedure, seed, [indices[i] for i in tied_rows])
+    def stage(indices: range, values: np.ndarray, u: Optional[np.ndarray]) -> Dict[str, Counter]:
+        def after_draws(tied_rows: np.ndarray) -> Iterator[np.random.Generator]:
+            return _replayed_streams(spec, procedure, seed, [indices[i] for i in tied_rows])
 
-    if u is not None:
-        grid_perturbation(values, spec.L, u, out=values)
-    p = to_pvalues(values, spec.scale)
-    ps = work.sorted[:rows]
-    np.copyto(ps, p)
-    ps.sort(axis=1)
-    objective = None if work.objective is None else work.objective[:rows]
-    cut = _row_thresholds(ps, procedure, objective)
-    if any(isinstance(c, (Fdr, Power)) for c in criteria):
-        rejected = p <= cut[:, None]
-        r = np.count_nonzero(rejected, axis=1)
-        v = np.count_nonzero(rejected & nulls, axis=1)
-    for crit in criteria:
-        if isinstance(crit, Fdr):
-            num, den = v, r
-        elif isinstance(crit, Bfdr):
-            num, den = _boundary_nulls(p, cut, nulls, after_draws), np.ones(rows, np.int64)
-        elif isinstance(crit, Power):
-            m1 = nulls.size - np.count_nonzero(nulls)
-            if m1 == 0:
-                continue
-            num, den = r - v, np.full(rows, m1)
-        else:
-            inside = (values >= crit.s) & (values <= crit.t)
-            num = np.count_nonzero(inside & nulls, axis=1)
-            den = np.count_nonzero(inside, axis=1)
-            if isinstance(crit, PfdrInterval):
-                num, den = num[den > 0], den[den > 0]
-        counts[crit.name].update(_tally(num, den))
+        n = len(indices)
+        if u is not None:
+            grid_perturbation(values, spec.L, u, out=values)
+        p = to_pvalues(values, spec.scale)
+        ps = sort_buffer[:n]
+        np.copyto(ps, p)
+        ps.sort(axis=1)
+        cut = _row_thresholds(ps, procedure, None if objective is None else objective[:n])
+        if any(isinstance(c, (Fdr, Power)) for c in criteria):
+            rejected = p <= cut[:, None]
+            r = np.count_nonzero(rejected, axis=1)
+            v = np.count_nonzero(rejected & nulls, axis=1)
+        counts = {c.name: Counter() for c in criteria}
+        for crit in criteria:
+            if isinstance(crit, Fdr):
+                num, den = v, r
+            elif isinstance(crit, Bfdr):
+                num, den = _boundary_nulls(p, cut, nulls, after_draws), np.ones(n, np.int64)
+            elif isinstance(crit, Power):
+                if m1 == 0:
+                    continue
+                num, den = r - v, np.full(n, m1)
+            else:
+                inside = (values >= crit.s) & (values <= crit.t)
+                num = np.count_nonzero(inside & nulls, axis=1)
+                den = np.count_nonzero(inside, axis=1)
+                if isinstance(crit, PfdrInterval):
+                    num, den = num[den > 0], den[den > 0]
+            counts[crit.name].update(_tally(num, den))
+        return counts
+
+    return stage
+
+
+def _add_counts(a: Dict[str, Counter], b: Dict[str, Counter]) -> Dict[str, Counter]:
+    """``a`` with ``b``'s counts added in place, so a fold costs what each block adds."""
+    for name, counts in b.items():
+        a[name].update(counts)
+    return a
 
 
 def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
@@ -545,15 +567,15 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
 
     ``start`` offsets the replicate indices so a run can be split into
     sub-runs over adjacent ranges whose merge (:func:`merge_reports`)
-    reproduces the unsplit run exactly.  Each run does so itself: it runs one
-    range of whole blocks per usable core, each after the first in a forked
-    child, and adds their counts in range order, so the report does not
-    depend on the number of processes.  The boundary criterion breaks ties
-    at the threshold uniformly at random from the replicate's own stream.
+    reproduces the unsplit run exactly.  Each run does so itself: the block
+    loop runs one range of whole blocks per usable core and adds their counts
+    in range order, so the report does not depend on the number of
+    processes.  The boundary criterion breaks ties at the threshold uniformly
+    at random from the replicate's own stream.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
     criteria = tuple(criteria)
+    if not criteria:
+        raise ValueError("criteria must name at least one criterion")
     if len({c.name for c in criteria}) != len(criteria):
         raise ValueError("criteria names must be unique")
     for c in criteria:
@@ -562,24 +584,11 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
             raise ValueError(f"interval criterion {c.name} needs bounds s <= t")
     if procedure.perturb and not isinstance(spec, DiscreteUniformNulls):
         raise ValueError(f"perturbation needs a grid generator, not {type(spec).__name__}")
-    nulls = spec.null_flags
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, n_reps))
-    work = _Workspace.for_block(rows, nulls.size, procedure)
-
-    def tally(part: range) -> List[Dict[str, Counter]]:
-        counts = {c.name: Counter() for c in criteria}
-        for first in range(part.start, part.stop, rows):
-            _tally_block(spec, nulls, procedure, criteria, seed,
-                         range(first, min(first + rows, part.stop)), work, counts)
-        return [counts]
-
-    counts, *later = _in_processes(tally, _split_blocks(start, n_reps, rows), "replicates")
-    for part_counts in later:
-        for name, c in part_counts.items():
-            counts[name].update(c)
+    counts = _run_blocks(spec, seed, start, n_reps, procedure.perturb,
+                         partial(_outcome_stage, spec, procedure, criteria, seed), _add_counts)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
-    return _report(start, n_reps, config, criteria, counts)
+    return _report(start, int(n_reps), config, criteria, counts)
 
 
 def merge_reports(a: MonteCarloReport, b: MonteCarloReport) -> MonteCarloReport:
@@ -635,36 +644,25 @@ def _score_block(scorer: str, values: np.ndarray, scale: Scale, oracle) -> np.nd
 def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
                            bin_width: float, seed: int) -> CalibrationCurve:
     """Pool scores across replicates and report the null fraction per bin.
-    Like :func:`mc_error_rates`, a run splits its blocks over the usable
-    cores and adds their bin counts, which do not depend on the split."""
+    The block loop of :func:`mc_error_rates` draws the rows and adds the
+    blocks' bin counts, which do not depend on the number of processes."""
     if not 0.0 < bin_width < 1.0:
         raise ValueError("bin_width must lie in (0, 1)")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     nbins = int(round(1.0 / bin_width))
     if abs(nbins * bin_width - 1.0) > 1e-9:
         raise ValueError("bin_width must divide [0, 1] evenly")
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORERS}")
     oracle = oracle_score_fn(spec) if scorer == "oracle-lfdr" else None
-
     nulls = spec.null_flags
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // nulls.size, reps))
-    values = np.empty((rows, nulls.size))
 
-    def bin_counts(part: range) -> List[np.ndarray]:
+    def bin_counts(indices: range, values: np.ndarray, u: None) -> np.ndarray:
         # bin counts of the alternatives, then of the nulls
-        tally = np.zeros(2 * nbins, dtype=np.int64)
-        for first in range(part.start, part.stop, rows):
-            block = values[:min(rows, part.stop - first)]
-            _draw_rows(spec, _replicate_streams(seed, range(first, first + len(block))), block)
-            check_values(block, spec.scale)
-            scores = _score_block(scorer, block, spec.scale, oracle)
-            idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
-            tally += np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
-        return [tally]
+        scores = _score_block(scorer, values, spec.scale, oracle)
+        idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
+        return np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
 
-    tally = sum(_in_processes(bin_counts, _split_blocks(0, reps, rows), "replicates"))
+    tally = _run_blocks(spec, seed, 0, reps, False, lambda rows: bin_counts, np.add)
     null_counts = tally[nbins:]
     counts = tally[:nbins] + null_counts
     with np.errstate(invalid="ignore"):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lfdrkit.cli import main
+from lfdrkit.cli import main, write_json
 
 
 def run_cli(args, capsys):
@@ -294,6 +294,23 @@ def test_simulate_byte_identical_given_seed(tmp_path, capsys):
     run_cli(args + ["--out", a], capsys)
     run_cli(args + ["--out", b], capsys)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulate_with_one_replicate_writes_strict_json(tmp_path, capsys):
+    # one replicate has no standard error: null, not NaN, which JSON lacks
+    out = tmp_path / "rep.json"
+    code, _, _ = run_cli(["simulate", "--preset", "theorem-5.1", "--criteria",
+                          "fdr,bfdr,power,mfdr:0:1", "--reps", "1", "--seed", "7",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert [est["std_error"] for est in rep["estimates"].values()] == [None] * 4
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "nan.json"), {"mean": math.nan})
 
 
 def test_simulate_config_generator_with_perturbation(tmp_path, capsys):

@@ -60,7 +60,9 @@ def test_generate_is_deterministic_given_seed():
     (DiscreteUniformNulls, dict(m=6, L=9.5), "L"),
     (DiscreteUniformNulls, dict(m=6, L="9"), "L"),
     (DiscreteUniformNulls, dict(m=6, L=9, alt_positions=(1.5, 2.7)), "alt_positions"),
-], ids=["gaussian-m", "gaussian-m1", "beta-m", "grid-m", "grid-L", "grid-L-text", "grid-alt"])
+    (GaussianMeans, dict(m=True, m1=0, mu=2.0), "m"),
+], ids=["gaussian-m", "gaussian-m1", "beta-m", "grid-m", "grid-L", "grid-L-text", "grid-alt",
+        "gaussian-m-bool"])
 def test_generator_specs_require_integral_counts(kind, params, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         kind(**params)
@@ -136,6 +138,9 @@ def test_mc_error_rates_argument_validation():
     proc = ProcedureConfig("support-line", 0.2)
     with pytest.raises(ValueError):
         mc_error_rates(spec, proc, 0, [Bfdr()], seed=1)
+    # a run without criteria would draw every row and report nothing
+    with pytest.raises(ValueError, match="at least one criterion"):
+        mc_error_rates(spec, proc, 5, [], seed=1)
     for crit in (MfdrInterval(math.nan, 1.0), PfdrInterval(0.0, math.nan),
                  PfdrInterval(1.0, 0.0)):
         with pytest.raises(ValueError, match="needs bounds s <= t"):
@@ -206,6 +211,35 @@ def test_keys_at_the_64_bit_endpoints_are_accepted(seed, index):
                           start=index).n_replicates == 1
 
 
+@pytest.mark.parametrize("seed, index, field", [
+    (7.5, 0, "seed"), (7.9, 0, "seed"), (True, 0, "seed"), ("7", 0, "seed"),
+    (7, 2.5, "replicate index"), (7, math.nan, "replicate index"),
+], ids=["seed-7.5", "seed-7.9", "seed-bool", "seed-text", "index-2.5", "index-nan"])
+def test_keys_must_be_integers(seed, index, field):
+    # a fractional key would be truncated to another replicate's stream
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+        replicate_rng(seed, index)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+        mc_error_rates(MERGE_SPEC, MERGE_PROC, 3, [Fdr()], seed=seed, start=index)
+    if index == 0:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            calibration_experiment(GaussianMeans(m=10, m1=1, mu=1.0), "p-value", 3, 0.1, seed)
+
+
+def test_integral_float_keys_and_counts_are_the_integers():
+    assert replicate_rng(7.0, 3.0).random() == replicate_rng(7, 3).random()
+    assert _bytes(mc_error_rates(MERGE_SPEC, MERGE_PROC, 20.0, MERGE_CRITS, seed=3.0)) == \
+        _bytes(_run(0, 20))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", 0, -1])
+def test_replicate_counts_must_be_positive_integers(n):
+    with pytest.raises(ValueError, match="^the replicate count must be"):
+        mc_error_rates(MERGE_SPEC, MERGE_PROC, n, [Fdr()], seed=1)
+    with pytest.raises(ValueError, match="^the replicate count must be"):
+        calibration_experiment(GaussianMeans(m=10, m1=1, mu=1.0), "p-value", n, 0.1, seed=1)
+
+
 def test_rekeyed_streams_match_new_generators():
     # draws of every kind the generators use, including 32-bit buffered ones,
     # must not leak into the next replicate's stream
@@ -220,8 +254,9 @@ def test_rekeyed_streams_match_new_generators():
         assert np.array_equal(values, draws(replicate_rng(99, index)))
 
 
-def _loop_reference(spec, proc, n_reps, crits, seed, start):
-    """Outcome counts from one generator, StatVector and rule call per replicate."""
+def _loop_reference(spec, proc, n_reps, crits, seed, start, picks=None):
+    """Outcome counts from one generator, StatVector and rule call per replicate;
+    each replicate's bFDR outcome is appended to ``picks`` if it is a list."""
     counts = {c.name: Counter() for c in crits}
     for index in range(start, start + n_reps):
         rng = replicate_rng(seed, index)
@@ -242,7 +277,10 @@ def _loop_reference(spec, proc, n_reps, crits, seed, start):
                 # when boundary_stat is None
                 ties = np.flatnonzero(pdata.values == res.boundary_stat)
                 pick = ties[rng.integers(ties.size)] if ties.size > 1 else ties[:1]
-                counts[crit.name][int(np.any(flags[pick])), 1] += 1
+                null = int(np.any(flags[pick]))
+                counts[crit.name][null, 1] += 1
+                if picks is not None:
+                    picks.append(null)
             elif isinstance(crit, Power):
                 if truth.m0 < truth.m:
                     counts[crit.name][r - v, truth.m - truth.m0] += 1
@@ -370,6 +408,21 @@ def _count_replays(mp):
     return replayed
 
 
+def _record_picks(mp):
+    """Each replicate's bFDR outcome (1 for a null at the boundary), in a list,
+    in replicate order when the run stays in this process."""
+    picks = []
+
+    def recorded(*args):
+        out = pick(*args)
+        picks.extend(out.tolist())
+        return out
+
+    pick = simulate._boundary_nulls
+    mp.setattr(simulate, "_boundary_nulls", recorded)
+    return picks
+
+
 def _state_bytes(rng):
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
@@ -405,8 +458,13 @@ def test_replayed_tie_picks_match_the_per_replicate_loop(kind, block_rows):
         if block_rows:
             mp.setattr(simulate, "_BLOCK_ROWS", block_rows)
         replays = _count_replays(mp)
-        report = mc_error_rates(spec, proc, 40, crits, seed=17, start=3)
-    assert report.counts == _loop_reference(spec, proc, 40, crits, 17, 3)
+        picks = _record_picks(mp)
+        report = mc_error_rates(spec, proc, 120, crits, seed=17, start=3)
+    want = []
+    assert report.counts == _loop_reference(spec, proc, 120, crits, 17, 3, picks=want)
+    # replicate by replicate, so a tied row paired with another row's replayed
+    # stream fails even where the totals happen to agree
+    assert picks == want
     assert replays  # the rows did tie, and took the replay path
 
 
