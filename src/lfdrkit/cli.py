@@ -682,11 +682,10 @@ def cmd_calibrate(args) -> int:
     generator, _ = _seeded_design(args, "calibrate")
     curve = calibration_experiment(generator, args.scorer, args.reps,
                                    args.bin_width, args.seed)
-    edges = curve.bin_edges
-    bins = np.arange(edges.size - 1)  # the edges ascend, so this is their sort order
+    edges = list(map(repr, curve.bin_edges.tolist()))
     write_csv(args.out, {
-        "bin_lo": _float_cells(edges[:-1], bins),
-        "bin_hi": _float_cells(edges[1:], bins),
+        "bin_lo": edges[:-1],
+        "bin_hi": edges[1:],
         "count": list(map(str, curve.bin_counts.tolist())),
         # a bin that no score reached has no null fraction
         "null_fraction": ["" if math.isnan(f) else repr(f)

@@ -46,41 +46,41 @@ class ClfdrResult:
 
 
 def _log_esym_prefixes(log_r: np.ndarray, degree: int) -> np.ndarray:
-    """``e[i, ..., k] = log e_k(exp(log_r[..., :i]))`` for i = 0..m, k = 0..degree.
+    """``e[i, k] = log e_k(exp(log_r[:i]))`` for i = 0..m, k = 0..degree.
 
     The elementary symmetric polynomials of the first i ratios, built one
     variable at a time in the log domain, so zero ratios (-inf) are exact.
     """
-    m = log_r.shape[-1]
-    e = np.full((m + 1, *log_r.shape[:-1], degree + 1), -math.inf)
-    e[..., 0] = 0.0
+    m = log_r.size
+    e = np.full((m + 1, degree + 1), -math.inf)
+    e[:, 0] = 0.0
     for i in range(m):
-        e[i + 1, ..., 1:] = np.logaddexp(e[i, ..., 1:], log_r[..., i, None] + e[i, ..., :-1])
+        e[i + 1, 1:] = np.logaddexp(e[i, 1:], log_r[i] + e[i, :-1])
     return e
 
 
-def _two_groups_scores(log_r: np.ndarray, m1: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Scores from log likelihood ratios log(f1(t_j)/f0(t_j)), along the last axis.
+def _two_groups_scores(log_r: np.ndarray, m1: int) -> Tuple[np.ndarray, float]:
+    """Scores from the log likelihood ratios log(f1(t_j)/f0(t_j)) of one row.
 
     With one shared null and one shared alternative density the permutation
     sums collapse to elementary symmetric polynomials in r: the score of
     position i is e_{m1}(r without r_i) / e_{m1}(r).  The numerator joins the
     prefix table of r_0..r_{i-1} to the suffix table of r_{i+1}..r_{m-1}, so
     the cost is O(m * m1) in time and memory.  Returns the scores and
-    log e_{m1}(r); a batch of rows gives each row the scores of its own call.
+    log e_{m1}(r).
     """
     prefix = _log_esym_prefixes(log_r, m1)
-    suffix = _log_esym_prefixes(log_r[..., ::-1], m1)[::-1]
-    # terms[i, ..., k] = log e_k(r_0..r_{i-1}) + log e_{m1-k}(r_{i+1}..r_{m-1})
-    terms = prefix[:-1] + suffix[1:, ..., ::-1]
-    top = terms.max(axis=-1, keepdims=True)
+    suffix = _log_esym_prefixes(log_r[::-1], m1)[::-1]
+    # terms[i, k] = log e_k(r_0..r_{i-1}) + log e_{m1-k}(r_{i+1}..r_{m-1})
+    terms = prefix[:-1] + suffix[1:, ::-1]
+    top = terms.max(axis=1)
     top[~np.isfinite(top)] = 0.0
-    terms -= top
+    terms -= top[:, None]
     np.exp(terms, out=terms)
-    log_e = prefix[-1, ..., m1]
+    log_e = prefix[-1, m1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.exp(top[..., 0] + np.log(terms.sum(axis=-1)) - log_e)
-    return np.moveaxis(scores, 0, -1), log_e
+        scores = np.exp(top + np.log(terms.sum(axis=1)) - log_e)
+    return scores, log_e
 
 
 def _subsets_by_size(m: int):

@@ -162,26 +162,13 @@ def perturb_grid_pvalues(stats: StatVector, L: int,
     """Smooth grid p-values: given p = l/L, draw uniformly on ((l-1)/L, l/L].
 
     Null p-values uniform on the grid become exactly Uniform(0, 1), which
-    restores the boundary-FDR guarantee of the support-line rule.
+    restores the boundary-FDR guarantee of the support-line rule.  This is
+    the path for grid p-values from outside the program; a p-value is on the
+    grid when ``p * L`` lies within 1e-9, or two ulps of l, of a cell l >= 1.
     """
     p = _require_pvalues(stats)
-    return StatVector(grid_perturbation(p, L, rng.random(p.size)), Scale.P_VALUE,
-                      ids=stats.ids)
-
-
-def grid_perturbation(p: np.ndarray, L: int, u: np.ndarray,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``(l - 1 + u) / L`` for grid p-values ``p = l/L`` and uniforms u, elementwise.
-
-    The result goes to ``out`` when given, which may be p itself; after a
-    ValueError its contents are unspecified.
-    """
     pl = p * L
-    ell = np.rint(pl, out=out)
-    np.abs(np.subtract(pl, ell, out=pl), out=pl)
-    if np.any(pl > 1e-9) or np.any(ell < 1):
+    ell = np.rint(pl)
+    if np.any(np.abs(pl - ell) > np.maximum(1e-9, 2.0 * np.spacing(ell))) or np.any(ell < 1):
         raise ValueError(f"statistics are not supported on the 1/{L} grid")
-    ell -= 1.0
-    ell += u
-    ell /= L
-    return ell
+    return StatVector((ell - 1.0 + rng.random(p.size)) / L, Scale.P_VALUE, ids=stats.ids)

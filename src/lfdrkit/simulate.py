@@ -4,15 +4,17 @@ Replicate r of a run with integer master seed s draws from a Philox stream
 keyed by (s, r), so results are independent of execution order.  Error rates
 and calibration share one block loop: it fills a block of rows, one replicate
 each, re-keying one generator per row and drawing in a fixed order (data,
-grid perturbation, then the boundary tie-pick), and hands the block to a
-stage that scores and tallies it.  A row that ties at its boundary rebuilds
-the state its other draws left by re-keying and repeating them.  Rejection
-rules run along the rows with the per-instance rules' arithmetic.  Each
-criterion counts replicates per distinct outcome, such as (V, R), so runs
-over adjacent replicate ranges merge exactly by adding counts.  The loop runs
-one range of whole blocks per usable core, each after the first in a forked
-child, and adds the tallies in range order, so no result depends on how many
-processes ran it.
+then the boundary tie-pick), and hands the block to a stage that scores and
+tallies it.  A perturbed grid design draws its cells, then the row's
+uniforms, and perturbs from the cells in its draw; ``perturb_grid_pvalues``
+is the path for grid p-values from outside.  A row that ties at its
+boundary rebuilds the state its other draws left by re-keying and repeating
+them.  Rejection rules run along the rows with the per-instance rules'
+arithmetic.  Each criterion counts replicates per distinct outcome, such as
+(V, R), so runs over adjacent replicate ranges merge exactly by adding
+counts.  The loop runs one range of whole blocks per usable core, each after
+the first in a forked child, and adds the tallies in range order, so no
+result depends on how many processes ran it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .procedures import (
     PROCEDURES,
     RejectionResult,
     bh_threshold,
-    grid_perturbation,
     perturb_grid_pvalues,
     q_values,
     step_up_thresholds,
@@ -108,7 +109,8 @@ def _replicate_streams(seed: int, indices: Sequence[int]) -> Iterator[np.random.
 # ---------------------------------------------------------------------------
 
 # Each spec has a fixed truth (``null_flags``), a ``scale`` and a ``draw``
-# that fills one replicate's row of statistics from its stream.
+# that fills one replicate's row of statistics from its stream; a grid design
+# also has the ``perturbed_draw`` of a perturbed run.
 
 def _alternatives_first(m: int, m1: int) -> np.ndarray:
     flags = np.ones(m, dtype=bool)
@@ -196,13 +198,26 @@ class DiscreteUniformNulls:
         return _alternatives_first(self.m, len(self.alt_positions))
 
     @cached_property
-    def _alt_values(self) -> np.ndarray:
-        return np.asarray(self.alt_positions, dtype=float) / self.L
+    def _alt_cells(self) -> np.ndarray:
+        return np.asarray(self.alt_positions, dtype=np.int64)
+
+    def _cells(self, rng: np.random.Generator) -> np.ndarray:
+        """The row's grid cells l in 1..L: the alternatives', then the nulls' draws."""
+        return np.concatenate((self._alt_cells,
+                               rng.integers(1, self.L + 1, size=self.m - self._alt_cells.size)))
 
     def draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
-        m1 = len(self.alt_positions)
-        row[:m1] = self._alt_values
-        row[m1:] = rng.integers(1, self.L + 1, size=self.m - m1) / self.L
+        np.divide(self._cells(rng), self.L, out=row)
+
+    def perturbed_draw(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """The cells l of :meth:`draw`, then the row's uniforms u, each value
+        ``(l - 1 + u) / L``: uniform on its cell ((l-1)/L, l/L], so the nulls
+        are exactly Uniform(0, 1) (the randomized p-value)."""
+        cells = self._cells(rng)
+        cells -= 1
+        rng.random(out=row)
+        row += cells
+        row /= self.L
 
 
 @dataclass(frozen=True)
@@ -240,15 +255,13 @@ PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
 }
 
 
-def _draw_rows(spec: GeneratorSpec, streams, values: np.ndarray,
-               u: Optional[np.ndarray] = None) -> np.random.Generator:
-    """The one draw order: row i of ``values`` from the i-th stream, then the
-    row's perturbation uniforms into ``u[i]``.  Returns the last stream, whose
-    state a replayed row's tie-pick reads; the caller checks the values."""
+def _draw_rows(draw: Callable, streams, values: np.ndarray) -> np.random.Generator:
+    """The one draw order: row i of ``values`` by ``draw`` from the i-th
+    stream, a grid design's perturbed draw drawing the cells, then the row's
+    uniforms.  Returns the last stream, whose state a replayed row's tie-pick
+    reads; the caller checks the values."""
     for i, rng in enumerate(streams):
-        spec.draw(rng, values[i])
-        if u is not None:
-            rng.random(out=u[i])
+        draw(rng, values[i])
     return rng
 
 
@@ -259,7 +272,7 @@ def generate(spec: GeneratorSpec, seed: Optional[int] = None,
         rng = replicate_rng(0 if seed is None else seed, 0)
     flags = spec.null_flags
     row = np.empty((1, flags.size))
-    _draw_rows(spec, [rng], row)
+    _draw_rows(spec.draw, [rng], row)
     return StatVector(row[0], spec.scale), GroundTruth(flags)
 
 
@@ -434,30 +447,31 @@ _BLOCK_ROWS = 1 << 10
 def _run_blocks(spec: GeneratorSpec, seed: int, start: int, n: int, perturb: bool,
                 make_stage: Callable[[int], Callable], add: Callable):
     """The one seeded block loop: replicates ``start .. start + n - 1`` of
-    ``seed``, drawn a block of rows at a time into buffers allocated once per
-    run, checked, and handed to ``stage(indices, values, u)``, where ``stage =
-    make_stage(rows)`` is made once for blocks of at most ``rows`` rows and
-    ``u`` holds the perturbation uniforms (None unless ``perturb``).  The
-    blocks run in one range per usable core, each after the first in a forked
-    child, and their tallies are folded with ``add`` in replicate order."""
+    ``seed``, drawn a block of rows at a time into a buffer allocated once per
+    run, checked, and handed to ``stage(indices, values)``, where ``stage =
+    make_stage(rows)`` is made once for blocks of at most ``rows`` rows.  With
+    ``perturb`` a grid design draws its cells, then each row's uniforms, and
+    writes the perturbed values from the cells.  The blocks run in one range
+    per usable core, each after the first in a forked child, and their
+    tallies are folded with ``add`` in replicate order."""
     n = _integer("the replicate count", n)
     if n < 1:
         raise ValueError(f"the replicate count must be >= 1, got {n}")
+    start = _integer("replicate index", start)
     _check_key(seed, start)  # before any child is forked; each block checks its own keys
     m = spec.null_flags.size
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m, n))
     x = np.empty((rows, m))
-    u = np.empty((rows, m)) if perturb else None
+    draw = spec.perturbed_draw if perturb else spec.draw
     stage = make_stage(rows)
 
     def run(part: range) -> list:
         def block(first: int):
             indices = range(first, min(first + rows, part.stop))
             values = x[:len(indices)]
-            uniforms = None if u is None else u[:len(indices)]
-            _draw_rows(spec, _replicate_streams(seed, indices), values, uniforms)
+            _draw_rows(draw, _replicate_streams(seed, indices), values)
             check_values(values, spec.scale)
-            return stage(indices, values, uniforms)
+            return stage(indices, values)
         return [reduce(add, map(block, range(part.start, part.stop, rows)))]
 
     return reduce(add, _in_processes(run, _split_blocks(start, n, rows), "replicates"))
@@ -481,12 +495,13 @@ def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
 def _replayed_streams(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
                       indices: Sequence[int]) -> Iterator[np.random.Generator]:
     """The streams of the ascending replicate ``indices`` in turn, each at the
-    state its data and perturbation draws left: Philox is counter-based, so
-    re-keying to (seed, index) and repeating the draws into a scratch row
-    rebuilds that state bit for bit.  The block's draw checked those values."""
+    state its row's draws left: Philox is counter-based, so re-keying to
+    (seed, index) and repeating the draws into a scratch row rebuilds that
+    state bit for bit.  The block's draw checked those values."""
     scratch = np.empty((1, spec.null_flags.size))
+    draw = spec.perturbed_draw if procedure.perturb else spec.draw
     for rng in _replicate_streams(seed, indices):
-        yield _draw_rows(spec, (rng,), scratch, scratch if procedure.perturb else None)
+        yield _draw_rows(draw, (rng,), scratch)
 
 
 def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
@@ -507,21 +522,19 @@ def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
 
 def _outcome_stage(spec: GeneratorSpec, procedure: ProcedureConfig, criteria, seed: int,
                    rows: int) -> Callable:
-    """The block stage of :func:`mc_error_rates`: perturb, sort, threshold and
-    count each criterion's outcomes.  Its sort and support-line objective
+    """The block stage of :func:`mc_error_rates`: sort, threshold and count
+    each criterion's outcomes.  Its sort and support-line objective
     buffers hold ``rows`` rows and are allocated once, here."""
     nulls = spec.null_flags
     m1 = nulls.size - np.count_nonzero(nulls)
     sort_buffer = np.empty((rows, nulls.size))
     objective = np.empty((rows, nulls.size + 1)) if procedure.kind == "support-line" else None
 
-    def stage(indices: range, values: np.ndarray, u: Optional[np.ndarray]) -> Dict[str, Counter]:
+    def stage(indices: range, values: np.ndarray) -> Dict[str, Counter]:
         def after_draws(tied_rows: np.ndarray) -> Iterator[np.random.Generator]:
             return _replayed_streams(spec, procedure, seed, [indices[i] for i in tied_rows])
 
         n = len(indices)
-        if u is not None:
-            grid_perturbation(values, spec.L, u, out=values)
         p = to_pvalues(values, spec.scale)
         ps = sort_buffer[:n]
         np.copyto(ps, p)
@@ -588,7 +601,7 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
                          partial(_outcome_stage, spec, procedure, criteria, seed), _add_counts)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
-    return _report(start, int(n_reps), config, criteria, counts)
+    return _report(int(start), int(n_reps), config, criteria, counts)
 
 
 def merge_reports(a: MonteCarloReport, b: MonteCarloReport) -> MonteCarloReport:
@@ -656,7 +669,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
     oracle = oracle_score_fn(spec) if scorer == "oracle-lfdr" else None
     nulls = spec.null_flags
 
-    def bin_counts(indices: range, values: np.ndarray, u: None) -> np.ndarray:
+    def bin_counts(indices: range, values: np.ndarray) -> np.ndarray:
         # bin counts of the alternatives, then of the nulls
         scores = _score_block(scorer, values, spec.scale, oracle)
         idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as sbeta
 
 import lfdrkit as lk
-from lfdrkit.procedures import grid_perturbation
 from lfdrkit.simulate import replicate_rng
 
 
@@ -245,32 +244,38 @@ def test_perturb_grid_pvalues():
     p = np.array([1, 3, 9, 9]) / L
     out = lk.perturb_grid_pvalues(_pstats(p), L, rng)
     assert np.all(out.values <= p) and np.all(out.values > p - 1.0 / L)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^statistics are not supported on the 1/9 grid$"):
         lk.perturb_grid_pvalues(_pstats([0.123]), L, rng)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 40), st.integers(0, 1000))
-def test_grid_perturbation_in_place_equals_the_allocating_call(L, rows, m, index):
-    rng = replicate_rng(31, index)
-    p = rng.integers(1, L + 1, (rows, m)) / L
-    u = rng.random((rows, m))
-    expected = grid_perturbation(p, L, u)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 1000))
+def test_perturb_grid_pvalues_is_the_cell_formula(L, m, index):
+    p = replicate_rng(31, index).integers(1, L + 1, m) / L
+    u = replicate_rng(32, index).random(m)
+    out = lk.perturb_grid_pvalues(_pstats(p), L, replicate_rng(32, index))
     # the formula the harness has always used, in the same operation order
-    assert np.array_equal(expected, (np.rint(p * L) - 1.0 + u) / L)
-    out = p.copy()
-    assert grid_perturbation(out, L, u, out=out) is out
-    assert out.tobytes() == expected.tobytes()
+    assert out.values.tobytes() == ((np.rint(p * L) - 1.0 + u) / L).tobytes()
 
 
-def test_grid_perturbation_in_place_rejects_off_grid_input():
-    p, u = np.array([[1 / 3, 0.123]]), np.full((1, 2), 0.5)
-    with pytest.raises(ValueError) as allocating:
-        grid_perturbation(p, 3, u)
-    with pytest.raises(ValueError) as in_place:
-        grid_perturbation(p.copy(), 3, u, out=p.copy())
-    assert str(in_place.value) == str(allocating.value) == \
-        "statistics are not supported on the 1/3 grid"
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 1 << 40).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.integers(1, L), min_size=1, max_size=20))))
+@example((5 * 10**7, replicate_rng(34, 0).integers(1, 5 * 10**7 + 1, 100).tolist()))
+@example((10**8, replicate_rng(34, 1).integers(1, 10**8 + 1, 100).tolist()))
+def test_perturb_grid_pvalues_takes_exact_grid_values_on_fine_grids(grid):
+    # (k / L) * L rounds up to two ulps of k away from k, past 1e-9 once
+    # L exceeds 2**22; a hundredth of a cell off the grid is far beyond that
+    L, cells = grid
+    k = np.array(cells)
+    rng = replicate_rng(33, 0)
+    out = lk.perturb_grid_pvalues(_pstats(k / L), L, rng)
+    assert np.all(out.values <= k / L) and np.all(out.values > (k - 1) / L)
+    for i in range(k.size):
+        p = k / L
+        p[i] = (k[i] - 0.01) / L
+        with pytest.raises(ValueError, match="not supported on the 1/"):
+            lk.perturb_grid_pvalues(_pstats(p), L, rng)
 
 
 def test_perturbed_nulls_are_uniform():

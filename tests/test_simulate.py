@@ -232,6 +232,15 @@ def test_integral_float_keys_and_counts_are_the_integers():
         _bytes(_run(0, 20))
 
 
+def test_an_integral_float_start_is_the_integer():
+    report = mc_error_rates(MERGE_SPEC, MERGE_PROC, 3, [Fdr()], seed=1, start=3.0)
+    expected = mc_error_rates(MERGE_SPEC, MERGE_PROC, 3, [Fdr()], seed=1, start=3)
+    assert type(report.start) is int and report.start == 3
+    assert report.counts == expected.counts
+    with pytest.raises(ValueError, match="^replicate index must be an integer, got 2.5"):
+        mc_error_rates(MERGE_SPEC, MERGE_PROC, 3, [Fdr()], seed=1, start=2.5)
+
+
 @pytest.mark.parametrize("n", [2.5, True, "3", 0, -1])
 def test_replicate_counts_must_be_positive_integers(n):
     with pytest.raises(ValueError, match="^the replicate count must be"):
@@ -292,12 +301,16 @@ def _loop_reference(spec, proc, n_reps, crits, seed, start, picks=None):
     return counts
 
 
+def _grid_specs(max_L):
+    return st.tuples(st.integers(1, 30), st.integers(1, max_L)).flatmap(lambda mL: st.builds(
+        DiscreteUniformNulls, m=st.just(mL[0]), L=st.just(mL[1]),
+        alt_positions=st.lists(st.integers(1, mL[1]), max_size=mL[0]).map(tuple)))
+
+
 _SPECS = st.one_of(
     st.builds(TwoGroupsBeta, m=st.integers(1, 30), pi0=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
               a=st.sampled_from([0.05, 0.3, 1.0]), b=st.just(1.0)),
-    st.tuples(st.integers(1, 30), st.integers(1, 6)).flatmap(lambda mL: st.builds(
-        DiscreteUniformNulls, m=st.just(mL[0]), L=st.just(mL[1]),
-        alt_positions=st.lists(st.integers(1, mL[1]), max_size=mL[0]).map(tuple))),
+    _grid_specs(6),
     st.builds(GaussianMeans, m=st.integers(1, 30), m1=st.just(0), mu=st.just(2.0)),
     st.just(SuperUniformCE()),
     st.just(PRESETS["counterexample-discrete"][0]),
@@ -790,6 +803,32 @@ def test_perturbation_restores_exact_boundary_rate():
     est = rep.estimates["bFDR"]
     want = (54 / 60) * 0.4
     assert est["mean"] == pytest.approx(want, abs=3 * est["std_error"])
+
+
+@pytest.mark.parametrize("L", [10**8, 10**9])
+def test_perturbation_restores_exact_boundary_rate_on_fine_grids(L):
+    # the design's draws lie on its grid however fine it is, so none is refused
+    spec = DiscreteUniformNulls(m=50, L=L, alt_positions=(1, 2, 3))
+    proc = ProcedureConfig("support-line", 0.5, perturb=True)
+    est = mc_error_rates(spec, proc, 4000, [Bfdr()], seed=18).estimates["bFDR"]
+    assert est["mean"] == pytest.approx((47 / 50) * 0.5, abs=3 * est["std_error"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_specs(1000), st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+def test_perturbed_draw_is_perturb_grid_pvalues_of_the_draw(spec, seed, index):
+    rng = replicate_rng(seed, index)
+    data, _ = generate(spec, rng=rng)
+    expected = perturb_grid_pvalues(data, spec.L, rng).values
+    drawn = replicate_rng(seed, index)
+    row = np.empty(spec.m)
+    spec.perturbed_draw(drawn, row)
+    assert row.tobytes() == expected.tobytes()
+    # and the tie-pick's replay rebuilds the state the perturbed draw left
+    proc = ProcedureConfig("support-line", 0.5, perturb=True)
+    assert _state_bytes(drawn) == _state_bytes(rng)
+    assert [_state_bytes(replayed) for replayed in
+            simulate._replayed_streams(spec, proc, seed, [index])] == [_state_bytes(rng)]
 
 
 def test_perturbation_refuses_a_grid_that_is_not_the_designs():
