@@ -31,11 +31,12 @@ from .core import (
     EstimationError,
     FitError,
     GaussianLocation,
-    IdBuffer,
     LossSpec,
     Scale,
     StatVector,
+    TextColumn,
     Uniform01,
+    _all_distinct,
     _hashes,
     _in_processes,
     _split_blocks,
@@ -117,12 +118,14 @@ def _header_width(path: str, header: Sequence[str]) -> int:
     return len(cols)
 
 
-def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[float]]:
-    """The ``csv.reader`` parse of ``data``, the bytes read from ``path``, row
-    by row: the reference for ``_read_columns`` and the path for any input
-    that one cannot vouch for.  The bytes are parsed, not the path opened
-    again, which a pipe would answer with nothing."""
+def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[str], List[float]]:
+    """The ids, stat texts and stats of the ``csv.reader`` parse of ``data``,
+    the bytes read from ``path``, row by row: the reference for
+    ``_read_columns`` and the path for any input that one cannot vouch for.
+    The bytes are parsed, not the path opened again, which a pipe would
+    answer with nothing."""
     ids: List[str] = []
+    texts: List[str] = []
     vals: List[float] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -144,6 +147,7 @@ def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[float]]:
                 if ncols == 3 and row[2] not in ("0", "1"):
                     raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
                 ids.append(row[0])
+                texts.append(row[1])
                 vals.append(stat)
         except StopIteration:
             raise CliError("bad-input", f"{path}: empty file")
@@ -161,44 +165,50 @@ def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[float]]:
             raise
     if not vals:
         raise CliError("bad-input", f"{path}: no statistics")
-    return ids, vals
+    return ids, texts, vals
 
 
-def _packed(ids: List[str]) -> Tuple[bytes, np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``ids`` end to end, the byte length of each, in the
-    narrowest integer type that holds them all, and the hash of each."""
-    text = "".join(ids)
+def _packed(texts: List[str]) -> Tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of ``texts`` end to end, and the byte length of each,
+    in the narrowest integer type that holds them all."""
+    text = "".join(texts)
     raw = text.encode("utf-8")
     # ASCII text has a byte per character
-    lengths = map(len, ids) if len(raw) == len(text) else \
-        (len(i.encode("utf-8")) for i in ids)
-    return raw, np.fromiter(lengths, np.min_scalar_type(len(raw)), count=len(ids)), \
-        _hashes(ids)
+    lengths = map(len, texts) if len(raw) == len(text) else \
+        (len(t.encode("utf-8")) for t in texts)
+    return raw, np.fromiter(lengths, np.min_scalar_type(len(raw)), count=len(texts))
 
 
-class _IdPacker:
-    """The parts of an ``IdBuffer`` of m ids of at most ``max_bytes`` UTF-8
-    bytes in all, appended in row order a ``_packed`` list of ids at a time:
-    their bytes, in an anonymous map whose pages are touched only as they
-    are written, where each ends, in the narrowest integer type that holds
-    ``max_bytes``, and their hashes."""
+class _TextPacker:
+    """The two ``TextColumn``s of m rows that a reader fills, the ids and the
+    stat texts, each of at most ``max_bytes`` UTF-8 bytes, appended in row
+    order a window at a time: each column's bytes, in an anonymous map whose
+    pages are touched only as they are written, where each cell ends, in the
+    narrowest integer type that holds ``max_bytes``, and the ids' hashes."""
 
     def __init__(self, m: int, max_bytes: int):
-        self.data = mmap.mmap(-1, max(1, max_bytes))
-        self.ends = np.zeros(m + 1, np.min_scalar_type(max_bytes))
+        self.data = [mmap.mmap(-1, max(1, max_bytes)) for _ in range(2)]
+        self.ends = np.zeros((2, m + 1), np.min_scalar_type(max_bytes))
         self.hashes = np.empty(m, np.int64)
         self.added = 0
 
-    def add(self, raw: bytes, lengths: np.ndarray, hashes: np.ndarray) -> None:
-        row, self.added = self.added, self.added + lengths.size
-        self.ends[row + 1:self.added + 1] = lengths
+    def add(self, hashes: np.ndarray, *packed: Tuple[bytes, np.ndarray]) -> None:
+        """Append the ids' hashes, then the ``_packed`` ids and stat texts."""
+        row, self.added = self.added, self.added + hashes.size
         self.hashes[row:self.added] = hashes
-        self.data.write(raw)
+        for data, ends, (raw, lengths) in zip(self.data, self.ends, packed):
+            ends[row + 1:self.added + 1] = lengths
+            data.write(raw)
 
-    def ids(self) -> IdBuffer:
-        """The buffer of the ids added: the lengths add up to ends."""
-        np.cumsum(self.ends, out=self.ends)
-        return IdBuffer(self.data[:self.data.tell()], self.ends, self.hashes)
+    def columns(self) -> Tuple[TextColumn, TextColumn]:
+        """The ids and the stat texts added, which keep the maps; the ids are
+        checked unique from their hashes, by the rule ``StatVector`` applies
+        to a tuple."""
+        np.cumsum(self.ends, axis=1, out=self.ends)
+        ids, texts = map(TextColumn, self.data, self.ends)
+        if not _all_distinct(ids, self.hashes):
+            raise ValueError("ids must be unique")
+        return ids, texts
 
 
 # bytes of the input scanned at a time; a window holds whole lines, so a line
@@ -224,17 +234,18 @@ def _line_windows(data, lo: int) -> Optional[List[int]]:
     return cuts
 
 
-def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np.ndarray]]:
+def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_TextPacker, np.ndarray]]:
     """The parse of ``_read_rows`` a window of lines at a time, or None where
     only the row loop can tell what ``csv.reader`` makes of the bytes or
     which error comes first: quotes, CR, blank, ragged or over-long lines,
     no data row, bytes that are not UTF-8, or a stat, p-value or truth cell
     that it rejects.  ``data`` is ``bytes`` or a read-only map of the file;
     it is scanned in windows of ``_SCAN_BYTES``, so no copy or mask of its
-    whole size is made, and the ids are packed a window at a time, so no
-    column of m cell strings is built.  The windows are shared out in runs
-    between the usable cores, and their values and packed ids are appended
-    in row order, up to the first window that does not parse."""
+    whole size is made, and the ids and stat texts are packed a window at a
+    time, so no column of m cell strings is built.  The windows are shared
+    out in runs between the usable cores, and their values, id hashes and
+    packed texts are appended in row order, up to the first window that does
+    not parse."""
     head = data.find(b"\n")
     if head < 0 or data.find(b'"') >= 0 or data.find(b"\r") >= 0 or \
             head + 1 > csv.field_size_limit():
@@ -257,8 +268,9 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
     if m < 1:
         return None
 
-    def window(w: int) -> Optional[Tuple[np.ndarray, bytes, np.ndarray, np.ndarray]]:
-        """The values and ``_packed`` ids of window w, or None where it does not parse."""
+    def window(w: int) -> Optional[Tuple[np.ndarray, np.ndarray, Tuple, Tuple]]:
+        """The values, id hashes, ``_packed`` ids and ``_packed`` stat texts of
+        window w, or None where it does not parse."""
         lo, hi, n = cuts[w], cuts[w + 1], int(firsts[w + 1] - firsts[w])
         ends = np.flatnonzero(buf[lo:hi] == ord("\n"))
         if ends.size < n:
@@ -277,7 +289,8 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
             return None
         if ncols == 3 and not set(cells[2::3]) <= {"0", "1"}:
             return None
-        return (values, *_packed(cells[::ncols]))
+        ids = cells[::ncols]
+        return values, _hashes(ids), _packed(ids), _packed(cells[1::ncols])
 
     # runs of whole windows, named by their rows
     parts = {range(int(firsts[w.start]), int(firsts[w.stop])): w
@@ -290,22 +303,23 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_IdPacker, np
             if parsed is None:
                 return
 
-    vals, ids = np.empty(m), _IdPacker(m, buf.size)
+    vals, packer = np.empty(m), _TextPacker(m, buf.size)
     # closing the windows at a decline reaps every child
     with closing(_in_processes(parse, list(parts), "rows")) as windows:
         for parsed in windows:
             if parsed is None:
                 return None
             values, *packed = parsed
-            vals[ids.added:ids.added + values.size] = values
-            ids.add(*packed)
+            vals[packer.added:packer.added + values.size] = values
+            packer.add(*packed)
     if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
         return None
-    return ids, vals
+    return packer, vals
 
 
-def read_stats_csv(path: str, scale: Scale) -> StatVector:
-    """The ids and stats of ``id,stat[,truth]`` rows; errors carry the 1-based line number."""
+def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, TextColumn]:
+    """The ids and stats of ``id,stat[,truth]`` rows, and the text of each stat
+    cell as the ``csv`` module reads it; errors carry the 1-based line number."""
     with open(path, "rb") as fh:
         try:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -313,10 +327,10 @@ def read_stats_csv(path: str, scale: Scale) -> StatVector:
             data = fh.read()
     columns = _read_columns(path, data, scale)
     if columns is None:
-        ids, vals = _read_rows(path, data, scale)
-        raw, lengths, hashes = _packed(ids)
-        packer = _IdPacker(len(ids), len(raw))
-        packer.add(raw, lengths, hashes)
+        ids, texts, vals = _read_rows(path, data, scale)
+        # a cell's text is at most the bytes it was read from
+        packer = _TextPacker(len(ids), len(data))
+        packer.add(_hashes(ids), _packed(ids), _packed(texts))
     else:
         packer, vals = columns
     # dropping the map unmaps the file
@@ -325,7 +339,8 @@ def read_stats_csv(path: str, scale: Scale) -> StatVector:
         # StatVector checks the values before the ids, and so does this
         vals = np.asarray(vals, dtype=float)
         check_values(vals, scale)
-        return StatVector(vals, scale, ids=packer.ids())
+        ids, texts = packer.columns()
+        return StatVector(vals, scale, ids=ids), texts
     except ValueError as exc:
         raise CliError("bad-input", f"{path}: {exc}")
 
@@ -386,11 +401,12 @@ _FLOAT_CELL_BYTES = 25
 
 
 def _float_cells(values: np.ndarray, order: np.ndarray) -> _ChunkCells:
-    """``repr`` of each value.  Repeats are found as runs of equal bits along
-    ``order``, a permutation of the rows, and each run is formatted once; along
-    a sort order every repeated value is one run.  Told apart by their bits,
-    -0.0 and 0.0 never share a cell.  The runs' cells are kept as one array
-    of space-padded ASCII, indexed by a run number per row in the narrowest
+    """``repr`` of each value, for the computed columns ``q_value`` and
+    ``lfdr_score``.  Repeats are found as runs of equal bits along ``order``,
+    a permutation of the rows, and each run is formatted once; along a sort
+    order every repeated value is one run.  Told apart by their bits, -0.0
+    and 0.0 never share a cell.  The runs' cells are kept as one array of
+    space-padded ASCII, indexed by a run number per row in the narrowest
     integer type, and a chunk of rows gathers its cells and splits them into
     ``str`` at once.  Without repeats each chunk is formatted as it is
     written."""
@@ -539,7 +555,7 @@ def cmd_analyze(args) -> int:
     args.out = _resolve(args.out, config, "out", None)
 
     scale = Scale.P_VALUE if scale_txt == "p" else Scale.Z_VALUE
-    stats = read_stats_csv(input_path, scale)
+    stats, stat_texts = read_stats_csv(input_path, scale)
     pstats = stats if scale is Scale.P_VALUE else \
         StatVector(to_pvalues(stats.values, scale), Scale.P_VALUE)
 
@@ -565,7 +581,7 @@ def cmd_analyze(args) -> int:
     del scores
     table = {
         "id": _ChunkCells(stats.m, lambda rows: _text_cells(stats.ids[rows])),
-        "stat": _float_cells(stats.values, stats.order),
+        "stat": _ChunkCells(stats.m, lambda rows: _text_cells(stat_texts[rows])),
         "q_value": _float_cells(q_values(pstats), pstats.order),
         "lfdr_score": score_cells,
         ",".join(f"rejected_{name}" for name in [*results, "lfdr"]):

@@ -122,22 +122,19 @@ def _all_distinct(items: Sequence, hashes: Optional[np.ndarray] = None) -> bool:
     return len(set(suspects)) == len(suspects)
 
 
-class IdBuffer(Sequence):
-    """Unique text ids held as one UTF-8 buffer: ``data[ends[i]:ends[i + 1]]``
-    is id i.  That costs the text and an offset an id, where a ``str`` object
-    costs about 50 bytes over its text.  ``ids[i]`` decodes one id and
-    ``ids[lo:hi]`` a list of them, so a reader of the column holds one slice
-    of ``str`` at a time.  ``hashes`` is ``hash`` of each id as ``str``,
-    taken while the caller held them; the ids are checked unique from it
-    when the buffer is built, by the rule ``StatVector`` applies to a tuple.
+class TextColumn(Sequence):
+    """A column of text cells held as one UTF-8 buffer: ``data[ends[i]:ends[i + 1]]``
+    is cell i.  That costs the text and an offset a cell, where a ``str``
+    object costs about 50 bytes over its text.  ``column[i]`` decodes one cell
+    and ``column[lo:hi]`` a list of them, so a reader of the column holds one
+    slice of ``str`` at a time.  ``data`` is ``bytes`` or a map; the cells
+    may repeat, so a column of ids is checked unique by whoever packs it.
     """
 
-    def __init__(self, data: bytes, ends: np.ndarray, hashes: np.ndarray):
+    def __init__(self, data, ends: np.ndarray):
         self._data = data
         self._ends = ends.view()
         self._ends.setflags(write=False)
-        if not _all_distinct(self, hashes):
-            raise ValueError("ids must be unique")
 
     def __len__(self) -> int:
         return self._ends.size - 1
@@ -153,7 +150,7 @@ class IdBuffer(Sequence):
         if hi <= lo:
             return []
         raw = self._data[ends[lo]:ends[hi]]
-        if b"," in raw:  # a comma cannot then mark where one id ends
+        if b"," in raw:  # a comma cannot then mark where one cell ends
             return [self._data[a:b].decode("utf-8")
                     for a, b in zip(ends[lo:hi].tolist(), ends[lo + 1:hi + 1].tolist())]
         cuts = ends[lo + 1:hi].astype(np.intp) - int(ends[lo])
@@ -172,15 +169,15 @@ class StatVector:
         lie in [0, 1]; exact 0 and 1 are allowed.
     scale : Scale
         Which sample space the values live on.
-    ids : IdBuffer or iterable of str, optional
+    ids : TextColumn or iterable of str, optional
         Opaque labels, unique, one per statistic, kept as given: no label is
-        converted to ``str``.  An ``IdBuffer`` is kept as it is, and checked
-        unique when it was built; any other iterable is made a tuple.
+        converted to ``str``.  A ``TextColumn`` is kept as it is, and checked
+        unique by whoever packed it; any other iterable is made a tuple.
     """
 
     values: np.ndarray
     scale: Scale
-    ids: Optional[Union[IdBuffer, Tuple[str, ...]]] = None
+    ids: Optional[Union[TextColumn, Tuple[str, ...]]] = None
 
     def __post_init__(self):
         arr = _frozen_array(self.values, float)
@@ -189,11 +186,11 @@ class StatVector:
         check_values(arr, self.scale)
         object.__setattr__(self, "values", arr)
         if self.ids is not None:
-            ids = self.ids if isinstance(self.ids, IdBuffer) else tuple(self.ids)
+            ids = self.ids if isinstance(self.ids, TextColumn) else tuple(self.ids)
             if len(ids) != arr.size:
                 raise ValueError("ids must match values in length")
-            # an IdBuffer checked its ids when it was built
-            if not (isinstance(ids, IdBuffer) or _all_distinct(ids)):
+            # the packer of a TextColumn checked its ids from the hashes it took
+            if not (isinstance(ids, TextColumn) or _all_distinct(ids)):
                 raise ValueError("ids must be unique")
             object.__setattr__(self, "ids", ids)
 

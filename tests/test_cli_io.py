@@ -3,9 +3,10 @@
 ``read_stats_csv`` maps the file and parses it a column at a time, over
 windows of whole lines, and hands anything it cannot vouch for to the
 ``csv.reader`` row loop, which is also the reference here.  Both keep the ids
-in one ``IdBuffer``.  The writer formats each run of equal floats once
-and formats and writes rows in chunks; a row-at-a-time writer kept in this
-file is its reference.
+and the stat cells' text each in one ``TextColumn``, and the writer writes
+that text back as the ``stat`` column, quoted as an id would be.  It formats
+each run of equal computed floats once and formats and writes rows in
+chunks; a row-at-a-time writer kept in this file is its reference.
 """
 
 import contextlib
@@ -97,13 +98,13 @@ def malformed_files(draw):
 
 
 def _outcome(path, scale):
-    """What ``read_stats_csv`` gives: values bitwise and the id cells that
-    the writer is handed, or its error."""
+    """What ``read_stats_csv`` gives: values bitwise and the id and stat
+    cells that the writer is handed, or its error."""
     try:
-        stats = cli.read_stats_csv(str(path), scale)
+        stats, texts = cli.read_stats_csv(str(path), scale)
     except (cli.CliError, ValueError) as exc:
         return type(exc), getattr(exc, "code", None), str(exc)
-    return stats.values.view(np.int64).tolist(), stats.ids[0:stats.m]
+    return stats.values.view(np.int64).tolist(), stats.ids[0:stats.m], texts[0:len(texts)]
 
 
 def _row_loop_outcome(path, scale):
@@ -336,7 +337,7 @@ def test_reader_tells_ids_apart_when_every_hash_collides(reader, tmp_path, capsy
     with patch.object(cli, "_hashes", _all_hashes_collide), reader_patch:
         vouched = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE) is not None
         assert vouched == (reader == "columns")
-        assert cli.read_stats_csv(str(path), Scale.P_VALUE).ids[0:50] == \
+        assert cli.read_stats_csv(str(path), Scale.P_VALUE)[0].ids[0:50] == \
             [f"h{i}" for i in range(50)]
         path.write_text(path.read_text(encoding="utf-8") + "h7,0.5\n", encoding="utf-8")
         assert _analyze_outcome(path, capsys) == \
@@ -353,7 +354,7 @@ def test_reader_checks_the_values_before_the_ids(tmp_path):
 def test_score_hypotheses_names_a_read_id(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("id,stat\nok,0.1\ntail,0.95\n", encoding="utf-8")
-    stats = cli.read_stats_csv(str(path), Scale.P_VALUE)
+    stats, _ = cli.read_stats_csv(str(path), Scale.P_VALUE)
     fit = cli.grenander_fit(StatVector([0.2, 0.5], Scale.P_VALUE))
     curve = LfdrCurve(1.0, cli.Uniform01(), fit)
     with pytest.raises(DomainError, match=r"^statistic tail \(index 1\): "):
@@ -397,7 +398,7 @@ def test_float_cells_of_repeats_not_adjacent_in_the_order_equal_repr():
 
 
 def test_analyze_quotes_ids_that_need_it(tmp_path):
-    # the row loop reads these, and the id buffer holds them as they are,
+    # the row loop reads these, and the id column holds them as they are,
     # NUL included (the csv module reads and writes it since Python 3.11)
     ids = ["a,1", 'say "hi"', "two\nlines", "cr\rid", "plain", "", "nul\x00id", "é,\n\"\x00"]
     path = tmp_path / "in.csv"
@@ -412,6 +413,34 @@ def test_analyze_quotes_ids_that_need_it(tmp_path):
     assert all(len(row) == 8 for row in rows)
     assert [row[0] for row in rows[1:]] == ids
     assert b"\nnul\x00id," in stem.with_suffix(".csv").read_bytes()
+
+
+# stat cells that are not the repr of their value; 0.50 and 5E-1 are one value
+STAT_TEXTS = ["1e-2", "0.50", " 0.7", "+.9", "5E-1"]
+
+
+@pytest.mark.parametrize("reader", ["columns", "rows"])
+def test_analyze_writes_each_stat_cell_as_the_input_holds_it(reader, tmp_path):
+    # a quoted cell holding LF, which float() takes, leaves the file to the row loop
+    texts = STAT_TEXTS + (["0.5\n"] if reader == "rows" else [])
+    cells = ['"' + t + '"' if "\n" in t else t for t in texts]
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat,truth\n" + "".join(f"h{k},{cell},{k % 2}\n"
+                                                for k, cell in enumerate(cells)),
+                    encoding="utf-8", newline="")
+    vouched = cli._read_columns(str(path), path.read_bytes(), Scale.P_VALUE) is not None
+    assert vouched == (reader == "columns")
+    stem = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(path), "--out", str(stem)]) == 0
+    # every cell as written, and the one holding LF quoted as an id would be
+    table = stem.with_suffix(".csv").read_bytes()
+    for k, cell in enumerate(cells):
+        assert f"\nh{k},{cell},".encode() in table
+    with open(stem.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
+        read_back = [row[1] for row in list(csv.reader(fh))[1:]]
+    assert read_back == texts
+    assert np.array(read_back, dtype=float).view(np.int64).tolist() == \
+        np.array(list(map(float, texts))).view(np.int64).tolist()
 
 
 def _reference_table(ids, stats, qvals, scores, flag_columns) -> str:
@@ -721,9 +750,10 @@ code = cli.main(["analyze", "--input", sys.argv[1], "--out", sys.argv[2]])
 print(code, status_mb("VmHWM") - base)
 """
 # analyze of GUARD_M p-values may raise the resident set this many MB above
-# its size after import: it rose 24.5 MB on Linux with Python 3.11 and
-# numpy 2.4, against 58.6 MB when the ids were 2 * 10**5 str objects and the
-# input one buffer with masks of its size
+# its size after import: it rose 28.0 MB on Linux with Python 3.11 and
+# numpy 2.4 (23.2 MB before the stat texts were packed beside the ids),
+# against 58.6 MB when the ids were 2 * 10**5 str objects and the input one
+# buffer with masks of its size
 GUARD_M = 200_000
 GUARD_MB = 35.0
 

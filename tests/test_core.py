@@ -12,7 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import beta, norm
 
 import lfdrkit as lk
-from lfdrkit.core import DomainError, IdBuffer, _hashes, to_pvalues
+from lfdrkit.core import DomainError, TextColumn, to_pvalues
 
 
 def test_statvector_validation():
@@ -60,7 +60,7 @@ def test_statvector_id_check_agrees_with_a_set(ids):
 def _id_buffer(ids):
     raw = [i.encode("utf-8") for i in ids]
     ends = np.cumsum([0, *map(len, raw)], dtype=np.int64)
-    return IdBuffer(b"".join(raw), ends, _hashes(ids))
+    return TextColumn(b"".join(raw), ends)
 
 
 # ids with the characters that could mark where an id ends, and non-ASCII text
@@ -71,10 +71,8 @@ ID_TEXT = st.text(st.sampled_from(["a", "é", ",", "\n", '"', "\x00", " ", "\r"]
 @given(st.lists(ID_TEXT, max_size=12), st.integers(-14, 14), st.integers(-14, 14),
        st.sampled_from([None, 1, 2, -1]))
 def test_id_buffer_reads_back_its_ids(ids, lo, hi, step):
-    if len(set(ids)) < len(ids):
-        with pytest.raises(ValueError, match="ids must be unique"):
-            _id_buffer(ids)
-        return
+    # a text column holds repeats too, as a column of stat texts does; the
+    # reader checks its ids unique as it packs them
     buf = _id_buffer(ids)
     assert len(buf) == len(ids)
     assert list(buf) == ids
@@ -439,3 +437,22 @@ def test_entry_point_leaves_scipy_submodules_out(tmp_path, argv, absent):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()
     assert not set(absent) & set(loaded), loaded
+
+
+_ADDED = ("import sys, lfdrkit.cli\n"
+          "before = set(sys.modules)\n"
+          "assert lfdrkit.cli.main(sys.argv[1:]) == 0\n"
+          "print('added:', *sorted(set(sys.modules) - before))")
+
+
+def test_a_small_analyze_loads_nothing_beyond_the_cli_import(tmp_path):
+    # a fresh interpreter: an import that analyze made lazily would show only there
+    p = np.random.default_rng(7).random(2000)
+    path = tmp_path / "p.csv"
+    path.write_text("id,stat\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist())),
+                    encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _ADDED, "analyze", "--input", str(path),
+                           "--density", "grenander", "--out", str(tmp_path / "res")],
+                          capture_output=True, text=True, env=dict(os.environ), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "added:"
