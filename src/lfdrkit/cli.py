@@ -36,11 +36,9 @@ from .core import (
     StatVector,
     TextColumn,
     Uniform01,
-    _all_distinct,
     _hashes,
     _in_processes,
     _split_blocks,
-    check_values,
     to_pvalues,
 )
 from .density import grenander_fit, lindsey_fit, npmle_mixture_fit
@@ -118,12 +116,12 @@ def _header_width(path: str, header: Sequence[str]) -> int:
     return len(cols)
 
 
-def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[str], List[float]]:
-    """The ids, stat texts and stats of the ``csv.reader`` parse of ``data``,
-    the bytes read from ``path``, row by row: the reference for
-    ``_read_columns`` and the path for any input that one cannot vouch for.
-    The bytes are parsed, not the path opened again, which a pipe would
-    answer with nothing."""
+def _read_rows(path: str, data, scale: Scale) -> Tuple[_TextPacker, List[float]]:
+    """The ids and stat texts, packed, and the stats of the ``csv.reader``
+    parse of ``data``, the bytes read from ``path``, row by row: the
+    reference for ``_read_columns`` and the path for any input that one
+    cannot vouch for.  The bytes are parsed, not the path opened again,
+    which a pipe would answer with nothing."""
     ids: List[str] = []
     texts: List[str] = []
     vals: List[float] = []
@@ -165,7 +163,10 @@ def _read_rows(path: str, data, scale: Scale) -> Tuple[List[str], List[str], Lis
             raise
     if not vals:
         raise CliError("bad-input", f"{path}: no statistics")
-    return ids, texts, vals
+    # a cell's text is at most the bytes it was read from
+    packer = _TextPacker(len(ids), len(data))
+    packer.add(_hashes(ids), _packed(ids), _packed(texts))
+    return packer, vals
 
 
 def _packed(texts: List[str]) -> Tuple[bytes, np.ndarray]:
@@ -201,14 +202,9 @@ class _TextPacker:
             data.write(raw)
 
     def columns(self) -> Tuple[TextColumn, TextColumn]:
-        """The ids and the stat texts added, which keep the maps; the ids are
-        checked unique from their hashes, by the rule ``StatVector`` applies
-        to a tuple."""
+        """The ids and the stat texts added, which keep the maps."""
         np.cumsum(self.ends, axis=1, out=self.ends)
-        ids, texts = map(TextColumn, self.data, self.ends)
-        if not _all_distinct(ids, self.hashes):
-            raise ValueError("ids must be unique")
-        return ids, texts
+        return tuple(map(TextColumn, self.data, self.ends))
 
 
 # bytes of the input scanned at a time; a window holds whole lines, so a line
@@ -325,22 +321,12 @@ def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, TextColumn]:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError):  # a pipe, or an empty file
             data = fh.read()
-    columns = _read_columns(path, data, scale)
-    if columns is None:
-        ids, texts, vals = _read_rows(path, data, scale)
-        # a cell's text is at most the bytes it was read from
-        packer = _TextPacker(len(ids), len(data))
-        packer.add(_hashes(ids), _packed(ids), _packed(texts))
-    else:
-        packer, vals = columns
+    packer, vals = _read_columns(path, data, scale) or _read_rows(path, data, scale)
     # dropping the map unmaps the file
     del data
+    ids, texts = packer.columns()
     try:
-        # StatVector checks the values before the ids, and so does this
-        vals = np.asarray(vals, dtype=float)
-        check_values(vals, scale)
-        ids, texts = packer.columns()
-        return StatVector(vals, scale, ids=ids), texts
+        return StatVector(vals, scale, ids=ids, id_hashes=packer.hashes), texts
     except ValueError as exc:
         raise CliError("bad-input", f"{path}: {exc}")
 
@@ -657,6 +643,8 @@ def _parse_criteria(text: str):
 def _seeded_design(args, command: str):
     """The generator and default alpha of --preset, else of the --config file;
     a design from both is refused rather than one of them silently dropped."""
+    if args.reps < 1:
+        raise CliError("bad-arg", "--reps must be a positive integer")
     if args.seed is None:
         raise CliError("bad-arg", f"--seed is mandatory for {command}")
     config = _read_config(args.config, _DESIGN_KEYS) if args.config else {}
@@ -674,8 +662,6 @@ def _seeded_design(args, command: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise CliError("bad-arg", "--reps must be a positive integer")
     generator, alpha = _seeded_design(args, "simulate")
     if args.alpha is not None:
         alpha = args.alpha

@@ -13,7 +13,7 @@ import pickle
 import signal
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
@@ -127,8 +127,9 @@ class TextColumn(Sequence):
     is cell i.  That costs the text and an offset a cell, where a ``str``
     object costs about 50 bytes over its text.  ``column[i]`` decodes one cell
     and ``column[lo:hi]`` a list of them, so a reader of the column holds one
-    slice of ``str`` at a time.  ``data`` is ``bytes`` or a map; the cells
-    may repeat, so a column of ids is checked unique by whoever packs it.
+    slice of ``str`` at a time; iterating decodes a slice at a time too.
+    ``data`` is ``bytes`` or a map.  The cells may repeat, as stat texts do;
+    ``StatVector`` checks a column of ids unique.
     """
 
     def __init__(self, data, ends: np.ndarray):
@@ -138,6 +139,10 @@ class TextColumn(Sequence):
 
     def __len__(self) -> int:
         return self._ends.size - 1
+
+    def __iter__(self) -> Iterator[str]:
+        for lo in range(0, len(self), 1 << 14):
+            yield from self[lo:lo + (1 << 14)]
 
     def __getitem__(self, key: Union[int, slice]) -> Union[str, List[str]]:
         rows = range(len(self))[key]
@@ -171,15 +176,19 @@ class StatVector:
         Which sample space the values live on.
     ids : TextColumn or iterable of str, optional
         Opaque labels, unique, one per statistic, kept as given: no label is
-        converted to ``str``.  A ``TextColumn`` is kept as it is, and checked
-        unique by whoever packed it; any other iterable is made a tuple.
+        converted to ``str``.  A ``TextColumn`` is kept as it is; any other
+        iterable is made a tuple.  The values are checked before the ids.
+    id_hashes : np.ndarray, optional
+        The int64 ``hash`` of each id, where the caller took them already: not
+        kept, they spare the uniqueness check a pass over the ids.
     """
 
     values: np.ndarray
     scale: Scale
     ids: Optional[Union[TextColumn, Tuple[str, ...]]] = None
+    id_hashes: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, id_hashes):
         arr = _frozen_array(self.values, float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("values must be a 1-d sequence of length >= 1")
@@ -189,8 +198,7 @@ class StatVector:
             ids = self.ids if isinstance(self.ids, TextColumn) else tuple(self.ids)
             if len(ids) != arr.size:
                 raise ValueError("ids must match values in length")
-            # the packer of a TextColumn checked its ids from the hashes it took
-            if not (isinstance(ids, TextColumn) or _all_distinct(ids)):
+            if not _all_distinct(ids, id_hashes):
                 raise ValueError("ids must be unique")
             object.__setattr__(self, "ids", ids)
 

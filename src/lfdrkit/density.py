@@ -190,8 +190,9 @@ def grenander_fit(stats: StatVector) -> MonotoneDensityFit:
     m = p.size
     if p[0] <= 0.0:
         raise DegeneracyError(
-            "monotone MLE undefined with an observation at exactly 0; "
-            "perturb grid p-values first")
+            "monotone MLE undefined with an observation at exactly 0: a grid p-value of 0 "
+            "(perturb grid p-values first), or a one-sided p-value that underflows to 0 "
+            "(a z-value above 37.677)")
     # ECDF vertices: the last order statistic of each tie run, after (0, 0).
     # Each is written once into its own array, and the sorted sample is let
     # go while the hull is found, so that few m-long arrays live at once

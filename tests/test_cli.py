@@ -241,6 +241,19 @@ def test_analyze_huge_z_leaves_stderr_empty(tmp_path):
     assert proc.stderr == ""
 
 
+def test_analyze_z_whose_pvalue_underflows_names_both_causes_of_a_0(tmp_path, capsys):
+    # ndtr(-40) is 0, an observation at exactly 0 as a grid p-value of 0 would be
+    path = tmp_path / "z.csv"
+    path.write_text("id,stat\na,40\nb,0.3\nc,-1.2\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                              "--out", str(tmp_path / "res")], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("ERROR degenerate: monotone MLE undefined with an observation at exactly "
+                   "0: a grid p-value of 0 (perturb grid p-values first), or a one-sided "
+                   "p-value that underflows to 0 (a z-value above 37.677)\n")
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_analyze_npmle_fit_without_kernel_mass_is_a_fit_error(tmp_path, capsys):
     # 300 atoms over [-1e6 - 1, 1e6 + 1]: z = 0 has zero kernel mass at all of them
     path = tmp_path / "z.csv"
@@ -274,6 +287,14 @@ def test_simulate_requires_seed_and_positive_reps(capsys):
     code, _, err = run_cli(["simulate", "--preset", "theorem-5.1",
                             "--reps", "0", "--seed", "1"], capsys)
     assert code == 2 and "reps" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_seeded_commands_check_reps_first_in_the_same_words(command, capsys):
+    for seed in ([], ["--seed", "1"]):
+        code, out, err = run_cli([command, "--preset", "theorem-5.1", "--reps", "0", *seed],
+                                 capsys)
+        assert (code, out, err) == (2, "", "ERROR bad-arg: --reps must be a positive integer\n")
 
 
 def test_simulate_preset_superuniform(tmp_path, capsys):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from lfdrkit import cli, core
 from lfdrkit.core import DomainError, FitError, Scale, StatVector
 from lfdrkit.lfdr import LfdrCurve
+from lfdrkit.procedures import perturb_grid_pvalues
 
 # id text the csv module reads back unchanged without quotes
 PLAIN_TEXT = st.text(st.characters(blacklist_characters=',"\r\n',
@@ -349,6 +350,16 @@ def test_reader_checks_the_values_before_the_ids(tmp_path):
     path.write_text("id,stat\nh1,nan\nh1,0.5\n", encoding="utf-8")
     assert _outcome(path, Scale.Z_VALUE) == \
         (cli.CliError, "bad-input", f"{path}: values must be finite")
+
+
+def test_perturbing_read_grid_pvalues_keeps_the_ids(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("id,stat\nb,0.2\na,0.5\nc,1.0\n", encoding="utf-8")
+    stats, _ = cli.read_stats_csv(str(path), Scale.P_VALUE)
+    perturbed = perturb_grid_pvalues(stats, 10, np.random.default_rng(1))
+    assert perturbed.ids is stats.ids
+    assert perturbed.ids[0:3] == ["b", "a", "c"]
+    assert np.array_equal(np.ceil(perturbed.values * 10), [2, 5, 10])
 
 
 def test_score_hypotheses_names_a_read_id(tmp_path):

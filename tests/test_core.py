@@ -12,7 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import beta, norm
 
 import lfdrkit as lk
-from lfdrkit.core import DomainError, TextColumn, to_pvalues
+from lfdrkit.core import DomainError, TextColumn, _hashes, to_pvalues
 
 
 def test_statvector_validation():
@@ -42,19 +42,40 @@ def test_statvector_ids_with_equal_hashes_are_told_apart():
 COLLIDING = st.sampled_from([-1, -2, 0, 2**61 - 1, 2**62 - 2, 1, 2**61, -(2**61 - 1)])
 
 
+def _accepts_ids(ids, id_hashes=None) -> bool:
+    """Whether ``StatVector`` takes ``ids``; repeats are the one refusal."""
+    try:
+        lk.StatVector(np.full(len(ids), 0.5), lk.Scale.P_VALUE, ids=ids, id_hashes=id_hashes)
+    except ValueError as exc:
+        assert str(exc) == "ids must be unique"
+        return False
+    return True
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(COLLIDING | st.integers(-3, 3) | st.text(max_size=2) | st.floats(),
                 min_size=1, max_size=30))
+@example(["a", 1, "é", "a"])
 def test_statvector_id_check_agrees_with_a_set(ids):
     ids = tuple(ids)
-    try:
-        lk.StatVector(np.full(len(ids), 0.5), lk.Scale.P_VALUE, ids=ids)
-    except ValueError as exc:
-        assert str(exc) == "ids must be unique"
-        accepted = False
-    else:
-        accepted = True
-    assert accepted == (len(set(ids)) == len(ids))
+    assert _accepts_ids(ids) == (len(set(ids)) == len(ids))
+    # the string ids as a tuple, and as a TextColumn with its hashes and without
+    texts = [i for i in ids if isinstance(i, str)]
+    if texts:
+        distinct = len(set(texts)) == len(texts)
+        assert _accepts_ids(tuple(texts)) == distinct
+        assert _accepts_ids(_id_buffer(texts), _hashes(texts)) == distinct
+        assert _accepts_ids(_id_buffer(texts)) == distinct
+
+
+def test_statvector_checks_a_text_column_of_ids_unique():
+    with pytest.raises(ValueError, match="^ids must be unique$"):
+        lk.StatVector([0.1, 0.2], lk.Scale.P_VALUE, ids=TextColumn(b"aa", np.array([0, 1, 2])))
+    # over more cells than one decoded slice, the repeat far apart
+    ids = [f"h{i}" for i in range(40_000)] + ["h3"]
+    assert list(_id_buffer(ids)) == ids
+    with pytest.raises(ValueError, match="^ids must be unique$"):
+        lk.StatVector(np.full(len(ids), 0.5), lk.Scale.P_VALUE, ids=_id_buffer(ids))
 
 
 def _id_buffer(ids):
@@ -71,8 +92,8 @@ ID_TEXT = st.text(st.sampled_from(["a", "é", ",", "\n", '"', "\x00", " ", "\r"]
 @given(st.lists(ID_TEXT, max_size=12), st.integers(-14, 14), st.integers(-14, 14),
        st.sampled_from([None, 1, 2, -1]))
 def test_id_buffer_reads_back_its_ids(ids, lo, hi, step):
-    # a text column holds repeats too, as a column of stat texts does; the
-    # reader checks its ids unique as it packs them
+    # a text column holds repeats too, as a column of stat texts does;
+    # StatVector checks a column of ids unique
     buf = _id_buffer(ids)
     assert len(buf) == len(ids)
     assert list(buf) == ids

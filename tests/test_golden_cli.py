@@ -7,7 +7,9 @@ the exact floats.  The files pin the float text of every cell, the 0/1
 flags, the empty cell of a bin without data and the JSON summary.
 """
 
+import csv
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from lfdrkit import cli
 from lfdrkit.cli import main
+from lfdrkit.core import Scale, to_pvalues
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -65,6 +68,24 @@ def test_analyze_table_and_summary_bytes_are_pinned(name, tmp_path, capsys):
         (GOLDEN / f"analyze_{name}.csv").read_bytes()
     assert stem.with_suffix(".json").read_bytes() == \
         (GOLDEN / f"analyze_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
+def test_rejected_bh_is_a_q_value_at_most_alpha(name):
+    # q_value is the step-up q-value with null count m, whatever --pi0 says, and
+    # each threshold is the largest rejected p-value, on the p scale under
+    # --scale z too
+    with open(GOLDEN / f"analyze_{name}.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads((GOLDEN / f"analyze_{name}.json").read_text(encoding="utf-8"))
+    bh = [row["rejected_bh"] == "1" for row in rows]
+    assert bh == [float(row["q_value"]) <= summary["alpha"] for row in rows]
+    scale = Scale.Z_VALUE if name.startswith("z") else Scale.P_VALUE
+    p = to_pvalues(np.array([float(row["stat"]) for row in rows]), scale)
+    for proc, procedure in summary["procedures"].items():
+        rejected = np.array([row[f"rejected_{proc}"] == "1" for row in rows])
+        assert procedure["rejections"] == rejected.sum() > 0
+        assert procedure["threshold"] == p[rejected].max()
 
 
 @pytest.mark.parametrize("kind", ["npmle", "lindsey"])
