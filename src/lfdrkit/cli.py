@@ -142,6 +142,8 @@ def _read_rows(path: str, data, scale: Scale) -> Tuple[_TextPacker, List[float]]
                 if scale is Scale.P_VALUE and not 0.0 <= stat <= 1.0:
                     raise CliError("bad-pvalue",
                                    f"id {row[0]!r}: p-value {stat} outside [0, 1]")
+                if not math.isfinite(stat):
+                    raise CliError("bad-row", f"{path}:{lineno}: non-finite stat {row[1]!r}")
                 if ncols == 3 and row[2] not in ("0", "1"):
                     raise CliError("bad-row", f"{path}:{lineno}: truth must be 0 or 1")
                 ids.append(row[0])
@@ -308,9 +310,8 @@ def _read_columns(path: str, data, scale: Scale) -> Optional[Tuple[_TextPacker, 
             values, *packed = parsed
             vals[packer.added:packer.added + values.size] = values
             packer.add(*packed)
-    if scale is Scale.P_VALUE and not ((vals >= 0.0) & (vals <= 1.0)).all():
-        return None
-    return packer, vals
+    ok = ((vals >= 0.0) & (vals <= 1.0)) if scale is Scale.P_VALUE else np.isfinite(vals)
+    return (packer, vals) if ok.all() else None
 
 
 def read_stats_csv(path: str, scale: Scale) -> Tuple[StatVector, TextColumn]:

@@ -7,9 +7,9 @@ each, re-keying one generator per row and drawing in a fixed order (data,
 then the boundary tie-pick), and hands the block to a stage that scores and
 tallies it.  A perturbed grid design draws its cells, then the row's
 uniforms, and perturbs from the cells in its draw; ``perturb_grid_pvalues``
-is the path for grid p-values from outside.  A row that ties at its
-boundary rebuilds the state its other draws left by re-keying and repeating
-them.  Rejection rules run along the rows with the per-instance rules'
+is the path for grid p-values from outside.  A run picks its draw once, and
+a tied row's replay re-keys and repeats that draw to rebuild its state.
+Rejection rules run along the rows with the per-instance rules'
 arithmetic.  Each criterion counts replicates per distinct outcome, such as
 (V, R), so runs over adjacent replicate ranges merge exactly by adding
 counts.  The loop runs one range of whole blocks per usable core, each after
@@ -255,25 +255,15 @@ PRESETS: Dict[str, Tuple[GeneratorSpec, float]] = {
 }
 
 
-def _draw_rows(draw: Callable, streams, values: np.ndarray) -> np.random.Generator:
-    """The one draw order: row i of ``values`` by ``draw`` from the i-th
-    stream, a grid design's perturbed draw drawing the cells, then the row's
-    uniforms.  Returns the last stream, whose state a replayed row's tie-pick
-    reads; the caller checks the values."""
-    for i, rng in enumerate(streams):
-        draw(rng, values[i])
-    return rng
-
-
 def generate(spec: GeneratorSpec, seed: Optional[int] = None,
              rng: Optional[np.random.Generator] = None) -> Tuple[StatVector, GroundTruth]:
     """Draw one replicate; deterministic given the seed (or supplied rng)."""
     if rng is None:
         rng = replicate_rng(0 if seed is None else seed, 0)
     flags = spec.null_flags
-    row = np.empty((1, flags.size))
-    _draw_rows(spec.draw, [rng], row)
-    return StatVector(row[0], spec.scale), GroundTruth(flags)
+    row = np.empty(flags.size)
+    spec.draw(rng, row)
+    return StatVector(row, spec.scale), GroundTruth(flags)
 
 
 def oracle_score_fn(spec: GeneratorSpec):
@@ -444,16 +434,16 @@ _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 
-def _run_blocks(spec: GeneratorSpec, seed: int, start: int, n: int, perturb: bool,
+def _run_blocks(spec: GeneratorSpec, seed: int, start: int, n: int, draw: Callable,
                 make_stage: Callable[[int], Callable], add: Callable):
     """The one seeded block loop: replicates ``start .. start + n - 1`` of
-    ``seed``, drawn a block of rows at a time into a buffer allocated once per
-    run, checked, and handed to ``stage(indices, values)``, where ``stage =
-    make_stage(rows)`` is made once for blocks of at most ``rows`` rows.  With
-    ``perturb`` a grid design draws its cells, then each row's uniforms, and
-    writes the perturbed values from the cells.  The blocks run in one range
-    per usable core, each after the first in a forked child, and their
-    tallies are folded with ``add`` in replicate order."""
+    ``seed``, each row filled by ``draw`` (``spec.draw`` or a grid design's
+    ``perturbed_draw``) from its own stream into a buffer allocated once per
+    run, a block of rows at a time, checked, and handed to ``stage(indices,
+    values)``, where ``stage = make_stage(rows)`` is made once for blocks of
+    at most ``rows`` rows.  The blocks run in one range per usable core, each
+    after the first in a forked child, and their tallies are folded with
+    ``add`` in replicate order."""
     n = _integer("the replicate count", n)
     if n < 1:
         raise ValueError(f"the replicate count must be >= 1, got {n}")
@@ -462,14 +452,14 @@ def _run_blocks(spec: GeneratorSpec, seed: int, start: int, n: int, perturb: boo
     m = spec.null_flags.size
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m, n))
     x = np.empty((rows, m))
-    draw = spec.perturbed_draw if perturb else spec.draw
     stage = make_stage(rows)
 
     def run(part: range) -> list:
         def block(first: int):
             indices = range(first, min(first + rows, part.stop))
             values = x[:len(indices)]
-            _draw_rows(draw, _replicate_streams(seed, indices), values)
+            for row, rng in zip(values, _replicate_streams(seed, indices)):
+                draw(rng, row)
             check_values(values, spec.scale)
             return stage(indices, values)
         return [reduce(add, map(block, range(part.start, part.stop, rows)))]
@@ -492,16 +482,17 @@ def _row_thresholds(ps: np.ndarray, cfg: ProcedureConfig,
     return step_up_thresholds(ps, cfg.alpha, (pi0 * m)[:, None])
 
 
-def _replayed_streams(spec: GeneratorSpec, procedure: ProcedureConfig, seed: int,
+def _replayed_streams(draw: Callable, m: int, seed: int,
                       indices: Sequence[int]) -> Iterator[np.random.Generator]:
     """The streams of the ascending replicate ``indices`` in turn, each at the
-    state its row's draws left: Philox is counter-based, so re-keying to
-    (seed, index) and repeating the draws into a scratch row rebuilds that
-    state bit for bit.  The block's draw checked those values."""
-    scratch = np.empty((1, spec.null_flags.size))
-    draw = spec.perturbed_draw if procedure.perturb else spec.draw
+    state its row's ``draw`` of m values left: Philox is counter-based, so
+    re-keying to (seed, index) and repeating the run's own draw into a
+    scratch row rebuilds that state bit for bit.  The block's draw checked
+    those values."""
+    scratch = np.empty(m)
     for rng in _replicate_streams(seed, indices):
-        yield _draw_rows(draw, (rng,), scratch)
+        draw(rng, scratch)
+        yield rng
 
 
 def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
@@ -520,11 +511,12 @@ def _boundary_nulls(p, cut, nulls, after_draws) -> np.ndarray:
     return out
 
 
-def _outcome_stage(spec: GeneratorSpec, procedure: ProcedureConfig, criteria, seed: int,
-                   rows: int) -> Callable:
+def _outcome_stage(spec: GeneratorSpec, procedure: ProcedureConfig, criteria,
+                   replay: Callable, rows: int) -> Callable:
     """The block stage of :func:`mc_error_rates`: sort, threshold and count
-    each criterion's outcomes.  Its sort and support-line objective
-    buffers hold ``rows`` rows and are allocated once, here."""
+    each criterion's outcomes; ``replay(indices)`` yields the streams of
+    tied rows at the state their draws left.  Its sort and support-line
+    objective buffers hold ``rows`` rows and are allocated once, here."""
     nulls = spec.null_flags
     m1 = nulls.size - np.count_nonzero(nulls)
     sort_buffer = np.empty((rows, nulls.size))
@@ -532,7 +524,7 @@ def _outcome_stage(spec: GeneratorSpec, procedure: ProcedureConfig, criteria, se
 
     def stage(indices: range, values: np.ndarray) -> Dict[str, Counter]:
         def after_draws(tied_rows: np.ndarray) -> Iterator[np.random.Generator]:
-            return _replayed_streams(spec, procedure, seed, [indices[i] for i in tied_rows])
+            return replay([indices[i] for i in tied_rows])
 
         n = len(indices)
         p = to_pvalues(values, spec.scale)
@@ -597,8 +589,10 @@ def mc_error_rates(spec: GeneratorSpec, procedure: ProcedureConfig, n_reps: int,
             raise ValueError(f"interval criterion {c.name} needs bounds s <= t")
     if procedure.perturb and not isinstance(spec, DiscreteUniformNulls):
         raise ValueError(f"perturbation needs a grid generator, not {type(spec).__name__}")
-    counts = _run_blocks(spec, seed, start, n_reps, procedure.perturb,
-                         partial(_outcome_stage, spec, procedure, criteria, seed), _add_counts)
+    draw = spec.perturbed_draw if procedure.perturb else spec.draw
+    replay = partial(_replayed_streams, draw, spec.null_flags.size, seed)
+    counts = _run_blocks(spec, seed, start, n_reps, draw,
+                         partial(_outcome_stage, spec, procedure, criteria, replay), _add_counts)
     config = {"generator": repr(spec), "procedure": repr(procedure),
               "criteria": [c.name for c in criteria], "seed": int(seed)}
     return _report(int(start), int(n_reps), config, criteria, counts)
@@ -675,7 +669,7 @@ def calibration_experiment(spec: GeneratorSpec, scorer: str, reps: int,
         idx = np.clip((scores / bin_width).astype(int), 0, nbins - 1)
         return np.bincount((idx + nbins * nulls).ravel(), minlength=2 * nbins)
 
-    tally = _run_blocks(spec, seed, 0, reps, False, lambda rows: bin_counts, np.add)
+    tally = _run_blocks(spec, seed, 0, reps, spec.draw, lambda rows: bin_counts, np.add)
     null_counts = tally[nbins:]
     counts = tally[:nbins] + null_counts
     with np.errstate(invalid="ignore"):

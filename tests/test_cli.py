@@ -181,6 +181,19 @@ def test_analyze_out_of_range_pvalue_names_id(tmp_path, capsys):
     assert "naughty" in err
 
 
+@pytest.mark.parametrize("stat", ["nan", "inf", "-inf"])
+def test_analyze_nonfinite_z_names_its_line(stat, tmp_path, capsys):
+    path = tmp_path / "z.csv"
+    path.write_text(f"id,stat\na,0.5\nb,{stat}\nc,1.0\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", "--input", str(path), "--scale", "z",
+                              "--out", str(tmp_path / "res")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ERROR bad-row: {path}:3: non-finite stat '{stat}'\n"
+    # on the p scale it is a p-value outside [0, 1], named by its id
+    code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert (code, err) == (2, f"ERROR bad-pvalue: id 'b': p-value {stat} outside [0, 1]\n")
+
+
 def test_analyze_z_scale_with_lindsey(tmp_path, capsys):
     rng = np.random.default_rng(8)
     z = rng.normal(0, 1, 400)

@@ -37,8 +37,9 @@ FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 # float() syntax the row loop accepts, in and out of [0, 1]
 P_TOKENS = st.sampled_from(["-0.0", "0.0", "0", "1", "1.0", "1e-05", "5e-324", " 0.5 ",
                             "0.25\t", "+0.75", "1e-0_3", "0.1234567890123456789"])
-Z_TOKENS = st.sampled_from(["1_0", "nan", "-inf", "-2.5", "3e300", "-0.0"]) | FLOAT_TEXT
-BAD_TOKENS = st.sampled_from(["oops", "", " ", "1.5", "-1e-300", "0x1p-2", "1..0", "nan"])
+Z_TOKENS = st.sampled_from(["1_0", "-2.5", "3e300", "-0.0"]) | FLOAT_TEXT
+BAD_TOKENS = st.sampled_from(["oops", "", " ", "1.5", "-1e-300", "0x1p-2", "1..0", "nan",
+                              "-inf", "1e400"])
 
 
 @st.composite
@@ -349,7 +350,7 @@ def test_reader_checks_the_values_before_the_ids(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("id,stat\nh1,nan\nh1,0.5\n", encoding="utf-8")
     assert _outcome(path, Scale.Z_VALUE) == \
-        (cli.CliError, "bad-input", f"{path}: values must be finite")
+        (cli.CliError, "bad-row", f"{path}:2: non-finite stat 'nan'")
 
 
 def test_perturbing_read_grid_pvalues_keeps_the_ids(tmp_path):

@@ -412,9 +412,9 @@ def _count_replays(mp):
     mp.setattr(core, "_cores", lambda: 1)
     replayed = []
 
-    def counted(spec, procedure, seed, indices):
+    def counted(draw, m, seed, indices):
         replayed.extend(indices)
-        return replay(spec, procedure, seed, indices)
+        return replay(draw, m, seed, indices)
 
     replay = simulate._replayed_streams
     mp.setattr(simulate, "_replayed_streams", counted)
@@ -446,7 +446,7 @@ def _state_bytes(rng):
     (QuarterRounded(m=9, m1=3), False),
 ], ids=[*PRESETS, "grid-perturbed", "quarter-rounded"])
 def test_replayed_stream_reaches_the_state_the_row_draws_left(spec, perturb):
-    proc = ProcedureConfig("support-line", 0.5, perturb=perturb)
+    draw, m = spec.perturbed_draw if perturb else spec.draw, spec.null_flags.size
     indices = (0, 7, (1 << 64) - 1)
     left = []
     for index in indices:
@@ -456,10 +456,10 @@ def test_replayed_stream_reaches_the_state_the_row_draws_left(spec, perturb):
             rng.random(spec.m)
         left.append(_state_bytes(rng))
         assert [_state_bytes(replayed) for replayed in
-                simulate._replayed_streams(spec, proc, 5, [index])] == left[-1:]
+                simulate._replayed_streams(draw, m, 5, [index])] == left[-1:]
     # one pass over them all pairs each index with its own re-keyed stream
     assert [_state_bytes(replayed) for replayed in
-            simulate._replayed_streams(spec, proc, 5, indices)] == left
+            simulate._replayed_streams(draw, m, 5, indices)] == left
 
 
 @pytest.mark.parametrize("kind", ["support-line", "bh", "storey-bh"])
@@ -571,6 +571,32 @@ def test_calibration_bins_do_not_depend_on_the_process_count(scorer):
         assert np.array_equal(curve.bin_counts, curves[0].bin_counts)
         assert curve.bin_null_fraction.tobytes() == curves[0].bin_null_fraction.tobytes()
     _assert_no_child_left()
+
+
+def _blocks_read(run):
+    """The bytes of each block of rows that ``run()``'s block loop checks, in
+    one process and in blocks of 4 rows."""
+    blocks = []
+
+    def recorded(values, scale):
+        blocks.append(values.tobytes())
+        return check(values, scale)
+
+    check = simulate.check_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "check_values", recorded)
+        _with_cores(1, run, block_rows=4)
+    return blocks
+
+
+@pytest.mark.parametrize("preset", ["fig2-gaussian", "theorem-5.1", "counterexample-discrete"])
+def test_calibration_and_error_rates_read_the_same_rows(preset):
+    spec, alpha = PRESETS[preset]
+    rates = _blocks_read(lambda: mc_error_rates(spec, ProcedureConfig("support-line", alpha),
+                                                10, [Fdr()], seed=8))
+    curve = _blocks_read(lambda: calibration_experiment(spec, "p-value", 10, 0.1, seed=8))
+    assert len(rates) == 3  # 10 replicates in blocks of 4
+    assert curve == rates
 
 
 class _TwoArgumentError(Exception):
@@ -825,10 +851,9 @@ def test_perturbed_draw_is_perturb_grid_pvalues_of_the_draw(spec, seed, index):
     spec.perturbed_draw(drawn, row)
     assert row.tobytes() == expected.tobytes()
     # and the tie-pick's replay rebuilds the state the perturbed draw left
-    proc = ProcedureConfig("support-line", 0.5, perturb=True)
     assert _state_bytes(drawn) == _state_bytes(rng)
-    assert [_state_bytes(replayed) for replayed in
-            simulate._replayed_streams(spec, proc, seed, [index])] == [_state_bytes(rng)]
+    assert [_state_bytes(replayed) for replayed in simulate._replayed_streams(
+        spec.perturbed_draw, spec.m, seed, [index])] == [_state_bytes(rng)]
 
 
 def test_perturbation_refuses_a_grid_that_is_not_the_designs():
